@@ -7,6 +7,7 @@ dtype, shape, offset) and an optional free-form metadata object.
 """
 
 import json
+import os
 
 import numpy as np
 
@@ -103,18 +104,28 @@ def write_bundle(path, arrays: dict, meta: dict | None = None) -> None:
     else:
         raise RuntimeError("header layout did not converge")
 
-    with open(path, "wb") as fh:
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
-        pos = 8 + len(blob)
-        for entry, a in zip(entries, converted.values()):
-            fh.write(b"\0" * (entry["offset"] - pos))
-            fh.write(a.tobytes())
-            pos = entry["offset"] + a.nbytes
+    # write beside the target and rename, so an interrupted write never
+    # leaves a truncated bundle at path for the next stage to read
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(len(blob).to_bytes(8, "little"))
+            fh.write(blob)
+            pos = 8 + len(blob)
+            for entry, a in zip(entries, converted.values()):
+                fh.write(b"\0" * (entry["offset"] - pos))
+                fh.write(a.tobytes())
+                pos = entry["offset"] + a.nbytes
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
-def read_bundle(path) -> tuple[dict, dict]:
-    """Read a bundle; returns (arrays, meta). Validates magic, offsets, shapes."""
+def read_bundle(path, kind: str | None = None) -> tuple[dict, dict]:
+    """Read a bundle; returns (arrays, meta). Validates magic, offsets, shapes,
+    and, when kind is given, that meta["kind"] names it."""
     with open(path, "rb") as fh:
         raw = fh.read()
     size = len(raw)
@@ -171,4 +182,6 @@ def read_bundle(path) -> tuple[dict, dict]:
     meta = header.get("meta", {})
     if not isinstance(meta, dict):
         raise HeaderError("meta must be an object")
+    if kind is not None and meta.get("kind") != kind:
+        raise HeaderError(f"{os.fspath(path)} holds a {meta.get('kind')!r} bundle, not {kind!r}")
     return arrays, meta

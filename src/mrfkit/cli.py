@@ -1,6 +1,12 @@
 """Command-line pipeline: every stage reads and writes array bundles, so runs
 are reproducible and stages can be rerun or swapped independently.
 
+Each command is a thin wrapper over the stage function of the same name in
+`mrfkit.experiment`. The flags a user gives override keys of the experiment
+configuration; every other setting takes its default from
+`experiment.DEFAULT_EXPERIMENT`, so the commands run by hand reproduce
+`run-experiment` byte for byte.
+
 Exit codes: 0 success, 1 usage or configuration error, 2 file I/O error,
 3 numerical failure. Errors print one machine-readable line on stderr.
 """
@@ -11,18 +17,8 @@ import sys
 
 import click
 import jsonschema
-import numpy as np
 
-from . import bundle, experiment, forward_model as fm, inference, phantom, solver, subspace
-from .epg import (
-    GridRange,
-    GridSpec,
-    build_dictionary,
-    default_schedule,
-    load_dictionary,
-    save_dictionary,
-)
-from .tvprox import TvConfig
+from . import bundle, experiment, inference, solver
 
 EXIT_USAGE = 1
 EXIT_IO = 2
@@ -41,27 +37,53 @@ def _apply_thread_cap():
         return
     try:
         import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limit)
     except ImportError:
-        pass
+        msg = f"MRF_THREADS={value} ignored: threadpoolctl is not installed"
+        print(f"warning kind=threads msg={msg!r}", file=sys.stderr)
+        return
+    threadpoolctl.threadpool_limits(limit)
 
 
-def _schedule_options(fn):
-    fn = click.option("--alpha-max", type=float, default=70.0, show_default=True,
-                      help="Peak flip angle in degrees.")(fn)
-    fn = click.option("--period", type=int, default=250, show_default=True,
-                      help="Frames per flip-angle half-sine.")(fn)
-    fn = click.option("--tr", type=float, default=10.0, show_default=True, help="TR in ms.")(fn)
-    fn = click.option("--te", type=float, default=1.908, show_default=True, help="TE in ms.")(fn)
-    fn = click.option("--tinv", type=float, default=18.0, show_default=True,
-                      help="Inversion delay in ms.")(fn)
+def _setting(flag, key, help="", **kwargs):
+    """An option overriding config key `key` (dotted for nested keys). It has
+    no default of its own: an option not given leaves the key to
+    DEFAULT_EXPERIMENT, whose value the help text shows."""
+    default = experiment.DEFAULT_EXPERIMENT
+    for part in key.split("."):
+        default = default[part]
+    help = f"{help} [{key}, default: {json.dumps(default)}]".lstrip()
+    return click.option(flag, key.replace(".", "__"), default=None, help=help, **kwargs)
+
+
+def _resolve(settings: dict) -> dict:
+    """Resolve the options a command was given into a full configuration."""
+    config = {}
+    for name, value in settings.items():
+        if value is None:
+            continue
+        *parents, leaf = name.split("__")
+        node = config
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        node[leaf] = list(value) if isinstance(value, tuple) else value
+    return experiment.resolve_config(config)
+
+
+def _schedule_settings(fn):
+    for option in reversed((
+        _setting("--alpha-max", "schedule.alpha_max_deg", type=float,
+                 help="Peak flip angle in degrees."),
+        _setting("--period", "schedule.period", type=int, help="Frames per flip-angle half-sine."),
+        _setting("--tr", "schedule.tr_ms", type=float, help="TR in ms."),
+        _setting("--te", "schedule.te_ms", type=float, help="TE in ms."),
+        _setting("--tinv", "schedule.tinv_ms", type=float, help="Inversion delay in ms."),
+    )):
+        fn = option(fn)
     return fn
 
 
-def _make_schedule(frames, alpha_max, period, tr, te, tinv):
-    return default_schedule(frames, alpha_max_deg=alpha_max, period=period,
-                            tr_ms=tr, te_ms=te, tinv_ms=tinv)
+def _out_option(fn):
+    return click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))(fn)
 
 
 @click.group()
@@ -70,127 +92,87 @@ def cli():
 
 
 @cli.command("simulate-dict")
-@click.option("--t1", "t1_range", required=True, help="T1 grid as start:step:stop (ms).")
-@click.option("--t2", "t2_range", required=True, help="T2 grid as start:step:stop (ms).")
-@click.option("--frames", type=int, required=True, help="Number of repetitions L.")
-@click.option("--k-max", type=int, default=None, help="Highest retained configuration order.")
-@_schedule_options
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-def simulate_dict(t1_range, t2_range, frames, k_max, alpha_max, period, tr, te, tinv, out_path):
+@_setting("--t1", "dict.t1", help="T1 grid as start:step:stop (ms).")
+@_setting("--t2", "dict.t2", help="T2 grid as start:step:stop (ms).")
+@_setting("--frames", "frames", type=int, help="Number of repetitions L.")
+@_setting("--k-max", "k_max", type=int, help="Highest retained configuration order.")
+@_schedule_settings
+@_out_option
+def simulate_dict(out_path, **settings):
     """Simulate the fingerprint dictionary over a (T1, T2) grid."""
-    schedule = _make_schedule(frames, alpha_max, period, tr, te, tinv)
-    grid = GridSpec(t1=GridRange.parse(t1_range), t2=GridRange.parse(t2_range))
-    dictionary = build_dictionary(grid, schedule, k_max=k_max)
-    save_dictionary(dictionary, out_path)
+    dictionary = experiment.simulate_dict(_resolve(settings), out_path)
     click.echo(f"wrote {dictionary.n_atoms} atoms x {dictionary.n_frames} frames to {out_path}")
 
 
 @cli.command("learn-subspace")
 @click.option("--dict", "dict_path", required=True, type=click.Path(exists=False))
-@click.option("--rank", type=int, required=True, help="Subspace dimension S.")
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-def learn_subspace_cmd(dict_path, rank, out_path):
+@_setting("--rank", "rank", type=int, help="Subspace dimension S.")
+@_out_option
+def learn_subspace_cmd(dict_path, out_path, **settings):
     """Learn the temporal subspace from the dictionary SVD."""
-    dictionary = load_dictionary(dict_path)
-    basis = subspace.learn_subspace(dictionary, rank)
-    subspace.save_basis(basis, out_path)
+    basis = experiment.learn_subspace(_resolve(settings), dict_path, out_path)
     click.echo(
-        f"rank {rank} captures {100 * basis.captured_energy():.4f}% of dictionary energy"
+        f"rank {basis.rank_s} captures {100 * basis.captured_energy():.4f}% of dictionary energy"
     )
 
 
 @cli.command("make-phantom")
-@click.option("--size", type=int, nargs=2, required=True, metavar="H W")
+@_setting("--size", "size", type=int, nargs=2, metavar="H W")
 @click.option("--spec", "spec_path", type=click.Path(exists=False), default=None,
               help="JSON shape list; omit for the default head layout.")
 @click.option("--offgrid", is_flag=True, help="Use the off-grid tissue variant.")
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-def make_phantom_cmd(size, spec_path, offgrid, out_path):
+@_out_option
+def make_phantom_cmd(spec_path, offgrid, out_path, **settings):
     """Rasterize a piecewise-constant ground-truth phantom."""
-    h, w = size
     if spec_path is not None:
         with open(spec_path) as fh:
-            spec = json.load(fh)
+            settings["phantom"] = json.load(fh)
     elif offgrid:
-        spec = phantom.offgrid_head_spec()
-    else:
-        spec = phantom.default_head_spec()
-    gt = phantom.make_phantom(h, w, spec)
-    phantom.save_ground_truth(gt, out_path)
-    click.echo(f"wrote {h}x{w} phantom with {len(spec)} shapes to {out_path}")
+        settings["phantom"] = "offgrid"
+    h, w = experiment.make_phantom(_resolve(settings), out_path).shape
+    click.echo(f"wrote {h}x{w} phantom to {out_path}")
 
 
 @cli.command("acquire")
 @click.option("--gt", "gt_path", required=True, type=click.Path(exists=False))
-@click.option("--frames", type=int, default=200, show_default=True)
-@click.option("--accel", type=float, default=8.0, show_default=True)
-@click.option("--coils", type=int, default=4, show_default=True)
-@click.option("--coil-kind", type=click.Choice(["uniform", "gaussian-ring"]),
-              default="gaussian-ring", show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--kspace-noise", type=float, default=0.0, show_default=True,
-              help="AWGN sigma per component on sampled k-space entries.")
-@click.option("--k-max", type=int, default=None)
-@_schedule_options
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-def acquire(gt_path, frames, accel, coils, coil_kind, seed, kspace_noise, k_max,
-            alpha_max, period, tr, te, tinv, out_path):
+@_setting("--frames", "frames", type=int)
+@_setting("--accel", "accel", type=float)
+@_setting("--coils", "coils", type=int)
+@_setting("--coil-kind", "coil_kind", help="uniform or gaussian-ring.")
+@_setting("--seed", "seed", type=int, help="Mask seed; the noise uses seed + 1.")
+@_setting("--kspace-noise", "kspace_noise", type=float,
+          help="AWGN sigma per component on sampled k-space entries.")
+@_setting("--k-max", "k_max", type=int)
+@_schedule_settings
+@_out_option
+def acquire(gt_path, out_path, **settings):
     """Synthesize the time series and acquire masked multi-coil k-space."""
-    gt = phantom.load_ground_truth(gt_path)
-    h, w = gt.shape
-    schedule = _make_schedule(frames, alpha_max, period, tr, te, tinv)
-    series = phantom.synthesize_timeseries(gt, schedule, k_max=k_max)
-    pattern = fm.make_vd_cartesian_masks(h, w, frames, accel, seed)
-    coil_maps = fm.make_coil_maps(h, w, coils, kind=coil_kind)
-    frame_imgs = series.T.reshape(frames, h, w).astype(np.complex128)
-    data = fm.apply_frames(frame_imgs, coil_maps, pattern)
-    if kspace_noise > 0:
-        rng = np.random.default_rng(seed + 1)
-        noise = rng.normal(0.0, kspace_noise, (2,) + data.y.shape)
-        data.y += (noise[0] + 1j * noise[1]) * pattern.masks[:, None, :, :]
-    fm.save_kspace(data, coil_maps, out_path, extra_meta={"kspace_noise": kspace_noise})
-    counts = pattern.per_frame_counts
+    data = experiment.acquire(_resolve(settings), gt_path, out_path)
+    counts = data.pattern.per_frame_counts
     click.echo(
-        f"acquired {frames} frames x {coils} coils, "
-        f"{counts.mean():.0f} samples/frame (accel {accel}) to {out_path}"
+        f"acquired {data.pattern.n_frames} frames x {data.n_coils} coils, "
+        f"{counts.mean():.0f} samples/frame (accel {data.pattern.accel}) to {out_path}"
     )
 
 
 @cli.command("reconstruct")
 @click.option("--mode", type=click.Choice(list(solver.MODES)), required=True)
-@click.option("--lambda", "lam", type=float, default=None,
-              help="TV weight; defaults to 2e-5 for lrtv, 0 otherwise.")
-@click.option("--mu0", default="auto", show_default=True,
-              help="Initial step size, or 'auto' for the compression factor.")
-@click.option("--iters", type=int, default=50, show_default=True)
-@click.option("--stop-rel-change", type=float, default=1e-4, show_default=True)
-@click.option("--tv-variant", type=click.Choice(["isotropic", "anisotropic"]),
-              default="isotropic", show_default=True)
-@click.option("--tv-iters", type=int, default=50, show_default=True)
-@click.option("--tv-tol", type=float, default=1e-6, show_default=True)
+@_setting("--lambda", "recon.lambda", type=float, help="TV weight of mode lrtv.")
+@_setting("--iters", "recon.iters", type=int)
+@_setting("--stop-rel-change", "recon.stop_rel_change", type=float)
+@_setting("--tv-variant", "recon.tv_variant", help="isotropic or anisotropic.")
+@_setting("--tv-iters", "recon.tv_iters", type=int)
+@_setting("--tv-tol", "recon.tv_tol", type=float)
 @click.option("--in", "in_path", required=True, type=click.Path(exists=False))
 @click.option("--basis", "basis_path", required=True, type=click.Path(exists=False))
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
+@_out_option
 @click.option("--trace", "trace_path", type=click.Path(dir_okay=False), default=None)
-def reconstruct(mode, lam, mu0, iters, stop_rel_change, tv_variant, tv_iters, tv_tol,
-                in_path, basis_path, out_path, trace_path):
+def reconstruct(mode, in_path, basis_path, out_path, trace_path, **settings):
     """Reconstruct subspace images from acquired k-space data."""
-    data, coils, _meta = fm.load_kspace(in_path)
-    basis = subspace.load_basis(basis_path)
-    if mu0 != "auto":
-        mu0 = float(mu0)
-    cfg = solver.SolverConfig(
-        mode=mode,
-        lam=lam,
-        mu0=mu0,
-        max_outer_iters=iters,
-        stop_rel_change=stop_rel_change,
-        tv=TvConfig(variant=tv_variant, max_iters=tv_iters, dual_gap_tol=tv_tol),
-    )
-    x, trace = solver.solve(data, basis, coils, data.pattern, cfg)
-    solver.save_reconstruction(x, basis, data.pattern.shape, out_path)
-    if trace_path:
-        trace.write_csv(trace_path)
+    if settings["recon__lambda"] and mode != "lrtv":
+        raise click.UsageError(f"--lambda must be 0 in mode {mode!r}")
+    trace = experiment.reconstruct(_resolve(settings), mode, in_path, basis_path, out_path,
+                                   trace_path)
     final = trace[-1]
     click.echo(
         f"{mode}: {final.iteration} iterations, objective {final.objective:.6g} -> {out_path}"
@@ -200,100 +182,54 @@ def reconstruct(mode, lam, mu0, iters, stop_rel_change, tv_variant, tv_iters, tv
 @cli.command("train-net")
 @click.option("--dict", "dict_path", required=True, type=click.Path(exists=False))
 @click.option("--basis", "basis_path", required=True, type=click.Path(exists=False))
-@click.option("--sigma", type=float, default=0.01, show_default=True)
-@click.option("--augment", type=int, default=100, show_default=True)
-@click.option("--epochs", type=int, default=30, show_default=True)
-@click.option("--batch", type=int, default=512, show_default=True)
-@click.option("--lr", type=float, default=0.05, show_default=True)
-@click.option("--hidden", type=int, nargs=2, default=(300, 300), show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--output-relu", is_flag=True,
-              help="Rectify the output layer as well (literal three-ReLU reading).")
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-def train_net(dict_path, basis_path, sigma, augment, epochs, batch, lr, hidden, seed,
-              output_relu, out_path):
+@_setting("--sigma", "train.sigma", type=float)
+@_setting("--augment", "train.augment", type=int)
+@_setting("--epochs", "train.epochs", type=int)
+@_setting("--batch", "train.batch_size", type=int)
+@_setting("--lr", "train.learning_rate", type=float)
+@_setting("--hidden", "train.hidden", type=int, nargs=2)
+@_setting("--seed", "seed", type=int)
+@_setting("--output-relu", "train.output_relu", is_flag=True,
+          help="Rectify the output layer as well (literal three-ReLU reading).")
+@_out_option
+def train_net(dict_path, basis_path, out_path, **settings):
     """Train the parameter-regression network on noisy dictionary projections."""
-    dictionary = load_dictionary(dict_path)
-    basis = subspace.load_basis(basis_path)
-    cfg = inference.TrainConfig(
-        noise_sigma=sigma, augment_factor=augment, epochs=epochs,
-        batch_size=batch, learning_rate=lr, seed=seed,
-    )
-    net = inference.MrfNet.initialize(
-        basis.rank_s,
-        (float(dictionary.t1_ms.min()), float(dictionary.t1_ms.max())),
-        (float(dictionary.t2_ms.min()), float(dictionary.t2_ms.max())),
-        hidden=hidden,
-        seed=seed,
-        output_relu=output_relu,
-    )
-    data = inference.make_training_set(dictionary, basis, cfg)
-    net, history = inference.train(net, data, cfg)
-    inference.save_net(net, cfg, out_path)
+    _net, history = experiment.train_net(_resolve(settings), dict_path, basis_path, out_path)
     final = history[-1] if history else float("nan")
-    click.echo(f"trained on {data[0].shape[0]} samples, final loss {final:.3e} -> {out_path}")
+    click.echo(f"trained {len(history)} epochs, final loss {final:.3e} -> {out_path}")
 
 
 @cli.command("infer")
 @click.option("--net", "net_path", required=True, type=click.Path(exists=False))
 @click.option("--in", "in_path", required=True, type=click.Path(exists=False))
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
+@_out_option
 def infer_cmd(net_path, in_path, out_path):
     """Estimate (T1, T2) maps with the trained network."""
-    net = inference.load_net(net_path)
-    x, _basis, (h, w) = solver.load_reconstruction(in_path)
-    maps = inference.infer(net, subspace.phase_align(x))
-    bundle.write_bundle(
-        out_path,
-        {
-            "t1": maps[:, 0].reshape(h, w).astype(np.float32),
-            "t2": maps[:, 1].reshape(h, w).astype(np.float32),
-        },
-        meta={"kind": "maps", "estimator": "net"},
-    )
+    experiment.infer(net_path, in_path, out_path)
     click.echo(f"inferred maps -> {out_path}")
 
 
 @cli.command("match")
 @click.option("--dict", "dict_path", required=True, type=click.Path(exists=False))
 @click.option("--in", "in_path", required=True, type=click.Path(exists=False))
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
+@_out_option
 def match_cmd(dict_path, in_path, out_path):
     """Estimate maps by exhaustive dictionary matching."""
-    dictionary = load_dictionary(dict_path)
-    x, basis, (h, w) = solver.load_reconstruction(in_path)
-    maps, pd = inference.dictionary_match(subspace.phase_align(x), dictionary, basis)
-    bundle.write_bundle(
-        out_path,
-        {
-            "t1": maps[:, 0].reshape(h, w).astype(np.float32),
-            "t2": maps[:, 1].reshape(h, w).astype(np.float32),
-            "pd": pd.reshape(h, w).astype(np.float32),
-        },
-        meta={"kind": "maps", "estimator": "match"},
-    )
+    experiment.match(dict_path, in_path, out_path)
     click.echo(f"matched maps -> {out_path}")
 
 
 @cli.command("score")
 @click.option("--est", "est_path", required=True, type=click.Path(exists=False))
 @click.option("--gt", "gt_path", required=True, type=click.Path(exists=False))
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
+@_out_option
 def score_cmd(est_path, gt_path, out_path):
     """Score estimated maps against the ground truth."""
-    arrays, meta = bundle.read_bundle(est_path)
-    gt = phantom.load_ground_truth(gt_path)
-    score = phantom.score_maps(
-        arrays["t1"].astype(np.float64), arrays["t2"].astype(np.float64), gt
-    )
-    method = meta.get("estimator", "est")
-    rows = [
-        {"method": method, "param": param.upper(), **score[param]}
-        for param in ("t1", "t2")
-    ]
-    experiment.write_metrics_csv(out_path, rows)
+    result, _maps, estimator = experiment.score(est_path, gt_path)
+    experiment.write_metrics_csv(out_path, experiment.metric_rows(estimator, result))
     click.echo(
-        f"T1 rmse {score['t1']['rmse']:.2f} ms, T2 rmse {score['t2']['rmse']:.2f} ms -> {out_path}"
+        f"T1 rmse {result['t1']['rmse']:.2f} ms, T2 rmse {result['t2']['rmse']:.2f} ms "
+        f"-> {out_path}"
     )
 
 
@@ -325,7 +261,11 @@ def main(argv=None) -> int:
     except click.UsageError as exc:
         print(f"error kind=usage msg={exc.format_message()!r}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, jsonschema.ValidationError) as exc:
+    except jsonschema.ValidationError as exc:
+        where = ".".join(str(p) for p in exc.absolute_path) or "config"
+        print(f"error kind=usage msg={f'{where}: {exc.message}'!r}", file=sys.stderr)
+        return EXIT_USAGE
+    except ValueError as exc:
         print(f"error kind=usage msg={str(exc)!r}", file=sys.stderr)
         return EXIT_USAGE
     except bundle.BundleError as exc:

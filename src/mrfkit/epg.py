@@ -329,7 +329,7 @@ def save_dictionary(dictionary: Dictionary, path) -> None:
 def load_dictionary(path) -> Dictionary:
     from . import bundle
 
-    arrays, meta = bundle.read_bundle(path)
+    arrays, meta = bundle.read_bundle(path, kind="dictionary")
     schedule = SequenceSchedule(
         arrays["flip_angles_deg"].astype(np.float64),
         tr_ms=float(meta["tr_ms"]),

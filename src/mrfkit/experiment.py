@@ -1,10 +1,14 @@
-"""End-to-end experiment: simulate, acquire, reconstruct with each method,
-estimate maps, and score them against the ground truth.
+"""Pipeline stages and the end-to-end experiment.
+
+Each stage is one function that reads its inputs from `.mrfb` bundles and
+writes its output bundle. A stage with settings takes them as its first
+argument, a configuration resolved by `resolve_config`, the one place
+defaults live; infer, match and score have none. The CLI commands and
+`run_experiment` call the same stage functions, so running the CLI stages by
+hand with an experiment's settings reproduces its files byte for byte.
 
 The configuration is one JSON document validated against EXPERIMENT_SCHEMA
-(unknown keys are rejected). Every stage writes its artifact into the output
-directory, so re-running any stage through the CLI on those files gives the
-same results.
+(unknown keys are rejected).
 """
 
 import csv
@@ -14,10 +18,9 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from . import bundle
+from . import bundle, epg
 from . import forward_model as fm
 from . import inference, phantom, solver, subspace
-from .epg import GridRange, GridSpec, build_dictionary, default_schedule, save_dictionary
 from .tvprox import TvConfig
 
 METHODS = ("bpi", "lr", "lrtv")
@@ -48,7 +51,6 @@ EXPERIMENT_SCHEMA = {
                 "t1": {"type": "string"},
                 "t2": {"type": "string"},
             },
-            "required": ["t1", "t2"],
         },
         "schedule": {
             "type": "object",
@@ -158,6 +160,147 @@ def resolve_config(config: dict | None) -> dict:
     return merged
 
 
+def _schedule(cfg: dict) -> epg.SequenceSchedule:
+    return epg.default_schedule(cfg["frames"], **cfg["schedule"])
+
+
+def simulate_dict(cfg: dict, out_path) -> epg.Dictionary:
+    """Simulate the fingerprint dictionary over the configured (T1, T2) grid."""
+    grid = epg.GridSpec(
+        t1=epg.GridRange.parse(cfg["dict"]["t1"]), t2=epg.GridRange.parse(cfg["dict"]["t2"])
+    )
+    dictionary = epg.build_dictionary(grid, _schedule(cfg), k_max=cfg["k_max"])
+    epg.save_dictionary(dictionary, out_path)
+    return dictionary
+
+
+def learn_subspace(cfg: dict, dict_path, out_path) -> subspace.SubspaceBasis:
+    """Learn the rank-S temporal subspace from a dictionary bundle."""
+    basis = subspace.learn_subspace(epg.load_dictionary(dict_path), cfg["rank"])
+    subspace.save_basis(basis, out_path)
+    return basis
+
+
+def make_phantom(cfg: dict, out_path) -> phantom.GroundTruth:
+    """Rasterize the configured phantom ("default", "offgrid" or a shape list)."""
+    spec = cfg["phantom"]
+    if spec == "default":
+        spec = phantom.default_head_spec()
+    elif spec == "offgrid":
+        spec = phantom.offgrid_head_spec()
+    h, w = cfg["size"]
+    gt = phantom.make_phantom(h, w, spec)
+    phantom.save_ground_truth(gt, out_path)
+    return gt
+
+
+def acquire(cfg: dict, gt_path, out_path) -> fm.KSpaceData:
+    """Synthesize the phantom's time series and acquire masked multi-coil
+    k-space, with complex white noise on the sampled entries."""
+    gt = phantom.load_ground_truth(gt_path)
+    h, w = gt.shape
+    frames, seed = cfg["frames"], cfg["seed"]
+    series = phantom.synthesize_timeseries(gt, _schedule(cfg), k_max=cfg["k_max"])
+    pattern = fm.make_vd_cartesian_masks(h, w, frames, cfg["accel"], seed)
+    coils = fm.make_coil_maps(h, w, cfg["coils"], kind=cfg["coil_kind"])
+    data = fm.apply_frames(series.T.reshape(frames, h, w).astype(np.complex128), coils, pattern)
+    if cfg["kspace_noise"] > 0:
+        rng = np.random.default_rng(seed + 1)
+        noise = rng.normal(0.0, cfg["kspace_noise"], (2,) + data.y.shape)
+        data.y += (noise[0] + 1j * noise[1]) * pattern.masks[:, None, :, :]
+    fm.save_kspace(data, coils, out_path, extra_meta={"kspace_noise": cfg["kspace_noise"]})
+    return data
+
+
+def reconstruct(cfg: dict, mode: str, kspace_path, basis_path, out_path,
+                trace_path=None) -> solver.SolveTrace:
+    """Reconstruct subspace images with one method; the TV weight applies to
+    lrtv only. Writes the per-iteration trace CSV when trace_path is given."""
+    data, coils, _meta = fm.load_kspace(kspace_path)
+    basis = subspace.load_basis(basis_path)
+    rc = cfg["recon"]
+    solver_cfg = solver.SolverConfig(
+        mode=mode,
+        lam=rc["lambda"] if mode == "lrtv" else 0.0,
+        max_outer_iters=rc["iters"],
+        stop_rel_change=rc["stop_rel_change"],
+        tv=TvConfig(variant=rc["tv_variant"], max_iters=rc["tv_iters"], dual_gap_tol=rc["tv_tol"]),
+    )
+    x, trace = solver.solve(data, basis, coils, data.pattern, solver_cfg)
+    solver.save_reconstruction(x, basis, data.pattern.shape, out_path)
+    if trace_path is not None:
+        trace.write_csv(trace_path)
+    return trace
+
+
+def train_net(cfg: dict, dict_path, basis_path, out_path) -> tuple[inference.MrfNet, list[float]]:
+    """Train the parameter-regression network on noisy dictionary projections;
+    returns the network and its per-epoch loss history."""
+    dictionary = epg.load_dictionary(dict_path)
+    basis = subspace.load_basis(basis_path)
+    tc = cfg["train"]
+    train_cfg = inference.TrainConfig(
+        noise_sigma=tc["sigma"],
+        augment_factor=tc["augment"],
+        epochs=tc["epochs"],
+        batch_size=tc["batch_size"],
+        learning_rate=tc["learning_rate"],
+        seed=cfg["seed"],
+    )
+    net = inference.MrfNet.initialize(
+        basis.rank_s,
+        (float(dictionary.t1_ms.min()), float(dictionary.t1_ms.max())),
+        (float(dictionary.t2_ms.min()), float(dictionary.t2_ms.max())),
+        hidden=tuple(tc["hidden"]),
+        seed=cfg["seed"],
+        output_relu=tc["output_relu"],
+    )
+    data = inference.make_training_set(dictionary, basis, train_cfg)
+    net, history = inference.train(net, data, train_cfg)
+    inference.save_net(net, train_cfg, out_path)
+    return net, history
+
+
+def _save_maps(path, maps: np.ndarray, hw: tuple[int, int], estimator: str, **extra) -> None:
+    arrays = {"t1": maps[:, 0], "t2": maps[:, 1], **extra}
+    bundle.write_bundle(
+        path,
+        {name: a.reshape(hw).astype(np.float32) for name, a in arrays.items()},
+        meta={"kind": "maps", "estimator": estimator},
+    )
+
+
+def infer(net_path, recon_path, out_path) -> None:
+    """Estimate (T1, T2) maps from a reconstruction with the trained network."""
+    net = inference.load_net(net_path)
+    x, _basis, hw = solver.load_reconstruction(recon_path)
+    _save_maps(out_path, inference.infer(net, subspace.phase_align(x)), hw, "net")
+
+
+def match(dict_path, recon_path, out_path) -> None:
+    """Estimate (T1, T2) maps and a proton-density proxy by exhaustive
+    dictionary matching."""
+    dictionary = epg.load_dictionary(dict_path)
+    x, basis, hw = solver.load_reconstruction(recon_path)
+    maps, pd = inference.dictionary_match(subspace.phase_align(x), dictionary, basis)
+    _save_maps(out_path, maps, hw, "match", pd=pd)
+
+
+def score(maps_path, gt_path) -> tuple[dict, dict, str]:
+    """Score a maps bundle against the ground truth. Returns the
+    `phantom.score_maps` result, the float64 t1 and t2 maps, and the
+    estimator that made them."""
+    arrays, meta = bundle.read_bundle(maps_path, kind="maps")
+    gt = phantom.load_ground_truth(gt_path)
+    maps = {p: arrays[p].astype(np.float64) for p in ("t1", "t2")}
+    return phantom.score_maps(maps["t1"], maps["t2"], gt), maps, meta.get("estimator", "est")
+
+
+def metric_rows(method: str, result: dict) -> list[dict]:
+    """The metrics-table rows of one `score` result."""
+    return [{"method": method, "param": p.upper(), **result[p]} for p in ("t1", "t2")]
+
+
 def write_pgm16(path, img: np.ndarray, vmax: float) -> None:
     """16-bit binary PGM preview, values clipped to [0, vmax]."""
     scaled = np.clip(np.asarray(img, dtype=np.float64) / vmax, 0.0, 1.0)
@@ -185,123 +328,37 @@ def write_metrics_csv(path, rows: list[dict]) -> None:
 
 
 def run_experiment(config: dict | None, out_dir) -> dict:
-    """Run the full three-method comparison; returns {method: score dict}."""
+    """Run the full three-method comparison; returns {method: score dict}.
+
+    Runs the stage functions in sequence on bundles in out_dir, each stage
+    reading what the one before wrote: phantom, dictionary, basis, network,
+    acquisition, then reconstruction, network maps and scoring per method.
+    """
     cfg = resolve_config(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "exp_config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
-
-    h, w = cfg["size"]
-    seed = cfg["seed"]
-    sched_cfg = cfg["schedule"]
-    schedule = default_schedule(
-        cfg["frames"],
-        alpha_max_deg=sched_cfg["alpha_max_deg"],
-        period=sched_cfg["period"],
-        tr_ms=sched_cfg["tr_ms"],
-        te_ms=sched_cfg["te_ms"],
-        tinv_ms=sched_cfg["tinv_ms"],
+    gt_path, dict_path, basis_path, net_path, kspace_path = (
+        out / f"{name}.mrfb" for name in ("gt", "dict", "basis", "net", "kspace")
     )
 
-    grid = GridSpec(
-        t1=GridRange.parse(cfg["dict"]["t1"]), t2=GridRange.parse(cfg["dict"]["t2"])
-    )
-    dictionary = build_dictionary(grid, schedule, k_max=cfg["k_max"])
-    save_dictionary(dictionary, out / "dict.mrfb")
-
-    basis = subspace.learn_subspace(dictionary, cfg["rank"])
-    subspace.save_basis(basis, out / "basis.mrfb")
-
-    if cfg["phantom"] == "default":
-        spec = phantom.default_head_spec()
-    elif cfg["phantom"] == "offgrid":
-        spec = phantom.offgrid_head_spec()
-    else:
-        spec = cfg["phantom"]
-    gt = phantom.make_phantom(h, w, spec)
-    phantom.save_ground_truth(gt, out / "gt.mrfb")
-
-    series = phantom.synthesize_timeseries(gt, schedule, k_max=cfg["k_max"])
-    pattern = fm.make_vd_cartesian_masks(h, w, cfg["frames"], cfg["accel"], seed)
-    coils = fm.make_coil_maps(h, w, cfg["coils"], kind=cfg["coil_kind"])
-    frames = series.T.reshape(cfg["frames"], h, w).astype(np.complex128)
-    data = fm.apply_frames(frames, coils, pattern)
-    if cfg["kspace_noise"] > 0:
-        rng = np.random.default_rng(seed + 1)
-        noise = rng.normal(0.0, cfg["kspace_noise"], (2,) + data.y.shape)
-        data.y += (noise[0] + 1j * noise[1]) * pattern.masks[:, None, :, :]
-    fm.save_kspace(data, coils, out / "kspace.mrfb", extra_meta={"kspace_noise": cfg["kspace_noise"]})
-
-    recon_cfg = cfg["recon"]
-    tv = TvConfig(
-        variant=recon_cfg["tv_variant"],
-        max_iters=recon_cfg["tv_iters"],
-        dual_gap_tol=recon_cfg["tv_tol"],
-    )
-    recons = {}
-    for mode in METHODS:
-        solver_cfg = solver.SolverConfig(
-            mode=mode,
-            lam=recon_cfg["lambda"] if mode == "lrtv" else 0.0,
-            max_outer_iters=recon_cfg["iters"],
-            stop_rel_change=recon_cfg["stop_rel_change"],
-            tv=tv,
-        )
-        x, trace = solver.solve(data, basis, coils, pattern, solver_cfg)
-        recons[mode] = x
-        solver.save_reconstruction(x, basis, (h, w), out / f"x_{mode}.mrfb")
-        trace.write_csv(out / f"trace_{mode}.csv")
-
-    train_cfg_in = cfg["train"]
-    train_cfg = inference.TrainConfig(
-        noise_sigma=train_cfg_in["sigma"],
-        augment_factor=train_cfg_in["augment"],
-        epochs=train_cfg_in["epochs"],
-        batch_size=train_cfg_in["batch_size"],
-        learning_rate=train_cfg_in["learning_rate"],
-        seed=seed,
-    )
-    t1_range = (float(dictionary.t1_ms.min()), float(dictionary.t1_ms.max()))
-    t2_range = (float(dictionary.t2_ms.min()), float(dictionary.t2_ms.max()))
-    net = inference.MrfNet.initialize(
-        cfg["rank"],
-        t1_range,
-        t2_range,
-        hidden=tuple(train_cfg_in["hidden"]),
-        seed=seed,
-        output_relu=train_cfg_in["output_relu"],
-    )
-    training_data = inference.make_training_set(dictionary, basis, train_cfg)
-    net, _history = inference.train(net, training_data, train_cfg)
-    inference.save_net(net, train_cfg, out / "net.mrfb")
+    make_phantom(cfg, gt_path)
+    simulate_dict(cfg, dict_path)
+    learn_subspace(cfg, dict_path, basis_path)
+    net, _history = train_net(cfg, dict_path, basis_path, net_path)
+    acquire(cfg, gt_path, kspace_path)
 
     rows = []
     scores = {}
     for mode in METHODS:
-        aligned = subspace.phase_align(recons[mode])
-        maps = inference.infer(net, aligned)
-        t1_map = maps[:, 0].reshape(h, w)
-        t2_map = maps[:, 1].reshape(h, w)
-        bundle.write_bundle(
-            out / f"maps_{mode}.mrfb",
-            {"t1": t1_map.astype(np.float32), "t2": t2_map.astype(np.float32)},
-            meta={"kind": "maps", "method": mode, "estimator": "net"},
-        )
-        write_pgm16(out / f"t1_{mode}.pgm", t1_map, vmax=t1_range[1])
-        write_pgm16(out / f"t2_{mode}.pgm", t2_map, vmax=t2_range[1])
-
-        score = phantom.score_maps(t1_map, t2_map, gt)
-        scores[mode] = score
-        for param in ("t1", "t2"):
-            rows.append(
-                {
-                    "method": mode,
-                    "param": param.upper(),
-                    "rmse": score[param]["rmse"],
-                    "mae": score[param]["mae"],
-                    "nrmse": score[param]["nrmse"],
-                }
-            )
+        recon_path = out / f"x_{mode}.mrfb"
+        maps_path = out / f"maps_{mode}.mrfb"
+        reconstruct(cfg, mode, kspace_path, basis_path, recon_path, out / f"trace_{mode}.csv")
+        infer(net_path, recon_path, maps_path)
+        scores[mode], maps, _ = score(maps_path, gt_path)
+        rows += metric_rows(mode, scores[mode])
+        write_pgm16(out / f"t1_{mode}.pgm", maps["t1"], vmax=net.t1_range[1])
+        write_pgm16(out / f"t2_{mode}.pgm", maps["t2"], vmax=net.t2_range[1])
 
     write_metrics_csv(out / "metrics.csv", rows)
     return scores

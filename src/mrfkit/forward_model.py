@@ -281,7 +281,7 @@ def save_kspace(data: KSpaceData, coils: CoilMaps, path, extra_meta: dict | None
 def load_kspace(path) -> tuple[KSpaceData, CoilMaps, dict]:
     from . import bundle
 
-    arrays, meta = bundle.read_bundle(path)
+    arrays, meta = bundle.read_bundle(path, kind="kspace")
     pattern = SamplingPattern(
         masks=arrays["masks"].astype(bool),
         seed=meta.get("seed"),

@@ -17,6 +17,15 @@ from .subspace import SubspaceBasis, phase_align, project
 
 BACKGROUND_REL_NORM = 1e-3
 DEFAULT_HIDDEN = (300, 300)
+MOMENTUM = 0.9
+# the learning rate halves after PLATEAU_PATIENCE epochs without a relative
+# loss improvement of PLATEAU_REL_IMPROVEMENT
+PLATEAU_PATIENCE = 10
+PLATEAU_REL_IMPROVEMENT = 1e-5
+# atoms per block in make_training_set, voxels per block in dictionary_match;
+# they bound memory and do not affect values
+TRAINING_CHUNK = 256
+MATCH_CHUNK = 2048
 
 
 @dataclass
@@ -26,10 +35,7 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 512
     learning_rate: float = 0.1
-    momentum: float = 0.9
     seed: int = 0
-    plateau_patience: int = 10
-    plateau_rel_improvement: float = 1e-5
 
     def __post_init__(self):
         if self.augment_factor < 1:
@@ -62,6 +68,14 @@ class MrfNet:
         output_relu: bool = False,
         dtype=np.float32,
     ) -> "MrfNet":
+        # targets are normalized by these ranges, so a single-value axis
+        # would divide by zero during training
+        for name, (lo, hi) in (("T1", t1_range), ("T2", t2_range)):
+            if not hi > lo:
+                raise ValueError(
+                    f"{name} range [{lo}, {hi}] is a single value; the network "
+                    "needs a grid with at least two values on each axis"
+                )
         rng = np.random.default_rng(seed)
         sizes = [rank, hidden[0], hidden[1], 2]
         weights, biases = [], []
@@ -147,7 +161,6 @@ def make_training_set(
     dictionary: Dictionary,
     basis: SubspaceBasis,
     cfg: TrainConfig,
-    chunk_size: int = 256,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Noise-augmented training pairs from the dictionary.
 
@@ -167,8 +180,8 @@ def make_training_set(
     inputs = np.empty((d * aug, basis.rank_s), dtype=np.float32)
     targets = np.empty((d * aug, 2), dtype=np.float32)
 
-    for lo in range(0, d, chunk_size):
-        hi = min(lo + chunk_size, d)
+    for lo in range(0, d, TRAINING_CHUNK):
+        hi = min(lo + TRAINING_CHUNK, d)
         block = np.repeat(atoms[lo:hi], aug, axis=0)
         if cfg.noise_sigma > 0:
             noise = rng.normal(0.0, cfg.noise_sigma, (2, block.shape[0], n_frames))
@@ -225,8 +238,8 @@ def train(
             if not math.isfinite(loss):
                 raise DivergenceError(epoch)
             for i in range(len(net.weights)):
-                vel_w[i] = cfg.momentum * vel_w[i] - lr * grad_ws[i]
-                vel_b[i] = cfg.momentum * vel_b[i] - lr * grad_bs[i]
+                vel_w[i] = MOMENTUM * vel_w[i] - lr * grad_ws[i]
+                vel_b[i] = MOMENTUM * vel_b[i] - lr * grad_bs[i]
                 net.weights[i] += vel_w[i]
                 net.biases[i] += vel_b[i]
             epoch_loss += loss
@@ -234,23 +247,24 @@ def train(
         epoch_loss /= n_batches
         history.append(epoch_loss)
 
-        if epoch_loss < best * (1.0 - cfg.plateau_rel_improvement):
+        if epoch_loss < best * (1.0 - PLATEAU_REL_IMPROVEMENT):
             best = epoch_loss
             stalled = 0
         else:
             stalled += 1
-            if stalled >= cfg.plateau_patience:
+            if stalled >= PLATEAU_PATIENCE:
                 lr *= 0.5
                 stalled = 0
 
     return net, history
 
 
-def infer(net: MrfNet, coeffs: np.ndarray, normalize: bool = True) -> np.ndarray:
+def infer(net: MrfNet, coeffs: np.ndarray) -> np.ndarray:
     """Per-voxel (T1, T2) maps from aligned real coefficient rows (n, S).
 
-    Rows whose norm is below 1e-3 of the stack maximum are treated as
-    background and reported as zero.
+    Rows are unit-normalized before the network sees them. Rows whose norm is
+    below 1e-3 of the stack maximum are treated as background and reported as
+    zero.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.ndim != 2 or coeffs.shape[1] != net.rank:
@@ -261,9 +275,7 @@ def infer(net: MrfNet, coeffs: np.ndarray, normalize: bool = True) -> np.ndarray
 
     maps = np.zeros((coeffs.shape[0], 2))
     if fg.any():
-        rows = coeffs[fg]
-        if normalize:
-            rows = rows / norms[fg][:, None]
+        rows = coeffs[fg] / norms[fg][:, None]
         maps[fg] = net.predict_ms(rows.astype(net.weights[0].dtype))
     return maps
 
@@ -272,7 +284,6 @@ def dictionary_match(
     coeffs: np.ndarray,
     dictionary: Dictionary,
     basis: SubspaceBasis,
-    chunk_size: int = 2048,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exhaustive maximum-inner-product match in the subspace.
 
@@ -296,8 +307,8 @@ def dictionary_match(
     rows = coeffs[fg] / norms[fg][:, None]
     best_idx = np.empty(rows.shape[0], dtype=np.int64)
     best_score = np.empty(rows.shape[0])
-    for lo in range(0, rows.shape[0], chunk_size):
-        hi = min(lo + chunk_size, rows.shape[0])
+    for lo in range(0, rows.shape[0], MATCH_CHUNK):
+        hi = min(lo + MATCH_CHUNK, rows.shape[0])
         scores = rows[lo:hi] @ table.T
         best_idx[lo:hi] = np.argmax(scores, axis=1)
         best_score[lo:hi] = scores[np.arange(lo, hi) - lo, best_idx[lo:hi]]
@@ -337,7 +348,7 @@ def save_net(net: MrfNet, cfg: TrainConfig | None, path) -> None:
 def load_net(path) -> MrfNet:
     from . import bundle
 
-    arrays, meta = bundle.read_bundle(path)
+    arrays, meta = bundle.read_bundle(path, kind="mrf-net")
     n_layers = int(meta["layers"])
     weights = [arrays[f"w{i}"] for i in range(n_layers)]
     biases = [arrays[f"b{i}"] for i in range(n_layers)]

@@ -75,7 +75,10 @@ def _rasterize(shape_entry: dict, h: int, w: int) -> np.ndarray:
 
 
 def make_phantom(h: int, w: int, spec: list[dict] | None = None) -> GroundTruth:
-    """Rasterize a painter's-order shape list into ground-truth maps."""
+    """Rasterize a painter's-order shape list into ground-truth maps.
+
+    A missing key in an entry raises ValueError naming the entry and the key.
+    """
     if spec is None:
         spec = default_head_spec()
     if not spec:
@@ -85,10 +88,13 @@ def make_phantom(h: int, w: int, spec: list[dict] | None = None) -> GroundTruth:
     pd = np.zeros((h, w))
     labels = np.zeros((h, w), dtype=np.int32)
     for index, entry in enumerate(spec, start=1):
-        inside = _rasterize(entry, h, w)
-        t1[inside] = entry["t1"]
-        t2[inside] = entry["t2"]
-        pd[inside] = entry["pd"]
+        try:
+            inside = _rasterize(entry, h, w)
+            t1[inside] = entry["t1"]
+            t2[inside] = entry["t2"]
+            pd[inside] = entry["pd"]
+        except KeyError as exc:
+            raise ValueError(f"phantom entry {index} is missing key {exc}") from None
         labels[inside] = index
     return GroundTruth(t1_map=t1, t2_map=t2, pd_map=pd, region_labels=labels)
 
@@ -179,7 +185,7 @@ def save_ground_truth(gt: GroundTruth, path) -> None:
 def load_ground_truth(path) -> GroundTruth:
     from . import bundle
 
-    arrays, _ = bundle.read_bundle(path)
+    arrays, _ = bundle.read_bundle(path, kind="ground-truth")
     return GroundTruth(
         t1_map=arrays["t1"].astype(np.float64),
         t2_map=arrays["t2"].astype(np.float64),

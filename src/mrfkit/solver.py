@@ -39,7 +39,6 @@ class SolverConfig:
     max_outer_iters: int = 50
     stop_rel_change: float = 1e-4
     tv: TvConfig = field(default_factory=TvConfig)
-    tv_warm_start: bool = True
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -229,7 +228,7 @@ def solve(
                     lam * mu,
                     cfg.tv,
                     (h, w),
-                    dual_init=duals if cfg.tv_warm_start else None,
+                    dual_init=duals,
                     return_dual=True,
                 )
             else:
@@ -248,7 +247,7 @@ def solve(
                     raise NumericalError("step size collapsed during backtracking", iteration=k)
                 continue
             break
-        duals = new_duals if cfg.tv_warm_start else None
+        duals = new_duals
 
         momentum = (k - 1.0) / (k + 2.0)
         x_next = z + momentum * (z - z_prev)
@@ -306,7 +305,7 @@ def save_reconstruction(x: np.ndarray, basis: SubspaceBasis, hw: tuple[int, int]
 def load_reconstruction(path) -> tuple[np.ndarray, SubspaceBasis, tuple[int, int]]:
     from . import bundle
 
-    arrays, _ = bundle.read_bundle(path)
+    arrays, _ = bundle.read_bundle(path, kind="reconstruction")
     stack = arrays["x_subspace"].astype(np.complex128)
     rank, h, w = stack.shape
     x = stack.reshape(rank, h * w).T

@@ -134,7 +134,7 @@ def save_basis(basis: SubspaceBasis, path) -> None:
 def load_basis(path) -> SubspaceBasis:
     from . import bundle
 
-    arrays, meta = bundle.read_bundle(path)
+    arrays, meta = bundle.read_bundle(path, kind="basis")
     v = arrays["v"].astype(np.complex128)
     return SubspaceBasis(
         v=v,

@@ -17,7 +17,6 @@ class TvConfig:
     variant: str = "isotropic"
     max_iters: int = 50
     dual_gap_tol: float = 1e-6
-    boundary: str = "reflexive"
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -26,8 +25,6 @@ class TvConfig:
             raise ValueError("max_iters must be >= 1")
         if self.dual_gap_tol <= 0:
             raise ValueError("dual_gap_tol must be > 0")
-        if self.boundary != "reflexive":
-            raise ValueError("only reflexive boundary handling is implemented")
 
 
 def _grad(u):

@@ -145,5 +145,37 @@ class TestErrors:
         with pytest.raises(bundle.DtypeError):
             bundle.write_bundle(tmp_path / "x.mrfb", {"s": np.array(["a", "b"])})
 
+    def test_wrong_kind_is_header_error(self, tmp_path):
+        path = tmp_path / "t.mrfb"
+        bundle.write_bundle(path, {"a": np.zeros(2, dtype=np.float32)}, meta={"kind": "basis"})
+        assert bundle.read_bundle(path, kind="basis")[1]["kind"] == "basis"
+        with pytest.raises(bundle.HeaderError, match="'basis' bundle, not 'dictionary'"):
+            bundle.read_bundle(path, kind="dictionary")
+
+    def test_interrupted_write_keeps_previous_file(self, tmp_path, rng, monkeypatch):
+        path = tmp_path / "t.mrfb"
+        bundle.write_bundle(path, {"a": np.arange(4, dtype=np.float32)})
+        before = path.read_bytes()
+        arrays = {name: rng.standard_normal(64).astype(np.float32) for name in ("a", "b")}
+        second_payload = arrays["b"].tobytes()
+
+        def failing_open(file, mode="r"):
+            fh = open(file, mode)
+            write = fh.write
+
+            def fail_on_second_payload(data):
+                if data == second_payload:
+                    raise OSError("disk full")
+                return write(data)
+
+            fh.write = fail_on_second_payload
+            return fh
+
+        monkeypatch.setattr(bundle, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            bundle.write_bundle(path, arrays)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.mrfb"]
+
     def test_error_codes_distinct(self):
         assert bundle.HeaderError.code != bundle.TruncatedError.code != bundle.DtypeError.code

@@ -1,4 +1,6 @@
+import filecmp
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -95,12 +97,51 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error kind=io")
 
+    def test_wrong_bundle_kind_is_io_error(self, pipeline_dir, tmp_path, capsys):
+        d, b, k = (str(pipeline_dir / n) for n in ("dict.mrfb", "basis.mrfb", "kspace.mrfb"))
+        capsys.readouterr()
+        for args in (("reconstruct", "--mode", "lr", "--in", d, "--basis", b),
+                     ("infer", "--net", b, "--in", k)):
+            assert run_cli(*args, "--out", str(tmp_path / "out.mrfb")) == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error kind=io code=corrupt-header")
+
+    def test_single_value_grid_axis_is_usage_error(self, tmp_path, capsys):
+        d, b = str(tmp_path / "d.mrfb"), str(tmp_path / "b.mrfb")
+        assert run_cli("simulate-dict", "--t1", "800:50:800", "--t2", "40:60:340",
+                       "--frames", "20", "--out", d) == 0
+        assert run_cli("learn-subspace", "--dict", d, "--rank", "3", "--out", b) == 0
+        capsys.readouterr()
+        assert run_cli("train-net", "--dict", d, "--basis", b, "--augment", "2",
+                       "--out", str(tmp_path / "net.mrfb")) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error kind=usage")
+        assert "T1 range" in lines[0]
+        assert not (tmp_path / "net.mrfb").exists()
+
+    def test_malformed_phantom_entry_fails_before_dictionary(self, tmp_path, capsys):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"phantom": [{"shape": "ellipse", "cx": 0.5}]}))
+        out_dir = tmp_path / "out"
+        assert run_cli("run-experiment", "--config", str(config),
+                       "--out-dir", str(out_dir)) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error kind=usage")
+        assert "cy" in lines[0]
+        assert not (out_dir / "dict.mrfb").exists()
+
 
 class TestThreadCap:
-    def test_thread_cap_applied(self, tmp_path, monkeypatch):
+    def test_thread_cap_applied(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MRF_THREADS", "1")
         gt = tmp_path / "gt.mrfb"
         assert run_cli("make-phantom", "--size", "16", "16", "--out", str(gt)) == 0
+        # without threadpoolctl the cap cannot be applied; say so, same exit code
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        capsys.readouterr()
+        assert run_cli("make-phantom", "--size", "16", "16", "--out", str(gt)) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning kind=threads msg=")
 
     def test_invalid_value_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MRF_THREADS", "lots")
@@ -176,3 +217,45 @@ class TestRunExperiment:
         data = np.frombuffer(raw[len(b"P5\n8 8\n65535\n"):], dtype=">u2")
         assert data[0] == 0
         assert data[-1] == 65535
+
+
+def test_hand_pipeline_matches_run_experiment(tmp_path):
+    """The README's hand pipeline, given flags only for the keys the tiny
+    config overrides, reproduces run-experiment's files byte for byte."""
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps(TINY_EXPERIMENT))
+    exp_dir = tmp_path / "exp"
+    assert run_cli("run-experiment", "--config", str(config), "--out-dir", str(exp_dir)) == 0
+
+    hand = tmp_path / "hand"
+    hand.mkdir()
+
+    def p(name):
+        return str(hand / name)
+
+    assert run_cli("simulate-dict", "--t1", "300:300:2100", "--t2", "40:60:340",
+                   "--frames", "40", "--out", p("dict.mrfb")) == 0
+    assert run_cli("learn-subspace", "--dict", p("dict.mrfb"), "--rank", "3",
+                   "--out", p("basis.mrfb")) == 0
+    assert run_cli("make-phantom", "--size", "32", "32", "--out", p("gt.mrfb")) == 0
+    assert run_cli("acquire", "--gt", p("gt.mrfb"), "--frames", "40", "--accel", "4",
+                   "--coils", "2", "--seed", "77", "--out", p("kspace.mrfb")) == 0
+    for mode in experiment.METHODS:
+        assert run_cli("reconstruct", "--mode", mode, "--iters", "6",
+                       "--in", p("kspace.mrfb"), "--basis", p("basis.mrfb"),
+                       "--out", p(f"x_{mode}.mrfb"), "--trace", p(f"trace_{mode}.csv")) == 0
+    assert run_cli("train-net", "--dict", p("dict.mrfb"), "--basis", p("basis.mrfb"),
+                   "--augment", "5", "--epochs", "8", "--batch", "64", "--hidden", "24", "24",
+                   "--seed", "77", "--out", p("net.mrfb")) == 0
+    for mode in experiment.METHODS:
+        assert run_cli("infer", "--net", p("net.mrfb"), "--in", p(f"x_{mode}.mrfb"),
+                       "--out", p(f"maps_{mode}.mrfb")) == 0
+    assert run_cli("match", "--dict", p("dict.mrfb"), "--in", p("x_lrtv.mrfb"),
+                   "--out", p("maps_match.mrfb")) == 0
+
+    names = ["dict.mrfb", "basis.mrfb", "gt.mrfb", "kspace.mrfb", "net.mrfb"]
+    for mode in experiment.METHODS:
+        names += [f"x_{mode}.mrfb", f"trace_{mode}.csv", f"maps_{mode}.mrfb"]
+    differing = [n for n in names
+                 if not filecmp.cmp(exp_dir / n, hand / n, shallow=False)]
+    assert differing == []
