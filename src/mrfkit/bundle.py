@@ -64,6 +64,10 @@ def _align(offset: int) -> int:
     return (offset + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def write_bundle(path, arrays: dict, meta: dict | None = None) -> None:
     """Write named arrays plus metadata; round-trips bitwise through read_bundle.
 
@@ -136,7 +140,7 @@ def read_bundle(path, kind: str | None = None) -> tuple[dict, dict]:
         raise HeaderError("header length exceeds file size")
     try:
         header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
         raise HeaderError(f"unparseable header: {exc}") from exc
     if not isinstance(header, dict) or header.get("magic") != MAGIC:
         raise HeaderError("bad magic")
@@ -150,17 +154,19 @@ def read_bundle(path, kind: str | None = None) -> tuple[dict, dict]:
         try:
             name = entry["name"]
             dtype_name = entry["dtype"]
-            shape = tuple(int(s) for s in entry["shape"])
-            offset = int(entry["offset"])
-        except (KeyError, TypeError, ValueError) as exc:
+            shape = tuple(entry["shape"])
+            offset = entry["offset"]
+        except (KeyError, TypeError) as exc:
             raise HeaderError(f"malformed array entry: {exc}") from exc
-        if dtype_name not in _DTYPES:
+        if not isinstance(name, str):
+            raise HeaderError(f"array name {name!r} is not a string")
+        if not all(_is_count(s) for s in shape + (offset,)):
+            raise HeaderError(f"array {name!r}: shape and offset must be non-negative integers")
+        if not isinstance(dtype_name, str) or dtype_name not in _DTYPES:
             raise DtypeError(f"unknown dtype {dtype_name!r}")
         dtype = _DTYPES[dtype_name]
         count = 1
         for s in shape:
-            if s < 0:
-                raise HeaderError("negative dimension")
             count *= s
         nbytes = count * dtype.itemsize
         if offset < 8 + header_len or offset % ALIGNMENT:
@@ -172,7 +178,10 @@ def read_bundle(path, kind: str | None = None) -> tuple[dict, dict]:
             )
         spans.append((offset, offset + nbytes, name))
         arr = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
-        arrays[name] = arr.reshape(shape).copy()
+        try:
+            arrays[name] = arr.reshape(shape).copy()
+        except ValueError as exc:  # an empty array with an unrepresentable shape
+            raise HeaderError(f"array {name!r}: {exc}") from exc
 
     spans.sort()
     for (_, end_a, name_a), (start_b, _, name_b) in zip(spans, spans[1:]):

@@ -196,19 +196,26 @@ def _check_geometry(basis, coils: CoilMaps, pattern: SamplingPattern):
     return h, w
 
 
-def apply_frames(frames: np.ndarray, coils: CoilMaps, pattern: SamplingPattern) -> KSpaceData:
-    """Masked multi-coil unitary FFT of explicit frame images (L, H, W)."""
-    h, w = _check_geometry(None, coils, pattern)
+def _masked_fft(frames_of, coils: CoilMaps, pattern: SamplingPattern) -> KSpaceData:
+    """Coil-weight, unitary 2-D FFT and mask frame images one block of frames
+    at a time; frames_of(lo, hi) gives the images of frames lo..hi-1."""
+    h, w = pattern.shape
     n_frames = pattern.n_frames
-    if frames.shape != (n_frames, h, w):
-        raise ValueError(f"frames must have shape {(n_frames, h, w)}")
     y = np.empty((n_frames, coils.n_coils, h, w), dtype=np.complex128)
     for lo in range(0, n_frames, _FRAME_BLOCK):
         hi = min(lo + _FRAME_BLOCK, n_frames)
-        weighted = coils.sens[None, :, :, :] * frames[lo:hi, None, :, :]
+        weighted = coils.sens[None, :, :, :] * frames_of(lo, hi)[:, None, :, :]
         y[lo:hi] = np.fft.fft2(weighted, norm="ortho", axes=(-2, -1))
         y[lo:hi] *= pattern.masks[lo:hi, None, :, :]
     return KSpaceData(y=y, pattern=pattern)
+
+
+def apply_frames(frames: np.ndarray, coils: CoilMaps, pattern: SamplingPattern) -> KSpaceData:
+    """Masked multi-coil unitary FFT of explicit frame images (L, H, W)."""
+    h, w = _check_geometry(None, coils, pattern)
+    if frames.shape != (pattern.n_frames, h, w):
+        raise ValueError(f"frames must have shape {(pattern.n_frames, h, w)}")
+    return _masked_fft(lambda lo, hi: frames[lo:hi], coils, pattern)
 
 
 def forward(
@@ -217,19 +224,11 @@ def forward(
     """A(x v^H): frame images from the coefficient stack, coil-weighted,
     unitary 2-D FFT, masked. x has shape (n, S) with n = H*W."""
     h, w = _check_geometry(basis, coils, pattern)
-    n_frames = pattern.n_frames
     if x.shape != (h * w, basis.rank_s):
         raise ValueError(f"x must have shape {(h * w, basis.rank_s)}")
     vh = basis.v.conj()  # frame t image = x @ vh[t]
-    y = np.empty((n_frames, coils.n_coils, h, w), dtype=np.complex128)
-    for lo in range(0, n_frames, _FRAME_BLOCK):
-        hi = min(lo + _FRAME_BLOCK, n_frames)
-        frames = (x @ vh[lo:hi].T).T.reshape(hi - lo, h, w)
-        weighted = coils.sens[None, :, :, :] * frames[:, None, :, :]
-        block = np.fft.fft2(weighted, norm="ortho", axes=(-2, -1))
-        block *= pattern.masks[lo:hi, None, :, :]
-        y[lo:hi] = block
-    return KSpaceData(y=y, pattern=pattern)
+    return _masked_fft(lambda lo, hi: (x @ vh[lo:hi].T).T.reshape(hi - lo, h, w),
+                       coils, pattern)
 
 
 def adjoint(
@@ -251,6 +250,48 @@ def adjoint(
         combined = np.sum(conj_sens[None, :, :, :] * imgs, axis=1)
         x += combined.reshape(hi - lo, h * w).T @ basis.v[lo:hi]
     return x
+
+
+def gram_kernel(basis: SubspaceBasis, pattern: SamplingPattern) -> np.ndarray:
+    """Per-k-space-point kernel of the subspace normal operator,
+    K[k] = sum_t M_t[k] v_t v_t^H with v_t row t of the basis, shape (H, W, S, S).
+
+    With Cartesian masks, A^H A restricted to the subspace is the coil
+    weighting and FFT of each coefficient image, this S x S product at each
+    k-space point, then the inverse FFT and coil combine (the temporal
+    subspace Toeplitz kernel of T2 shuffling, Tamir et al., MRM 2017).
+    """
+    h, w = pattern.shape
+    n_frames, rank = pattern.n_frames, basis.rank_s
+    if basis.n_frames != n_frames:
+        raise ValueError("basis frames and sampling pattern frames disagree")
+    v = basis.v.astype(np.complex128)
+    # real and imaginary parts side by side, so the masks enter a real GEMM
+    outer = (v[:, :, None] * v.conj()[:, None, :]).reshape(n_frames, rank * rank)
+    outer = outer.view(np.float64)
+    masks = pattern.masks.reshape(n_frames, h * w)
+    kernel = np.zeros((h * w, 2 * rank * rank))
+    for lo in range(0, n_frames, _FRAME_BLOCK):
+        hi = min(lo + _FRAME_BLOCK, n_frames)
+        kernel += masks[lo:hi].T.astype(np.float64) @ outer[lo:hi]
+    return kernel.view(np.complex128).reshape(h, w, rank, rank)
+
+
+def normal(x: np.ndarray, kernel: np.ndarray, coils: CoilMaps) -> np.ndarray:
+    """A^H(A(x v^H)) v through the kernel from :func:`gram_kernel`: coil
+    weighting, S*C forward FFTs, the S x S product at each k-space point,
+    S*C inverse FFTs and the conjugate coil combine. No frame is formed."""
+    h, w, rank, _ = kernel.shape
+    if x.shape != (h * w, rank):
+        raise ValueError(f"x must have shape {(h * w, rank)}")
+    if coils.sens.shape[1:] != (h, w):
+        raise ValueError("coil maps and kernel disagree on image size")
+    images = x.T.reshape(1, rank, h, w)
+    coeffs = np.fft.fft2(coils.sens[:, None, :, :] * images, norm="ortho", axes=(-2, -1))
+    mixed = np.einsum("hwab,cbhw->cahw", kernel, coeffs)
+    back = np.fft.ifft2(mixed, norm="ortho", axes=(-2, -1))
+    combined = np.sum(coils.sens.conj()[:, None, :, :] * back, axis=0)
+    return np.ascontiguousarray(combined.reshape(rank, h * w).T)
 
 
 def save_kspace(data: KSpaceData, coils: CoilMaps, path, extra_meta: dict | None = None) -> None:

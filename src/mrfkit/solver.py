@@ -5,6 +5,11 @@ Modes: ``bpi`` is the non-iterative adjoint reconstruction, ``lr`` iterates
 with the subspace prior alone (identity prox), and ``lrtv`` adds channel-wise
 total-variation shrinkage. The gradient is computed without the factor two,
 matching the majorization test used for step-size control.
+
+:func:`solve` iterates on the subspace normal operator
+(:func:`forward_model.normal`) and forms no k-space after A^H(y) v;
+:func:`gradient` and :func:`backtrack_ok` keep the k-space operator as the
+reference it is checked against.
 """
 
 import csv
@@ -107,6 +112,18 @@ def _fidelity(y: np.ndarray, ks: np.ndarray) -> float:
     return float(np.vdot(resid, resid).real)
 
 
+def _expanded_fidelity(norm_y_sq: float, ahyv: np.ndarray, x: np.ndarray, gx: np.ndarray) -> float:
+    """||y - A(x v^H)||^2 = ||y||^2 - 2 Re<A^H(y) v, x> + Re<x, A^H A x>, given
+    the normal operator applied to x; no k-space is formed."""
+    return norm_y_sq - 2.0 * float(np.vdot(ahyv, x).real) + float(np.vdot(x, gx).real)
+
+
+def _majorization_rhs(fidelity_x: float, grad: np.ndarray, diff: np.ndarray, mu: float) -> float:
+    """The quadratic majorizer at x evaluated at z = x + diff:
+    fidelity_x + 2 Re<grad, diff> + ||diff||^2 / mu."""
+    return fidelity_x + 2.0 * float(np.vdot(grad, diff).real) + float(np.vdot(diff, diff).real) / mu
+
+
 def bpi(
     y: KSpaceData, basis: SubspaceBasis, coils: CoilMaps, pattern: SamplingPattern
 ) -> np.ndarray:
@@ -151,13 +168,7 @@ def backtrack_ok(
     if fidelity_x is None:
         fidelity_x = _fidelity(y.y, fm.forward(x, basis, coils, pattern).y)
     fidelity_z = _fidelity(y.y, fm.forward(z, basis, coils, pattern).y)
-    diff = z - x
-    rhs = (
-        fidelity_x
-        + 2.0 * float(np.vdot(grad, diff).real)
-        + float(np.vdot(diff, diff).real) / mu
-    )
-    return not fidelity_z > rhs
+    return not fidelity_z > _majorization_rhs(fidelity_x, grad, z - x, mu)
 
 
 def auto_step_size(pattern: SamplingPattern, n_coils: int) -> float:
@@ -182,6 +193,10 @@ def solve(
     majorization holds, then applies momentum with coefficient (k-1)/(k+2).
     Halved step sizes persist across iterations. Returns the final iterate
     and the per-iteration trace (initial record included).
+
+    Each backtracking attempt applies the normal operator G = A^H A once, to
+    z; the fidelity is ||y||^2 - 2 Re<A^H(y) v, z> + Re<z, Gz>, and by
+    linearity G x_next = Gz + m (Gz - Gz_prev) gives the next gradient.
     """
     h, w = pattern.shape
     n = h * w
@@ -214,10 +229,12 @@ def solve(
     if cfg.mode == "bpi":
         return ahyv, trace
 
+    kernel = fm.gram_kernel(basis, pattern)
+    gx = np.zeros_like(x)  # A^H A x, carried by linearity
+    gz_prev = np.zeros_like(x)
     for k in range(1, cfg.max_outer_iters + 1):
-        ks_x = fm.forward(x, basis, coils, pattern)
-        fidelity_x = _fidelity(y.y, ks_x.y)
-        grad = fm.adjoint(ks_x, basis, coils, pattern) - ahyv
+        fidelity_x = _expanded_fidelity(norm_y_sq, ahyv, x, gx)
+        grad = gx - ahyv
 
         halvings = 0
         while True:
@@ -233,13 +250,9 @@ def solve(
                 )
             else:
                 z, new_duals = step, None
-            fidelity_z = _fidelity(y.y, fm.forward(z, basis, coils, pattern).y)
-            diff = z - x
-            rhs = (
-                fidelity_x
-                + 2.0 * float(np.vdot(grad, diff).real)
-                + float(np.vdot(diff, diff).real) / mu
-            )
+            gz = fm.normal(z, kernel, coils)
+            fidelity_z = _expanded_fidelity(norm_y_sq, ahyv, z, gz)
+            rhs = _majorization_rhs(fidelity_x, grad, z - x, mu)
             if fidelity_z > rhs:
                 mu *= 0.5
                 halvings += 1
@@ -282,9 +295,15 @@ def solve(
         )
 
         x, z_prev = x_next, z
+        gx, gz_prev = gz + momentum * (gz - gz_prev), gz
         if rel_change < cfg.stop_rel_change:
             break
 
+    # the final fidelity, on the reference operator: the objective a solve
+    # reports carries no cancellation error from the expanded form
+    last = trace.records[-1]
+    last.fidelity = _fidelity(y.y, fm.forward(z_prev, basis, coils, pattern).y)
+    last.objective = last.fidelity + last.tv_term
     return x, trace
 
 

@@ -179,3 +179,68 @@ class TestErrors:
 
     def test_error_codes_distinct(self):
         assert bundle.HeaderError.code != bundle.TruncatedError.code != bundle.DtypeError.code
+
+
+def write_raw_header(path, arrays_json: str):
+    """A bundle whose header array table is the given JSON text, padded to
+    the first aligned offset, with 64 zero payload bytes."""
+    blob = ('{"magic":"MRFB1","arrays":' + arrays_json + "}").encode()
+    raw = len(blob).to_bytes(8, "little") + blob
+    raw += b"\0" * (bundle._align(len(raw)) - len(raw)) + b"\0" * 64
+    path.write_bytes(raw)
+
+
+class TestCorruption:
+    """Whatever the bytes, read_bundle raises only BundleError subclasses."""
+
+    @pytest.mark.parametrize("arrays_json,error", [
+        ('[{"name":"a","dtype":["float32"],"shape":[1],"offset":128}]', bundle.DtypeError),
+        ('[{"name":["a"],"dtype":"float32","shape":[1],"offset":128}]', bundle.HeaderError),
+        ('[{"name":"a","dtype":"float32","shape":[1e400],"offset":128}]', bundle.HeaderError),
+        ('[{"name":"a","dtype":"float32","shape":[1.5],"offset":128}]', bundle.HeaderError),
+        ('[{"name":"a","dtype":"float32","shape":[-1],"offset":128}]', bundle.HeaderError),
+        ('[{"name":"a","dtype":"float32","shape":[1],"offset":"128"}]', bundle.HeaderError),
+        ('[{"name":"a","dtype":"float32","shape":[0,1e30],"offset":128}]', bundle.HeaderError),
+        ('[{"name":"a","dtype":"float32","shape":[0,' + "9" * 30 + '],"offset":128}]',
+         bundle.HeaderError),
+        ('[{"name":"a","dtype":"float32","shape":' + "1" * 5000 + ',"offset":128}]',
+         bundle.HeaderError),
+        ('[{"name":"a","dtype":"float32","shape":7,"offset":128}]', bundle.HeaderError),
+        ("[7]", bundle.HeaderError),
+        ("[" * 100000 + "]" * 100000, bundle.HeaderError),
+    ], ids=["dtype-list", "name-list", "shape-overflow", "shape-float", "shape-negative",
+            "offset-string", "empty-huge-float", "empty-huge-int", "digits-limit",
+            "shape-scalar", "entry-not-object", "deep-nesting"])
+    def test_crafted_headers(self, tmp_path, arrays_json, error):
+        path = tmp_path / "t.mrfb"
+        write_raw_header(path, arrays_json)
+        with pytest.raises(error):
+            bundle.read_bundle(path)
+
+    def test_random_flips_and_truncations(self, tmp_path):
+        rng = np.random.default_rng(5)
+        path = tmp_path / "t.mrfb"
+        bundle.write_bundle(path, {
+            "y": (rng.standard_normal((3, 2, 8, 8)) + 1j).astype(np.complex64),
+            "masks": rng.integers(0, 2, (3, 8, 8)).astype(np.uint8),
+            "count": np.arange(5, dtype=np.int32),
+        }, meta={"kind": "kspace", "seed": 3, "accel": 2.0})
+        original = path.read_bytes()
+        header_end = 8 + int.from_bytes(original[:8], "little")
+        outcomes = {"read": 0, "raised": 0}
+        for trial in range(600):
+            raw = bytearray(original)
+            if trial % 3 == 0:
+                raw = raw[: rng.integers(0, len(raw))]
+            else:
+                # most flips land in the prefix and header, where they matter
+                end = header_end if trial % 3 == 1 else len(raw)
+                for pos in rng.integers(0, end, rng.integers(1, 5)):
+                    raw[pos] ^= 1 << int(rng.integers(0, 8))
+            path.write_bytes(bytes(raw))
+            try:
+                bundle.read_bundle(path, kind="kspace")
+                outcomes["read"] += 1
+            except bundle.BundleError:
+                outcomes["raised"] += 1
+        assert outcomes["read"] > 0 and outcomes["raised"] > 0

@@ -183,6 +183,62 @@ class TestForwardAdjoint:
         np.testing.assert_allclose(direct.y, fused.y, atol=1e-10)
 
 
+class TestNormalOperator:
+    """The kernel normal operator against the reference adjoint(forward(x))."""
+
+    def problem(self, rng, h, w, n_coils, kind, rank, n_frames):
+        basis = random_basis(rng, n_frames, rank)
+        pattern = fm.make_vd_cartesian_masks(h, w, n_frames, accel=3.0, seed=31)
+        coils = fm.make_coil_maps(h, w, n_coils, kind=kind)
+        return basis, pattern, coils, fm.gram_kernel(basis, pattern)
+
+    @pytest.mark.parametrize(
+        "h,w,n_coils,kind,rank,n_frames",
+        [
+            (32, 32, 1, "uniform", 1, 12),
+            (24, 40, 4, "gaussian-ring", 3, 12),
+            (40, 24, 3, "uniform", 10, 16),
+            (32, 32, 4, "gaussian-ring", 10, 12),
+            # frame counts that are not a multiple of the frame block
+            (16, 20, 2, "gaussian-ring", 3, fm._FRAME_BLOCK + 5),
+            (20, 16, 3, "uniform", 1, 2 * fm._FRAME_BLOCK + 1),
+        ],
+    )
+    def test_matches_adjoint_of_forward(self, rng, h, w, n_coils, kind, rank, n_frames):
+        basis, pattern, coils, kernel = self.problem(rng, h, w, n_coils, kind, rank, n_frames)
+        assert kernel.shape == (h, w, rank, rank)
+        x = random_complex(rng, (h * w, rank))
+        reference = fm.adjoint(fm.forward(x, basis, coils, pattern), basis, coils, pattern)
+        fast = fm.normal(x, kernel, coils)
+        assert fast.shape == reference.shape
+        assert np.linalg.norm(fast - reference) / np.linalg.norm(reference) < 1e-12
+
+    @pytest.mark.parametrize("rank", [1, 3, 10])
+    def test_hermitian_positive_semidefinite(self, rng, rank):
+        h, w = 24, 20
+        _, _, coils, kernel = self.problem(rng, h, w, 3, "gaussian-ring", rank, 14)
+        for _ in range(5):
+            x = random_complex(rng, (h * w, rank))
+            y = random_complex(rng, (h * w, rank))
+            gx, gy = fm.normal(x, kernel, coils), fm.normal(y, kernel, coils)
+            scale = np.linalg.norm(x) * np.linalg.norm(y)
+            assert abs(np.vdot(gx, y) - np.vdot(x, gy)) / scale < 1e-12
+            quad = np.vdot(x, gx)
+            assert abs(quad.imag) < 1e-12 * np.vdot(x, x).real
+            assert quad.real >= 0.0
+
+    def test_kernel_is_hermitian_per_point(self, rng):
+        _, _, _, kernel = self.problem(rng, 16, 16, 2, "uniform", 4, 10)
+        np.testing.assert_allclose(kernel, kernel.conj().swapaxes(-1, -2), atol=1e-15)
+
+    def test_shape_mismatch(self, rng):
+        _, _, coils, kernel = self.problem(rng, 16, 16, 2, "uniform", 3, 8)
+        with pytest.raises(ValueError):
+            fm.normal(random_complex(rng, (256, 4)), kernel, coils)
+        with pytest.raises(ValueError):
+            fm.normal(random_complex(rng, (256, 3)), kernel, fm.make_coil_maps(16, 8, 2))
+
+
 class TestKspaceRoundTrip:
     def test_save_load(self, rng, tmp_path):
         pattern = fm.make_vd_cartesian_masks(16, 16, 4, accel=2.0, seed=5)

@@ -4,7 +4,7 @@ import pytest
 from mrfkit import forward_model as fm
 from mrfkit import solver, subspace
 from mrfkit.solver import SolverConfig
-from mrfkit.tvprox import TvConfig
+from mrfkit.tvprox import TvConfig, tv_prox_stack
 
 
 def random_complex(rng, shape):
@@ -215,6 +215,76 @@ class TestSolve:
         mu = solver.auto_step_size(pattern, coils.n_coils)
         per_frame = pattern.per_frame_counts.mean() * coils.n_coils
         assert mu == pytest.approx(size * size / per_frame)
+
+
+def reference_solve(y, basis, coils, pattern, cfg):
+    """The solve loop on the k-space operator: solver.gradient and
+    solver.backtrack_ok run forward/adjoint at every step. Returns the
+    iterates, the accepted z, their exact fidelities, step sizes and halvings."""
+    h, w = pattern.shape
+    ahyv = fm.adjoint(y, basis, coils, pattern)
+    mu = float(cfg.mu0)
+    x = np.zeros((h * w, basis.rank_s), dtype=complex)
+    z_prev = np.zeros_like(x)
+    duals = None
+    out = {"x": [], "z": [], "fidelity": [], "mu": [], "halvings": []}
+    for k in range(1, cfg.max_outer_iters + 1):
+        grad = solver.gradient(x, y, basis, coils, pattern, ahyv=ahyv)
+        halvings = 0
+        while True:
+            step = x - mu * grad
+            if cfg.lam > 0:
+                z, new_duals = tv_prox_stack(step, cfg.lam * mu, cfg.tv, (h, w),
+                                             dual_init=duals, return_dual=True)
+            else:
+                z, new_duals = step, None
+            if solver.backtrack_ok(z, x, grad, mu, y, basis, coils, pattern):
+                break
+            mu *= 0.5
+            halvings += 1
+        duals = new_duals
+        resid = y.y - fm.forward(z, basis, coils, pattern).y
+        momentum = (k - 1.0) / (k + 2.0)
+        x, z_prev = z + momentum * (z - z_prev), z
+        for key, value in (("x", x), ("z", z), ("fidelity", np.vdot(resid, resid).real),
+                           ("mu", mu), ("halvings", halvings)):
+            out[key].append(value)
+    return out
+
+
+class TestSolveMatchesReference:
+    """solve() runs on the kernel normal operator; the reference loop on
+    forward/adjoint must take the same steps."""
+
+    @pytest.mark.parametrize("mode,lam", [("lr", 0.0), ("lrtv", 1e-3)])
+    def test_same_halvings_and_iterates(self, problem, mode, lam):
+        y, basis, coils, pattern, _, _ = problem
+        # a step size well above 1/||A^H A|| so that backtracking halves
+        cfg = SolverConfig(mode=mode, lam=lam, mu0=16.0, max_outer_iters=8, stop_rel_change=0.0)
+        _, trace = solver.solve(y, basis, coils, pattern, cfg)
+        ref = reference_solve(y, basis, coils, pattern, cfg)
+        records = trace.records[1:]
+        assert [r.halvings for r in records] == ref["halvings"]
+        assert sum(ref["halvings"]) > 0
+        assert [r.mu for r in records] == ref["mu"]
+        # every iterate: stopping after k iterations returns the k-th
+        for k, ref_x in enumerate(ref["x"], start=1):
+            cfg.max_outer_iters = k
+            x, _ = solver.solve(y, basis, coils, pattern, cfg)
+            assert np.linalg.norm(x - ref_x) / np.linalg.norm(ref_x) < 1e-10
+
+    @pytest.mark.parametrize("mode,lam", [("lr", 0.0), ("lrtv", 1e-3)])
+    def test_fidelity_matches_exact_residual(self, problem, mode, lam):
+        # the expanded fidelity ||y||^2 - 2 Re<A^H y v, z> + Re<z, Gz> must not
+        # lose the residual to cancellation as the solve converges
+        y, basis, coils, pattern, _, _ = problem
+        cfg = SolverConfig(mode=mode, lam=lam, mu0=16.0, max_outer_iters=30, stop_rel_change=0.0)
+        _, trace = solver.solve(y, basis, coils, pattern, cfg)
+        ref = reference_solve(y, basis, coils, pattern, cfg)
+        norm_y_sq = float(np.vdot(y.y, y.y).real)
+        assert ref["fidelity"][-1] < 1e-2 * norm_y_sq  # the residual is a small difference
+        for rec, exact in zip(trace.records[1:], ref["fidelity"]):
+            assert rec.fidelity == pytest.approx(exact, rel=1e-9)
 
 
 class TestTraceCsv:
