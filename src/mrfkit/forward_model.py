@@ -205,7 +205,7 @@ def _masked_fft(frames_of, coils: CoilMaps, pattern: SamplingPattern) -> KSpaceD
     for lo in range(0, n_frames, _FRAME_BLOCK):
         hi = min(lo + _FRAME_BLOCK, n_frames)
         weighted = coils.sens[None, :, :, :] * frames_of(lo, hi)[:, None, :, :]
-        y[lo:hi] = np.fft.fft2(weighted, norm="ortho", axes=(-2, -1))
+        np.fft.fft2(weighted, norm="ortho", axes=(-2, -1), out=y[lo:hi])
         y[lo:hi] *= pattern.masks[lo:hi, None, :, :]
     return KSpaceData(y=y, pattern=pattern)
 
