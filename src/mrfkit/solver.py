@@ -7,7 +7,7 @@ total-variation shrinkage. The gradient is computed without the factor two,
 matching the majorization test used for step-size control.
 
 :func:`solve` iterates on the subspace normal operator
-(:func:`forward_model.normal`) and forms no k-space after A^H(y) v;
+(:func:`forward_model.normal`) and forms no k-space inside its loop;
 :func:`gradient` and :func:`backtrack_ok` keep the k-space operator as the
 reference it is checked against.
 """

@@ -220,14 +220,14 @@ class TestSolve:
 def reference_solve(y, basis, coils, pattern, cfg):
     """The solve loop on the k-space operator: solver.gradient and
     solver.backtrack_ok run forward/adjoint at every step. Returns the
-    iterates, the accepted z, their exact fidelities, step sizes and halvings."""
+    iterates, the exact fidelities of the accepted z, step sizes and halvings."""
     h, w = pattern.shape
     ahyv = fm.adjoint(y, basis, coils, pattern)
     mu = float(cfg.mu0)
     x = np.zeros((h * w, basis.rank_s), dtype=complex)
     z_prev = np.zeros_like(x)
     duals = None
-    out = {"x": [], "z": [], "fidelity": [], "mu": [], "halvings": []}
+    out = {"x": [], "fidelity": [], "mu": [], "halvings": []}
     for k in range(1, cfg.max_outer_iters + 1):
         grad = solver.gradient(x, y, basis, coils, pattern, ahyv=ahyv)
         halvings = 0
@@ -246,7 +246,7 @@ def reference_solve(y, basis, coils, pattern, cfg):
         resid = y.y - fm.forward(z, basis, coils, pattern).y
         momentum = (k - 1.0) / (k + 2.0)
         x, z_prev = z + momentum * (z - z_prev), z
-        for key, value in (("x", x), ("z", z), ("fidelity", np.vdot(resid, resid).real),
+        for key, value in (("x", x), ("fidelity", np.vdot(resid, resid).real),
                            ("mu", mu), ("halvings", halvings)):
             out[key].append(value)
     return out
