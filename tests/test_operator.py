@@ -227,10 +227,6 @@ class TestNormalOperator:
             assert abs(quad.imag) < 1e-12 * np.vdot(x, x).real
             assert quad.real >= 0.0
 
-    def test_kernel_is_hermitian_per_point(self, rng):
-        _, _, _, kernel = self.problem(rng, 16, 16, 2, "uniform", 4, 10)
-        np.testing.assert_allclose(kernel, kernel.conj().swapaxes(-1, -2), atol=1e-15)
-
     def test_shape_mismatch(self, rng):
         _, _, coils, kernel = self.problem(rng, 16, 16, 2, "uniform", 3, 8)
         with pytest.raises(ValueError):
