@@ -68,6 +68,11 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def _byte_view(a: np.ndarray) -> memoryview:
+    """Flat byte view of a C-contiguous array's own buffer (no copy)."""
+    return memoryview(a.reshape(-1).view(np.uint8))
+
+
 def write_bundle(path, arrays: dict, meta: dict | None = None) -> None:
     """Write named arrays plus metadata; round-trips bitwise through read_bundle.
 
@@ -118,7 +123,7 @@ def write_bundle(path, arrays: dict, meta: dict | None = None) -> None:
             pos = 8 + len(blob)
             for entry, a in zip(entries, converted.values()):
                 fh.write(b"\0" * (entry["offset"] - pos))
-                fh.write(a.tobytes())
+                fh.write(_byte_view(a))
                 pos = entry["offset"] + a.nbytes
         os.replace(tmp, path)
     except BaseException:
@@ -129,68 +134,75 @@ def write_bundle(path, arrays: dict, meta: dict | None = None) -> None:
 
 def read_bundle(path, kind: str | None = None) -> tuple[dict, dict]:
     """Read a bundle; returns (arrays, meta). Validates magic, offsets, shapes,
-    and, when kind is given, that meta["kind"] names it."""
+    and, when kind is given, that meta["kind"] names it.
+
+    Every check runs on the header and the file size before any payload is
+    read; each payload is then read straight into its own array."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    size = len(raw)
-    if size < 8:
-        raise HeaderError("file too short for a length prefix")
-    header_len = int.from_bytes(raw[:8], "little")
-    if 8 + header_len > size:
-        raise HeaderError("header length exceeds file size")
-    try:
-        header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
-        raise HeaderError(f"unparseable header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("magic") != MAGIC:
-        raise HeaderError("bad magic")
-
-    entries = header.get("arrays")
-    if not isinstance(entries, list):
-        raise HeaderError("missing array table")
-    arrays = {}
-    spans = []
-    for entry in entries:
+        size = os.fstat(fh.fileno()).st_size
+        if size < 8:
+            raise HeaderError("file too short for a length prefix")
+        header_len = int.from_bytes(fh.read(8), "little")
+        if 8 + header_len > size:
+            raise HeaderError("header length exceeds file size")
         try:
-            name = entry["name"]
-            dtype_name = entry["dtype"]
-            shape = tuple(entry["shape"])
-            offset = entry["offset"]
-        except (KeyError, TypeError) as exc:
-            raise HeaderError(f"malformed array entry: {exc}") from exc
-        if not isinstance(name, str):
-            raise HeaderError(f"array name {name!r} is not a string")
-        if not all(_is_count(s) for s in shape + (offset,)):
-            raise HeaderError(f"array {name!r}: shape and offset must be non-negative integers")
-        if not isinstance(dtype_name, str) or dtype_name not in _DTYPES:
-            raise DtypeError(f"unknown dtype {dtype_name!r}")
-        dtype = _DTYPES[dtype_name]
-        count = 1
-        for s in shape:
-            count *= s
-        nbytes = count * dtype.itemsize
-        if offset < 8 + header_len or offset % ALIGNMENT:
-            raise HeaderError(f"bad offset {offset} for array {name!r}")
-        if offset + nbytes > size:
-            raise TruncatedError(
-                f"array {name!r} needs bytes [{offset}, {offset + nbytes}) "
-                f"but the file has {size}"
-            )
-        spans.append((offset, offset + nbytes, name))
-        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
-        try:
-            arrays[name] = arr.reshape(shape).copy()
-        except ValueError as exc:  # an empty array with an unrepresentable shape
-            raise HeaderError(f"array {name!r}: {exc}") from exc
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, ValueError, RecursionError) as exc:
+            raise HeaderError(f"unparseable header: {exc}") from exc
+        if not isinstance(header, dict) or header.get("magic") != MAGIC:
+            raise HeaderError("bad magic")
 
-    spans.sort()
-    for (_, end_a, name_a), (start_b, _, name_b) in zip(spans, spans[1:]):
-        if start_b < end_a:
-            raise HeaderError(f"overlapping payloads: {name_a!r} and {name_b!r}")
+        entries = header.get("arrays")
+        if not isinstance(entries, list):
+            raise HeaderError("missing array table")
+        spans = []
+        for entry in entries:
+            try:
+                name = entry["name"]
+                dtype_name = entry["dtype"]
+                shape = tuple(entry["shape"])
+                offset = entry["offset"]
+            except (KeyError, TypeError) as exc:
+                raise HeaderError(f"malformed array entry: {exc}") from exc
+            if not isinstance(name, str):
+                raise HeaderError(f"array name {name!r} is not a string")
+            if not all(_is_count(s) for s in shape + (offset,)):
+                raise HeaderError(f"array {name!r}: shape and offset must be non-negative integers")
+            if not isinstance(dtype_name, str) or dtype_name not in _DTYPES:
+                raise DtypeError(f"unknown dtype {dtype_name!r}")
+            dtype = _DTYPES[dtype_name]
+            count = 1
+            for s in shape:
+                count *= s
+            nbytes = count * dtype.itemsize
+            if offset < 8 + header_len or offset % ALIGNMENT:
+                raise HeaderError(f"bad offset {offset} for array {name!r}")
+            if offset + nbytes > size:
+                raise TruncatedError(
+                    f"array {name!r} needs bytes [{offset}, {offset + nbytes}) "
+                    f"but the file has {size}"
+                )
+            spans.append((offset, offset + nbytes, name, shape, dtype))
 
-    meta = header.get("meta", {})
-    if not isinstance(meta, dict):
-        raise HeaderError("meta must be an object")
-    if kind is not None and meta.get("kind") != kind:
-        raise HeaderError(f"{os.fspath(path)} holds a {meta.get('kind')!r} bundle, not {kind!r}")
+        ordered = sorted(spans, key=lambda span: span[:2])
+        for (_, end_a, name_a, *_), (start_b, _, name_b, *_) in zip(ordered, ordered[1:]):
+            if start_b < end_a:
+                raise HeaderError(f"overlapping payloads: {name_a!r} and {name_b!r}")
+
+        meta = header.get("meta", {})
+        if not isinstance(meta, dict):
+            raise HeaderError("meta must be an object")
+        if kind is not None and meta.get("kind") != kind:
+            raise HeaderError(f"{os.fspath(path)} holds a {meta.get('kind')!r} bundle, not {kind!r}")
+
+        # the payloads do not overlap, so the arrays together fit in the file
+        arrays = {}
+        for offset, end, name, shape, dtype in spans:
+            try:
+                arrays[name] = np.empty(shape, dtype=dtype)
+            except ValueError as exc:  # an empty array with an unrepresentable shape
+                raise HeaderError(f"array {name!r}: {exc}") from exc
+            fh.seek(offset)
+            if fh.readinto(_byte_view(arrays[name])) != end - offset:
+                raise TruncatedError(f"array {name!r}: file ended inside its payload")
     return arrays, meta

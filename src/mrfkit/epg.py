@@ -23,6 +23,8 @@ DEFAULT_TINV_MS = 18.0
 DEFAULT_ALPHA_MAX_DEG = 70.0
 DEFAULT_FLIP_PERIOD = 250
 DEFAULT_K_MAX = 100
+# atoms per simulation block: the state of one block stays in the L2 cache
+CHUNK_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -152,12 +154,74 @@ def default_schedule(
     return SequenceSchedule(flips, tr_ms=tr_ms, te_ms=te_ms, tinv_ms=tinv_ms, inversion=True)
 
 
-def _epg_states_init(n_orders: int, n_atoms: int, z0: np.ndarray):
-    p = np.zeros((n_orders, n_atoms), dtype=np.float32)
-    m = np.zeros((n_orders, n_atoms), dtype=np.float32)
-    z = np.zeros((n_orders, n_atoms), dtype=np.float32)
+def _flip_coefficients(flip_angles_deg: np.ndarray) -> list[tuple]:
+    """Per-frame RF mixing coefficients (cos²(a/2), sin²(a/2), sin a, ½ sin a, cos a)."""
+    coefficients = []
+    for a in np.deg2rad(flip_angles_deg):
+        coefficients.append((
+            np.float32(math.cos(a / 2) ** 2),
+            np.float32(math.sin(a / 2) ** 2),
+            np.float32(math.sin(a)),
+            np.float32(0.5 * math.sin(a)),
+            np.float32(math.cos(a)),
+        ))
+    return coefficients
+
+
+def _simulate_block(coefficients, n_orders, z0, e1, e2, recovery, signal) -> None:
+    """Run the pulse train for one block of atoms, writing F0 after each pulse
+    into ``signal`` (L, n) float32. State is allocated per block, not per frame.
+
+    Order k at frame t lives in row ``k + L - t`` of ``p`` and row ``k + t`` of
+    ``m``, so the crusher shift moves no data: it only writes the new p[0].
+    At frame t only orders ``k <= min(t, k_top, L - 1 - t)`` are updated:
+    higher orders are still zero, or can no longer shift down to F0 before
+    the train ends. Rows outside that window keep zeros or are never read.
+    """
+    n_frames, n = signal.shape
+    k_top = n_orders - 1
+    p = np.zeros((n_frames + 1, n), dtype=np.float32)
+    m = np.zeros((n_frames, n), dtype=np.float32)
+    z = np.zeros((n_orders, n), dtype=np.float32)
     z[0] = z0
-    return p, m, z
+    work = np.empty((3, n_orders, n), dtype=np.float32)
+
+    for t, (ca2, sa2, sa, hsa, ca) in enumerate(coefficients):
+        top = min(t, k_top, n_frames - 1 - t) + 1
+        pt = p[n_frames - t : n_frames - t + top]
+        mt = m[t : t + top]
+        zt = z[:top]
+        w1, w2, w3 = work[:, :top]
+
+        # RF mixing at phase 0; states (p, m, z) stand for (F+/i, F-/i, Z).
+        # Each new state is rounded as (a·p ± b·m) ± c·z, the order of the
+        # plain per-frame loop (tests/oracles.py), so results match it bitwise.
+        np.multiply(pt, hsa, out=w1)
+        np.multiply(mt, hsa, out=w2)
+        w1 -= w2
+        np.multiply(zt, sa, out=w2)
+        zt *= ca
+        zt += w1
+        np.multiply(mt, sa2, out=w1)
+        np.multiply(pt, sa2, out=w3)
+        pt *= ca2
+        pt += w1
+        pt -= w2
+        mt *= ca2
+        mt += w3
+        mt += w2
+
+        signal[t] = pt[0]
+
+        # relaxation over the full repetition, recovery feeds order 0 only
+        pt *= e2
+        mt *= e2
+        zt *= e1
+        z[0] += recovery
+
+        # ideal crusher: configuration order k -> k+1, new F+ order 0 is -F- order 1
+        if t + 1 < n_frames:
+            np.negative(m[t + 1], out=p[n_frames - t - 1])
 
 
 def simulate_fingerprints(
@@ -182,6 +246,13 @@ def simulate_fingerprints(
     ndarray, complex64, shape (L, n)
         F0 signal at the echo time after each excitation.
     """
+    return _simulate(t1_ms, t2_ms, schedule, k_max, CHUNK_SIZE)
+
+
+def _simulate(t1_ms, t2_ms, schedule, k_max, chunk_size) -> np.ndarray:
+    """:func:`simulate_fingerprints` in blocks of ``chunk_size`` atoms."""
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
     t1 = np.asarray(t1_ms, dtype=np.float64)
     t2 = np.asarray(t2_ms, dtype=np.float64)
     if t1.shape != t2.shape or t1.ndim != 1:
@@ -209,39 +280,15 @@ def simulate_fingerprints(
     else:
         z0 = np.ones(t1.shape, dtype=np.float32)
 
-    p, m, z = _epg_states_init(n_orders, t1.size, z0)
-    signal = np.empty((n_frames, t1.size), dtype=np.float32)
-    flips = np.deg2rad(schedule.flip_angles_deg)
-
-    for t in range(n_frames):
-        a = flips[t]
-        ca2 = np.float32(math.cos(a / 2) ** 2)
-        sa2 = np.float32(math.sin(a / 2) ** 2)
-        sa = np.float32(math.sin(a))
-        hsa = np.float32(0.5 * math.sin(a))
-        ca = np.float32(math.cos(a))
-
-        # RF mixing at phase 0; states (p, m, z) stand for (F+/i, F-/i, Z).
-        pn = ca2 * p + sa2 * m - sa * z
-        mn = sa2 * p + ca2 * m + sa * z
-        zn = hsa * p - hsa * m + ca * z
-        p, m, z = pn, mn, zn
-
-        signal[t] = p[0]
-
-        # relaxation over the full repetition, recovery feeds order 0 only
-        p *= e2
-        m *= e2
-        z *= e1
-        z[0] += recovery
-
-        # ideal crusher: configuration order k -> k+1
-        p[1:] = p[:-1]
-        m[:-1] = m[1:]
-        m[-1] = 0.0
-        p[0] = -m[0]
-
-    return (1j * signal * echo[None, :]).astype(np.complex64)
+    coefficients = _flip_coefficients(schedule.flip_angles_deg)
+    out = np.empty((n_frames, t1.size), dtype=np.complex64)
+    for lo in range(0, t1.size, chunk_size):
+        block = slice(lo, lo + chunk_size)
+        signal = np.empty((n_frames, e1[block].size), dtype=np.float32)
+        _simulate_block(coefficients, n_orders, z0[block], e1[block], e2[block],
+                        recovery[block], signal)
+        np.multiply(1j * signal, echo[block], out=out[:, block])
+    return out
 
 
 def simulate_fingerprint(
@@ -261,7 +308,7 @@ def build_dictionary(
     schedule: SequenceSchedule,
     k_max: int | None = None,
     exclude=None,
-    chunk_size: int = 8192,
+    chunk_size: int = CHUNK_SIZE,
 ) -> Dictionary:
     """Simulate one atom per retained (T1, T2) grid pair.
 
@@ -273,7 +320,7 @@ def build_dictionary(
         Vectorized predicate ``exclude(t1, t2) -> bool array``; pairs where it
         returns True are dropped. Default keeps the full grid.
     chunk_size : int
-        Atoms simulated per batch (memory bound; does not affect values).
+        Atoms simulated per block (sized for the cache; does not affect values).
     """
     t1, t2 = grid.pairs()
     if exclude is not None:
@@ -282,11 +329,7 @@ def build_dictionary(
     if t1.size == 0:
         raise ValueError("grid is empty after exclusion")
 
-    n_frames = schedule.n_frames
-    atoms = np.empty((n_frames, t1.size), dtype=np.complex64)
-    for lo in range(0, t1.size, chunk_size):
-        hi = min(lo + chunk_size, t1.size)
-        atoms[:, lo:hi] = simulate_fingerprints(t1[lo:hi], t2[lo:hi], schedule, k_max=k_max)
+    atoms = _simulate(t1, t2, schedule, k_max, chunk_size)
 
     return Dictionary(
         atoms=atoms,

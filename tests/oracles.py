@@ -4,8 +4,12 @@ These deliberately avoid the library's code paths: the Bloch oracle tracks
 explicit magnetization vectors with real rotation matrices instead of
 configuration states, the TV oracle minimizes the prox objective by
 subgradient descent, and the matching oracle searches the full-length
-fingerprint space.
+fingerprint space. The EPG reference is the straightforward per-frame
+configuration-state loop that the library's blocked kernel must reproduce
+bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -54,6 +58,62 @@ def bloch_fingerprint(t1_ms, t2_ms, schedule, n_spins=2048):
         m[:, 1] = m[:, 0] * sin_c + m[:, 1] * cos_c
         m[:, 0] = mx
     return out
+
+
+def epg_reference(t1_ms, t2_ms, schedule, k_max=None):
+    """Per-frame EPG loop over all retained orders, one fresh array per step.
+
+    Same float32 arithmetic, in the same association, as
+    ``epg.simulate_fingerprints``; returns complex64 (L, n).
+    """
+    t1 = np.asarray(t1_ms, dtype=np.float64)
+    t2 = np.asarray(t2_ms, dtype=np.float64)
+    n_frames = schedule.n_frames
+    if k_max is None:
+        k_max = min(n_frames, 100)
+    n_orders = min(int(k_max), n_frames) + 1
+
+    tr, te, tinv = schedule.tr_ms, schedule.te_ms, schedule.tinv_ms
+    e1 = np.exp(-tr / t1).astype(np.float32)
+    e2 = np.exp(-tr / t2).astype(np.float32)
+    recovery = (1.0 - e1).astype(np.float32)
+    echo = np.exp(-te / t2).astype(np.float32)
+    if schedule.inversion:
+        z0 = (1.0 - 2.0 * np.exp(-tinv / t1)).astype(np.float32)
+    else:
+        z0 = np.ones(t1.shape, dtype=np.float32)
+
+    p = np.zeros((n_orders, t1.size), dtype=np.float32)
+    m = np.zeros((n_orders, t1.size), dtype=np.float32)
+    z = np.zeros((n_orders, t1.size), dtype=np.float32)
+    z[0] = z0
+    signal = np.empty((n_frames, t1.size), dtype=np.float32)
+    flips = np.deg2rad(schedule.flip_angles_deg)
+    for t in range(n_frames):
+        a = flips[t]
+        ca2 = np.float32(math.cos(a / 2) ** 2)
+        sa2 = np.float32(math.sin(a / 2) ** 2)
+        sa = np.float32(math.sin(a))
+        hsa = np.float32(0.5 * math.sin(a))
+        ca = np.float32(math.cos(a))
+
+        pn = ca2 * p + sa2 * m - sa * z
+        mn = sa2 * p + ca2 * m + sa * z
+        zn = hsa * p - hsa * m + ca * z
+        p, m, z = pn, mn, zn
+        signal[t] = p[0]
+
+        p *= e2
+        m *= e2
+        z *= e1
+        z[0] += recovery
+
+        p[1:] = p[:-1]
+        m[:-1] = m[1:]
+        m[-1] = 0.0
+        p[0] = -m[0]
+
+    return (1j * signal * echo[None, :]).astype(np.complex64)
 
 
 def tv_objective(u, b, tau, variant):

@@ -47,6 +47,15 @@ class TestRoundTrip:
         assert arrays == {}
         assert meta == {}
 
+    def test_arrays_are_independent(self, tmp_path, rng):
+        _, arrays, _ = write_read(tmp_path, {
+            "a": rng.standard_normal((6, 5)).astype(np.float32),
+            "b": np.arange(7, dtype=np.int32),
+            "empty": np.zeros((0, 3), dtype=np.complex64),
+        })
+        for a in arrays.values():
+            assert a.flags.writeable and a.flags.c_contiguous and a.flags.owndata
+
     def test_write_is_deterministic(self, tmp_path, rng):
         a = rng.standard_normal((5, 5)).astype(np.float32)
         p1 = tmp_path / "a.mrfb"
@@ -86,6 +95,25 @@ class TestErrors:
         bundle.write_bundle(path, {"a": rng.standard_normal((64, 64)).astype(np.float32)})
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 100])
+        with pytest.raises(bundle.TruncatedError):
+            bundle.read_bundle(path)
+        # cut inside the second of two payloads
+        bundle.write_bundle(path, {"a": np.arange(32, dtype=np.float32),
+                                   "b": rng.standard_normal((16, 16)).astype(np.float32)})
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - 512])
+        with pytest.raises(bundle.TruncatedError):
+            bundle.read_bundle(path)
+
+    def test_short_read_is_truncation(self, tmp_path, rng, monkeypatch):
+        # a file that shrinks after its size was taken: the payload read comes up short
+        path = tmp_path / "t.mrfb"
+        bundle.write_bundle(path, {"a": rng.standard_normal(64).astype(np.float32)})
+        size = path.stat().st_size
+        fstat = bundle.os.fstat
+        monkeypatch.setattr(bundle.os, "fstat", lambda fd: type("S", (), {
+            "st_size": fstat(fd).st_size + 256}))
+        path.write_bytes(path.read_bytes()[: size - 8])
         with pytest.raises(bundle.TruncatedError):
             bundle.read_bundle(path)
 

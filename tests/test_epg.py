@@ -3,7 +3,12 @@ import pytest
 
 from mrfkit import epg
 
-from oracles import bloch_fingerprint
+from oracles import bloch_fingerprint, epg_reference
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype == np.complex64
+    assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
 class TestSchedule:
@@ -102,6 +107,43 @@ class TestSimulateFingerprint:
             epg.simulate_fingerprint(epg.TissueParams(1000.0, 100.0), short_schedule, k_max=0)
 
 
+class TestMatchesReference:
+    """The blocked, offset-indexed kernel reproduces the per-frame reference
+    loop of tests/oracles.py bit for bit."""
+
+    @staticmethod
+    def tissues(rng, n):
+        return rng.uniform(100, 4000, n), rng.uniform(20, 600, n)
+
+    @pytest.mark.parametrize("n_frames,k_max", [
+        (30, 5), (30, 29), (30, 30), (30, 64), (1, 1), (1, 100), (2, 1), (2, 100), (7, 3),
+        (7, 100),
+    ])
+    @pytest.mark.parametrize("inversion", [True, False])
+    def test_random_flips(self, rng, monkeypatch, n_frames, k_max, inversion):
+        flips = rng.uniform(0, 180, n_frames)
+        flips[::5] = 180.0
+        flips[1::4] = 0.0
+        schedule = epg.SequenceSchedule(flips, inversion=inversion)
+        t1, t2 = self.tissues(rng, 37)
+        monkeypatch.setattr(epg, "CHUNK_SIZE", 16)
+        assert_same_bits(epg.simulate_fingerprints(t1, t2, schedule, k_max=k_max),
+                         epg_reference(t1, t2, schedule, k_max=k_max))
+
+    def test_zero_flips(self, rng):
+        schedule = epg.SequenceSchedule(np.zeros(20))
+        t1, t2 = self.tissues(rng, 5)
+        assert_same_bits(epg.simulate_fingerprints(t1, t2, schedule),
+                         epg_reference(t1, t2, schedule))
+
+    @pytest.mark.parametrize("n_atoms", [2 * epg.CHUNK_SIZE + 3, 1])
+    def test_default_chunking(self, rng, n_atoms):
+        schedule = epg.default_schedule(300)
+        t1, t2 = self.tissues(rng, n_atoms)
+        assert_same_bits(epg.simulate_fingerprints(t1, t2, schedule, k_max=100),
+                         epg_reference(t1, t2, schedule, k_max=100))
+
+
 class TestGrid:
     def test_full_grid_count(self):
         grid = epg.GridSpec(
@@ -157,6 +199,12 @@ class TestBuildDictionary:
         a = epg.build_dictionary(grid, short_schedule, chunk_size=4)
         b = epg.build_dictionary(grid, short_schedule, chunk_size=10_000)
         np.testing.assert_array_equal(a.atoms, b.atoms)
+
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_rejects_bad_chunk_size(self, short_schedule, chunk_size):
+        grid = epg.GridSpec(t1=epg.GridRange(200, 300, 500), t2=epg.GridRange(30, 60, 90))
+        with pytest.raises(ValueError):
+            epg.build_dictionary(grid, short_schedule, chunk_size=chunk_size)
 
     def test_normalized_atoms(self, small_dictionary):
         normed = small_dictionary.normalized_atoms()
