@@ -7,10 +7,8 @@ from .epg import (
     GridRange,
     GridSpec,
     SequenceSchedule,
-    TissueParams,
     build_dictionary,
     default_schedule,
-    simulate_fingerprint,
     simulate_fingerprints,
 )
 from .forward_model import (
@@ -24,8 +22,8 @@ from .forward_model import (
 )
 from .inference import MrfNet, TrainConfig, dictionary_match, infer, make_training_set, train
 from .phantom import GroundTruth, make_phantom, score_maps, synthesize_timeseries
-from .solver import SolverConfig, SolveTrace, backtrack_ok, bpi, gradient, solve
-from .subspace import SubspaceBasis, expand, learn_subspace, phase_align, project
+from .solver import SolverConfig, SolveTrace, solve
+from .subspace import SubspaceBasis, learn_subspace, phase_align, project
 from .tvprox import TvConfig, tv_norm, tv_prox, tv_prox_stack
 
 __version__ = "0.1.0"

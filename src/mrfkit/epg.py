@@ -55,20 +55,6 @@ class SequenceSchedule:
 
 
 @dataclass(frozen=True)
-class TissueParams:
-    """Relaxation times of one tissue, in milliseconds."""
-
-    t1_ms: float
-    t2_ms: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t1_ms) and math.isfinite(self.t2_ms)):
-            raise ValueError("tissue parameters must be finite")
-        if self.t1_ms <= 0 or self.t2_ms <= 0:
-            raise ValueError("tissue parameters must be positive")
-
-
-@dataclass(frozen=True)
 class GridRange:
     """Inclusive arithmetic range start, start+step, ..., stop."""
 
@@ -77,6 +63,10 @@ class GridRange:
     stop: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.start, self.step, self.stop)):
+            raise ValueError(
+                f"grid range {self.start}:{self.step}:{self.stop} must be finite"
+            )
         if self.step <= 0 or self.start <= 0 or self.stop < self.start:
             raise ValueError("grid range must be positive with stop >= start")
 
@@ -124,9 +114,6 @@ class Dictionary:
     @property
     def n_atoms(self) -> int:
         return self.atoms.shape[1]
-
-    def label(self, j: int) -> TissueParams:
-        return TissueParams(float(self.t1_ms[j]), float(self.t2_ms[j]))
 
     def normalized_atoms(self) -> np.ndarray:
         """L2-normalized copy of the atoms; raw atoms are kept as stored."""
@@ -246,13 +233,6 @@ def simulate_fingerprints(
     ndarray, complex64, shape (L, n)
         F0 signal at the echo time after each excitation.
     """
-    return _simulate(t1_ms, t2_ms, schedule, k_max, CHUNK_SIZE)
-
-
-def _simulate(t1_ms, t2_ms, schedule, k_max, chunk_size) -> np.ndarray:
-    """:func:`simulate_fingerprints` in blocks of ``chunk_size`` atoms."""
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
     t1 = np.asarray(t1_ms, dtype=np.float64)
     t2 = np.asarray(t2_ms, dtype=np.float64)
     if t1.shape != t2.shape or t1.ndim != 1:
@@ -282,8 +262,8 @@ def _simulate(t1_ms, t2_ms, schedule, k_max, chunk_size) -> np.ndarray:
 
     coefficients = _flip_coefficients(schedule.flip_angles_deg)
     out = np.empty((n_frames, t1.size), dtype=np.complex64)
-    for lo in range(0, t1.size, chunk_size):
-        block = slice(lo, lo + chunk_size)
+    for lo in range(0, t1.size, CHUNK_SIZE):
+        block = slice(lo, lo + CHUNK_SIZE)
         signal = np.empty((n_frames, e1[block].size), dtype=np.float32)
         _simulate_block(coefficients, n_orders, z0[block], e1[block], e2[block],
                         recovery[block], signal)
@@ -291,48 +271,13 @@ def _simulate(t1_ms, t2_ms, schedule, k_max, chunk_size) -> np.ndarray:
     return out
 
 
-def simulate_fingerprint(
-    params: TissueParams,
-    schedule: SequenceSchedule,
-    k_max: int | None = None,
-) -> np.ndarray:
-    """Simulate a single fingerprint; see :func:`simulate_fingerprints`."""
-    out = simulate_fingerprints(
-        np.array([params.t1_ms]), np.array([params.t2_ms]), schedule, k_max=k_max
-    )
-    return out[:, 0]
-
-
 def build_dictionary(
-    grid: GridSpec,
-    schedule: SequenceSchedule,
-    k_max: int | None = None,
-    exclude=None,
-    chunk_size: int = CHUNK_SIZE,
+    grid: GridSpec, schedule: SequenceSchedule, k_max: int | None = None
 ) -> Dictionary:
-    """Simulate one atom per retained (T1, T2) grid pair.
-
-    Parameters
-    ----------
-    grid : GridSpec
-    schedule : SequenceSchedule
-    exclude : callable, optional
-        Vectorized predicate ``exclude(t1, t2) -> bool array``; pairs where it
-        returns True are dropped. Default keeps the full grid.
-    chunk_size : int
-        Atoms simulated per block (sized for the cache; does not affect values).
-    """
+    """Simulate one atom per (T1, T2) grid pair, in the grid's T1-major order."""
     t1, t2 = grid.pairs()
-    if exclude is not None:
-        drop = np.asarray(exclude(t1, t2), dtype=bool)
-        t1, t2 = t1[~drop], t2[~drop]
-    if t1.size == 0:
-        raise ValueError("grid is empty after exclusion")
-
-    atoms = _simulate(t1, t2, schedule, k_max, chunk_size)
-
     return Dictionary(
-        atoms=atoms,
+        atoms=simulate_fingerprints(t1, t2, schedule, k_max=k_max),
         t1_ms=t1.astype(np.float32),
         t2_ms=t2.astype(np.float32),
         schedule=schedule,

@@ -17,6 +17,8 @@ DEFAULT_CENTER_RADIUS = 4
 DEFAULT_DENSITY_GAMMA = 2.0
 
 _FRAME_BLOCK = 32  # frames per block, bounds the materialized image stack
+# provenance fields of a SamplingPattern, recorded in the k-space bundle's meta
+_PATTERN_META = ("seed", "accel", "center_radius", "gamma", "k0")
 
 
 @dataclass
@@ -92,20 +94,18 @@ def make_vd_cartesian_masks(
     accel: float,
     seed: int,
     center_radius: int = DEFAULT_CENTER_RADIUS,
-    gamma: float = DEFAULT_DENSITY_GAMMA,
-    k0: float | None = None,
 ) -> SamplingPattern:
     """Per-frame variable-density random Cartesian masks.
 
-    Sampling probability decays radially as (1 + |k|/k0)^-gamma, scaled so the
+    Sampling probability decays radially as (1 + |k|/k0)^-gamma, with
+    gamma = DEFAULT_DENSITY_GAMMA and k0 = H/8, scaled so the
     expected samples per frame are H*W/accel; a (2*center_radius+1)^2 block
     around DC is always fully sampled. Frames are independent draws from one
     seeded generator.
     """
     if accel < 1:
         raise ValueError("accel must be >= 1")
-    if k0 is None:
-        k0 = h / 8.0
+    k0 = h / 8.0
     target = h * w / accel
     center = _center_block(h, w, center_radius)
     n_center = int(center.sum())
@@ -115,7 +115,7 @@ def make_vd_cartesian_masks(
             f"of {target:.0f} samples per frame"
         )
 
-    weights = _radial_weights(h, w, gamma, k0)
+    weights = _radial_weights(h, w, DEFAULT_DENSITY_GAMMA, k0)
     outside = ~center
     budget = target - n_center
     if budget >= outside.sum():
@@ -139,14 +139,7 @@ def make_vd_cartesian_masks(
     rng = np.random.default_rng(seed)
     masks = rng.random((n_frames, h, w)) < prob[None, :, :]
     masks[:, center] = True
-    return SamplingPattern(
-        masks=masks,
-        seed=seed,
-        accel=float(accel),
-        center_radius=center_radius,
-        gamma=gamma,
-        k0=float(k0),
-    )
+    return SamplingPattern(masks, seed, float(accel), center_radius, DEFAULT_DENSITY_GAMMA, k0)
 
 
 def make_coil_maps(h: int, w: int, n_coils: int, kind: str = "gaussian-ring") -> CoilMaps:
@@ -298,14 +291,7 @@ def save_kspace(data: KSpaceData, coils: CoilMaps, path, extra_meta: dict | None
     from . import bundle
 
     p = data.pattern
-    meta = {
-        "kind": "kspace",
-        "seed": p.seed,
-        "accel": p.accel,
-        "center_radius": p.center_radius,
-        "gamma": p.gamma,
-        "k0": p.k0,
-    }
+    meta = {"kind": "kspace", **{key: getattr(p, key) for key in _PATTERN_META}}
     if extra_meta:
         meta.update(extra_meta)
     bundle.write_bundle(
@@ -323,14 +309,8 @@ def load_kspace(path) -> tuple[KSpaceData, CoilMaps, dict]:
     from . import bundle
 
     arrays, meta = bundle.read_bundle(path, kind="kspace")
-    pattern = SamplingPattern(
-        masks=arrays["masks"].astype(bool),
-        seed=meta.get("seed"),
-        accel=meta.get("accel"),
-        center_radius=meta.get("center_radius"),
-        gamma=meta.get("gamma"),
-        k0=meta.get("k0"),
-    )
+    pattern = SamplingPattern(arrays["masks"].astype(bool),
+                              *(meta.get(key) for key in _PATTERN_META))
     data = KSpaceData(y=arrays["y"].astype(np.complex128), pattern=pattern)
     coils = CoilMaps(sens=arrays["sens"].astype(np.complex128))
     return data, coils, meta

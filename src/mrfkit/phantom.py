@@ -4,6 +4,8 @@ Shapes are placed in painter's order with fractional [0, 1] coordinates so the
 same layout rasterizes at any resolution. Pixel centers decide membership.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +16,8 @@ from .epg import SequenceSchedule, simulate_fingerprints
 TISSUE_A = (800.0, 80.0, 0.8)
 TISSUE_B = (1300.0, 110.0, 0.9)
 TISSUE_C = (3500.0, 500.0, 1.0)
+
+_GEOMETRY_KEYS = {"ellipse": ("cx", "cy", "a", "b"), "rectangle": ("x0", "y0", "x1", "y1")}
 
 
 @dataclass
@@ -55,29 +59,46 @@ def offgrid_head_spec() -> list[dict]:
     return spec
 
 
+def _check_entry(entry: dict, index: int) -> None:
+    """Reject an unknown shape, or a value that is not a finite number or is
+    out of range (t1, t2 > 0; pd >= 0), naming the entry and the key."""
+    kind = entry["shape"]
+    if kind not in _GEOMETRY_KEYS:
+        raise ValueError(f"phantom entry {index} has unknown shape kind {kind!r}")
+    for key in (*_GEOMETRY_KEYS[kind], "t1", "t2", "pd"):
+        value = entry[key]
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)):
+            raise ValueError(f"phantom entry {index} key {key!r} must be a finite number, "
+                             f"got {value!r}")
+    for key in ("t1", "t2"):
+        if entry[key] <= 0:
+            raise ValueError(f"phantom entry {index} key {key!r} must be > 0, got {entry[key]!r}")
+    if entry["pd"] < 0:
+        raise ValueError(f"phantom entry {index} key 'pd' must be >= 0, got {entry['pd']!r}")
+
+
 def _rasterize(shape_entry: dict, h: int, w: int) -> np.ndarray:
     ys = (np.arange(h) + 0.5) / h
     xs = (np.arange(w) + 0.5) / w
     yy, xx = np.meshgrid(ys, xs, indexing="ij")
-    kind = shape_entry["shape"]
-    if kind == "ellipse":
+    if shape_entry["shape"] == "ellipse":
         cx, cy = shape_entry["cx"], shape_entry["cy"]
         a, b = shape_entry["a"], shape_entry["b"]
         return ((xx - cx) / a) ** 2 + ((yy - cy) / b) ** 2 <= 1.0
-    if kind == "rectangle":
-        return (
-            (xx >= shape_entry["x0"])
-            & (xx <= shape_entry["x1"])
-            & (yy >= shape_entry["y0"])
-            & (yy <= shape_entry["y1"])
-        )
-    raise ValueError(f"unknown shape kind {kind!r}")
+    return (
+        (xx >= shape_entry["x0"])
+        & (xx <= shape_entry["x1"])
+        & (yy >= shape_entry["y0"])
+        & (yy <= shape_entry["y1"])
+    )
 
 
 def make_phantom(h: int, w: int, spec: list[dict] | None = None) -> GroundTruth:
     """Rasterize a painter's-order shape list into ground-truth maps.
 
-    A missing key in an entry raises ValueError naming the entry and the key.
+    Every entry is checked before any is rasterized: a missing key, an
+    unknown shape or a bad value raises ValueError naming the entry and the key.
     """
     if spec is None:
         spec = default_head_spec()
@@ -89,12 +110,14 @@ def make_phantom(h: int, w: int, spec: list[dict] | None = None) -> GroundTruth:
     labels = np.zeros((h, w), dtype=np.int32)
     for index, entry in enumerate(spec, start=1):
         try:
-            inside = _rasterize(entry, h, w)
-            t1[inside] = entry["t1"]
-            t2[inside] = entry["t2"]
-            pd[inside] = entry["pd"]
+            _check_entry(entry, index)
         except KeyError as exc:
             raise ValueError(f"phantom entry {index} is missing key {exc}") from None
+    for index, entry in enumerate(spec, start=1):
+        inside = _rasterize(entry, h, w)
+        t1[inside] = entry["t1"]
+        t2[inside] = entry["t2"]
+        pd[inside] = entry["pd"]
         labels[inside] = index
     return GroundTruth(t1_map=t1, t2_map=t2, pd_map=pd, region_labels=labels)
 

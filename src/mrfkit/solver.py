@@ -7,9 +7,8 @@ total-variation shrinkage. The gradient is computed without the factor two,
 matching the majorization test used for step-size control.
 
 :func:`solve` iterates on the subspace normal operator
-(:func:`forward_model.normal`) and forms no k-space inside its loop;
-:func:`gradient` and :func:`backtrack_ok` keep the k-space operator as the
-reference it is checked against.
+(:func:`forward_model.normal`) and forms no k-space inside its loop; the
+k-space reference loop it is checked against lives in ``tests/oracles.py``.
 """
 
 import csv
@@ -24,7 +23,6 @@ from .subspace import SubspaceBasis
 from .tvprox import TvConfig, tv_norm, tv_prox_stack
 
 MODES = ("bpi", "lr", "lrtv")
-DEFAULT_LAMBDA = 2e-5
 _MU_FLOOR = 1e-30
 
 
@@ -39,7 +37,7 @@ class NumericalError(RuntimeError):
 @dataclass
 class SolverConfig:
     mode: str = "lrtv"
-    lam: float | None = None  # TV weight; resolved to 2e-5 for lrtv, 0 otherwise
+    lam: float = 0.0  # TV weight, lrtv only
     mu0: float | str = "auto"
     max_outer_iters: int = 50
     stop_rel_change: float = 1e-4
@@ -48,8 +46,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.lam is None:
-            self.lam = DEFAULT_LAMBDA if self.mode == "lrtv" else 0.0
         if self.lam < 0:
             raise ValueError("lambda must be >= 0")
         if self.mode != "lrtv" and self.lam != 0:
@@ -73,7 +69,6 @@ class TraceRecord:
     halvings: int
     rel_change: float
     momentum: float = 0.0
-    fidelity_at_x: float = 0.0
     majorization_rhs: float = 0.0
 
 
@@ -122,53 +117,6 @@ def _majorization_rhs(fidelity_x: float, grad: np.ndarray, diff: np.ndarray, mu:
     """The quadratic majorizer at x evaluated at z = x + diff:
     fidelity_x + 2 Re<grad, diff> + ||diff||^2 / mu."""
     return fidelity_x + 2.0 * float(np.vdot(grad, diff).real) + float(np.vdot(diff, diff).real) / mu
-
-
-def bpi(
-    y: KSpaceData, basis: SubspaceBasis, coils: CoilMaps, pattern: SamplingPattern
-) -> np.ndarray:
-    """Back-projected images: the adjoint applied to the data, no iterations."""
-    return fm.adjoint(y, basis, coils, pattern)
-
-
-def gradient(
-    x: np.ndarray,
-    y: KSpaceData,
-    basis: SubspaceBasis,
-    coils: CoilMaps,
-    pattern: SamplingPattern,
-    ahyv: np.ndarray | None = None,
-) -> np.ndarray:
-    """Subspace gradient A^H(A(x v^H)) v - A^H(y) v (no factor two)."""
-    if ahyv is None:
-        ahyv = fm.adjoint(y, basis, coils, pattern)
-    ks = fm.forward(x, basis, coils, pattern)
-    return fm.adjoint(ks, basis, coils, pattern) - ahyv
-
-
-def backtrack_ok(
-    z: np.ndarray,
-    x: np.ndarray,
-    grad: np.ndarray,
-    mu: float,
-    y: KSpaceData,
-    basis: SubspaceBasis,
-    coils: CoilMaps,
-    pattern: SamplingPattern,
-    fidelity_x: float | None = None,
-) -> bool:
-    """True when the step satisfies the quadratic majorization at step size mu.
-
-    False exactly when ||y - A(z v^H)||^2 exceeds
-    ||y - A(x v^H)||^2 + 2 Re<grad, z - x> + ||z - x||^2 / mu,
-    i.e. when the step size must be halved.
-    """
-    if mu <= 0:
-        raise ValueError("mu must be > 0")
-    if fidelity_x is None:
-        fidelity_x = _fidelity(y.y, fm.forward(x, basis, coils, pattern).y)
-    fidelity_z = _fidelity(y.y, fm.forward(z, basis, coils, pattern).y)
-    return not fidelity_z > _majorization_rhs(fidelity_x, grad, z - x, mu)
 
 
 def auto_step_size(pattern: SamplingPattern, n_coils: int) -> float:
@@ -240,14 +188,7 @@ def solve(
         while True:
             step = x - mu * grad
             if lam > 0:
-                z, new_duals = tv_prox_stack(
-                    step,
-                    lam * mu,
-                    cfg.tv,
-                    (h, w),
-                    dual_init=duals,
-                    return_dual=True,
-                )
+                z, new_duals = tv_prox_stack(step, lam * mu, cfg.tv, (h, w), dual_init=duals)
             else:
                 z, new_duals = step, None
             gz = fm.normal(z, kernel, coils)
@@ -289,7 +230,6 @@ def solve(
                 halvings=halvings,
                 rel_change=rel_change,
                 momentum=momentum,
-                fidelity_at_x=fidelity_x,
                 majorization_rhs=rhs,
             )
         )

@@ -2,8 +2,8 @@
 
 The basis holds the leading left singular vectors of the atom matrix. Time
 series are treated as rows: coefficients are ``x @ v`` and the reconstruction
-is ``coeffs @ v.conj().T``, so expand(project(x)) is the orthogonal projection
-onto the model subspace.
+is ``coeffs @ v.conj().T``, so ``project(x) @ v.conj().T`` is the orthogonal
+projection onto the model subspace.
 """
 
 from dataclasses import dataclass
@@ -91,14 +91,6 @@ def project(series: np.ndarray, basis: SubspaceBasis) -> np.ndarray:
             f"series length {x.shape[-1]} does not match basis frames {basis.n_frames}"
         )
     return x @ basis.v
-
-
-def expand(coeffs: np.ndarray, basis: SubspaceBasis) -> np.ndarray:
-    """Reconstruct time series rows from coefficients: x = c @ v^H."""
-    c = np.asarray(coeffs)
-    if c.shape[-1] != basis.rank_s:
-        raise ValueError(f"coefficient width {c.shape[-1]} does not match rank {basis.rank_s}")
-    return c @ basis.v.conj().T
 
 
 def phase_align(coeffs: np.ndarray) -> np.ndarray:

@@ -128,9 +128,9 @@ def tv_prox_stack(
     cfg: TvConfig,
     hw: tuple[int, int],
     dual_init: np.ndarray | None = None,
-    return_dual: bool = False,
-):
-    """Channel-wise prox of a complex coefficient stack (n, S).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Channel-wise prox of a complex coefficient stack (n, S); returns the
+    result and the final dual state, for warm-starting the next call.
 
     Real and imaginary parts of each channel are independent real prox
     problems (2S calls). The dual state has shape (S, 2, 2, H, W) indexed
@@ -144,9 +144,7 @@ def tv_prox_stack(
     if n != h * w:
         raise ValueError(f"stack rows {n} do not match image size {h}x{w}")
     if tau == 0:
-        out = x.astype(np.complex128, copy=True)
-        duals = np.zeros((rank, 2, 2, h, w))
-        return (out, duals) if return_dual else out
+        return x.astype(np.complex128, copy=True), np.zeros((rank, 2, 2, h, w))
 
     out = np.empty((n, rank), dtype=np.complex128)
     duals = np.zeros((rank, 2, 2, h, w))
@@ -160,4 +158,4 @@ def tv_prox_stack(
                 out[:, s] = res.ravel()
             else:
                 out[:, s] += 1j * res.ravel()
-    return (out, duals) if return_dual else out
+    return out, duals

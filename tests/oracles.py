@@ -1,17 +1,31 @@
-"""Independent reference implementations used to check the library.
+"""Reference implementations used to check the library.
 
-These deliberately avoid the library's code paths: the Bloch oracle tracks
-explicit magnetization vectors with real rotation matrices instead of
-configuration states, the TV oracle minimizes the prox objective by
-subgradient descent, and the matching oracle searches the full-length
-fingerprint space. The EPG reference is the straightforward per-frame
-configuration-state loop that the library's blocked kernel must reproduce
-bit for bit.
+Independent oracles avoid the library's code paths:
+
+- ``bloch_fingerprint`` tracks explicit magnetization vectors with real
+  rotation matrices instead of configuration states;
+- ``tv_objective`` and ``tv_prox_subgradient`` minimize the prox objective by
+  subgradient descent;
+- ``match_full_space`` searches the full-length fingerprint space;
+- ``epg_reference`` is the straightforward per-frame configuration-state loop
+  that the library's blocked kernel must reproduce bit for bit.
+
+Reference paths are built on the library's ``forward``/``adjoint`` pair,
+whose adjointness criterion 1 checks:
+
+- ``gradient`` and ``backtrack_ok`` form the solver's gradient and
+  majorization test in k-space, where ``solver.solve`` uses the subspace
+  normal operator instead;
+- ``expand`` maps subspace coefficients back to time series, ``c @ v^H``;
+- ``simulate_fingerprint`` is one atom of ``epg.simulate_fingerprints``.
 """
 
 import math
 
 import numpy as np
+
+from mrfkit import epg
+from mrfkit import forward_model as fm
 
 
 def rotation_x(angle_rad: float) -> np.ndarray:
@@ -175,3 +189,44 @@ def match_full_space(series, atoms):
     norms[norms == 0] = 1.0
     scores = np.abs(series.conj() @ atoms) / norms[None, :]
     return np.argmax(scores, axis=1)
+
+
+def simulate_fingerprint(t1_ms, t2_ms, schedule, k_max=None):
+    """One fingerprint, shape (L,), from ``epg.simulate_fingerprints``."""
+    return epg.simulate_fingerprints(
+        np.array([t1_ms]), np.array([t2_ms]), schedule, k_max=k_max
+    )[:, 0]
+
+
+def expand(coeffs, basis):
+    """Time series rows from subspace coefficients: x = c @ v^H."""
+    c = np.asarray(coeffs)
+    if c.shape[-1] != basis.rank_s:
+        raise ValueError(f"coefficient width {c.shape[-1]} does not match rank {basis.rank_s}")
+    return c @ basis.v.conj().T
+
+
+def _fidelity(x, y, basis, coils, pattern):
+    resid = y.y - fm.forward(x, basis, coils, pattern).y
+    return float(np.vdot(resid, resid).real)
+
+
+def gradient(x, y, basis, coils, pattern, ahyv=None):
+    """Subspace gradient A^H(A(x v^H)) v - A^H(y) v (no factor two)."""
+    if ahyv is None:
+        ahyv = fm.adjoint(y, basis, coils, pattern)
+    ks = fm.forward(x, basis, coils, pattern)
+    return fm.adjoint(ks, basis, coils, pattern) - ahyv
+
+
+def backtrack_ok(z, x, grad, mu, y, basis, coils, pattern):
+    """True when the step satisfies the quadratic majorization at step size mu.
+
+    False exactly when ||y - A(z v^H)||^2 exceeds
+    ||y - A(x v^H)||^2 + 2 Re<grad, z - x> + ||z - x||^2 / mu,
+    i.e. when the step size must be halved.
+    """
+    diff = z - x
+    rhs = (_fidelity(x, y, basis, coils, pattern) + 2.0 * float(np.vdot(grad, diff).real)
+           + float(np.vdot(diff, diff).real) / mu)
+    return not _fidelity(z, y, basis, coils, pattern) > rhs

@@ -130,6 +130,38 @@ class TestExitCodes:
         assert "cy" in lines[0]
         assert not (out_dir / "dict.mrfb").exists()
 
+    @staticmethod
+    def run_bad_experiment(tmp_path, capsys, config):
+        """Run an experiment whose config must fail with exit 1 before the
+        dictionary is written; returns its one stderr line."""
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        assert run_cli("run-experiment", "--config", str(path), "--out-dir", str(out_dir)) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error kind=usage")
+        assert not (out_dir / "dict.mrfb").exists()
+        return lines[0]
+
+    @pytest.mark.parametrize("key,value", [("t1", -5), ("cx", "a"), ("t1", None)])
+    def test_bad_phantom_value_fails_before_dictionary(self, tmp_path, capsys, key, value):
+        entry = {"shape": "ellipse", "cx": 0.5, "cy": 0.5, "a": 0.4, "b": 0.4,
+                 "t1": 800.0, "t2": 80.0, "pd": 1.0, key: value}
+        line = self.run_bad_experiment(tmp_path, capsys, {"phantom": [entry]})
+        assert f"phantom entry 1 key {key!r}" in line
+
+    def test_nonfinite_grid_range_is_usage_error(self, tmp_path, capsys):
+        d = tmp_path / "d.mrfb"
+        for t1 in ("100:1:inf", "nan:1:200"):
+            assert run_cli("simulate-dict", "--t1", t1, "--t2", "20:10:600",
+                           "--frames", "10", "--out", str(d)) == 1
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error kind=usage")
+            assert "grid range" in lines[0] and "must be finite" in lines[0]
+        assert not d.exists()
+        line = self.run_bad_experiment(tmp_path, capsys, {"dict": {"t2": "20:10:inf"}})
+        assert "grid range 20.0:10.0:inf must be finite" in line
+
 
 class TestThreadCap:
     def test_thread_cap_applied(self, tmp_path, monkeypatch, capsys):

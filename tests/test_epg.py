@@ -3,7 +3,7 @@ import pytest
 
 from mrfkit import epg
 
-from oracles import bloch_fingerprint, epg_reference
+from oracles import bloch_fingerprint, epg_reference, simulate_fingerprint
 
 
 def assert_same_bits(a, b):
@@ -43,28 +43,32 @@ class TestSchedule:
 
 
 class TestTissueParams:
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            epg.TissueParams(0.0, 100.0)
-        with pytest.raises(ValueError):
-            epg.TissueParams(1000.0, -1.0)
+    """simulate_fingerprints rejects a bad T1 or T2 anywhere in its inputs."""
 
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            epg.TissueParams(np.nan, 100.0)
-        with pytest.raises(ValueError):
-            epg.TissueParams(1000.0, np.inf)
+    @staticmethod
+    def assert_rejected(short_schedule, bad, match):
+        for t1, t2 in ((bad, 100.0), (1000.0, bad)):
+            with pytest.raises(ValueError, match=match):
+                epg.simulate_fingerprints([800.0, t1], [80.0, t2], short_schedule)
+
+    def test_rejects_nonpositive(self, short_schedule):
+        for bad in (0.0, -1.0):
+            self.assert_rejected(short_schedule, bad, "positive")
+
+    def test_rejects_nonfinite(self, short_schedule):
+        for bad in (np.nan, np.inf, -np.inf):
+            self.assert_rejected(short_schedule, bad, "finite")
 
 
 class TestSimulateFingerprint:
     def test_zero_flips_zero_signal(self, short_schedule):
         s = epg.SequenceSchedule(np.zeros(50))
         for t1, t2 in [(500.0, 60.0), (3000.0, 400.0)]:
-            sig = epg.simulate_fingerprint(epg.TissueParams(t1, t2), s)
+            sig = simulate_fingerprint(t1, t2, s)
             assert np.all(sig == 0)
 
     def test_matches_bloch_oracle(self, short_schedule):
-        sig = epg.simulate_fingerprint(epg.TissueParams(1000.0, 100.0), short_schedule, k_max=100)
+        sig = simulate_fingerprint(1000.0, 100.0, short_schedule, k_max=100)
         ref = bloch_fingerprint(1000.0, 100.0, short_schedule, n_spins=2048)
         err = np.abs(sig - ref).max() / np.abs(ref).max()
         assert err < 1e-2
@@ -73,21 +77,19 @@ class TestSimulateFingerprint:
         for _ in range(10):
             t1 = rng.uniform(100, 4000)
             t2 = rng.uniform(20, min(t1, 600))
-            sig = epg.simulate_fingerprint(epg.TissueParams(t1, t2), short_schedule, k_max=100)
+            sig = simulate_fingerprint(t1, t2, short_schedule, k_max=100)
             ref = bloch_fingerprint(t1, t2, short_schedule, n_spins=2048)
             err = np.abs(sig - ref).max() / np.abs(ref).max()
             assert err < 1e-2, f"t1={t1:.0f} t2={t2:.0f}: {err:.2e}"
 
     def test_kmax_beyond_frames_is_inert(self, short_schedule):
-        p = epg.TissueParams(800.0, 90.0)
-        a = epg.simulate_fingerprint(p, short_schedule, k_max=100)
-        b = epg.simulate_fingerprint(p, short_schedule, k_max=200)
+        a = simulate_fingerprint(800.0, 90.0, short_schedule, k_max=100)
+        b = simulate_fingerprint(800.0, 90.0, short_schedule, k_max=200)
         np.testing.assert_array_equal(a, b)
 
     def test_pure_function(self, short_schedule):
-        p = epg.TissueParams(1234.0, 77.0)
-        a = epg.simulate_fingerprint(p, short_schedule)
-        b = epg.simulate_fingerprint(p, short_schedule)
+        a = simulate_fingerprint(1234.0, 77.0, short_schedule)
+        b = simulate_fingerprint(1234.0, 77.0, short_schedule)
         np.testing.assert_array_equal(a, b)
 
     def test_t2_monotonicity_constant_flips(self):
@@ -96,7 +98,7 @@ class TestSimulateFingerprint:
         # (75 deg, long T1) keeps the ordering with a 2e-3 margin
         s = epg.SequenceSchedule(np.full(30, 75.0))
         signals = [
-            np.abs(epg.simulate_fingerprint(epg.TissueParams(2000.0, t2), s))
+            np.abs(simulate_fingerprint(2000.0, t2, s))
             for t2 in (50.0, 100.0, 200.0)
         ]
         assert np.all(signals[1] > signals[0])
@@ -104,7 +106,7 @@ class TestSimulateFingerprint:
 
     def test_rejects_bad_kmax(self, short_schedule):
         with pytest.raises(ValueError):
-            epg.simulate_fingerprint(epg.TissueParams(1000.0, 100.0), short_schedule, k_max=0)
+            simulate_fingerprint(1000.0, 100.0, short_schedule, k_max=0)
 
 
 class TestMatchesReference:
@@ -158,13 +160,19 @@ class TestGrid:
         with pytest.raises(ValueError):
             epg.GridRange.parse("100:4000")
 
+    @pytest.mark.parametrize("text", ["100:1:inf", "nan:1:200", "100:nan:200", "100:inf:200",
+                                      "-inf:1:200"])
+    def test_rejects_nonfinite(self, text):
+        with pytest.raises(ValueError, match="grid range .* must be finite"):
+            epg.GridRange.parse(text)
+
 
 class TestBuildDictionary:
     def test_single_point_grid(self, short_schedule):
         grid = epg.GridSpec(t1=epg.GridRange(1000, 1, 1000), t2=epg.GridRange(100, 1, 100))
         d = epg.build_dictionary(grid, short_schedule)
         assert d.n_atoms == 1
-        assert d.label(0) == epg.TissueParams(1000.0, 100.0)
+        assert (d.t1_ms[0], d.t2_ms[0]) == (1000.0, 100.0)
 
     def test_lexicographic_order(self, short_schedule):
         grid = epg.GridSpec(t1=epg.GridRange(100, 100, 300), t2=epg.GridRange(20, 20, 60))
@@ -177,34 +185,19 @@ class TestBuildDictionary:
 
     def test_atoms_match_single_simulation(self, small_dictionary, short_schedule):
         j = 4
-        single = epg.simulate_fingerprint(small_dictionary.label(j), short_schedule)
+        single = simulate_fingerprint(float(small_dictionary.t1_ms[j]),
+                                      float(small_dictionary.t2_ms[j]), short_schedule)
         np.testing.assert_array_equal(small_dictionary.atoms[:, j], single)
 
     def test_atoms_finite(self, small_dictionary):
         assert np.all(np.isfinite(small_dictionary.atoms.view(np.float32)))
 
-    def test_exclusion_predicate(self, short_schedule):
-        grid = epg.GridSpec(t1=epg.GridRange(100, 100, 300), t2=epg.GridRange(20, 20, 60))
-        d = epg.build_dictionary(grid, short_schedule, exclude=lambda t1, t2: t2 > t1 / 4)
-        assert d.n_atoms == 6
-        assert np.all(d.t2_ms <= d.t1_ms / 4)
-
-    def test_empty_after_exclusion(self, short_schedule):
-        grid = epg.GridSpec(t1=epg.GridRange(100, 100, 300), t2=epg.GridRange(20, 20, 60))
-        with pytest.raises(ValueError):
-            epg.build_dictionary(grid, short_schedule, exclude=lambda t1, t2: t2 > 0)
-
-    def test_chunking_is_invisible(self, short_schedule):
+    def test_chunking_is_invisible(self, short_schedule, monkeypatch):
         grid = epg.GridSpec(t1=epg.GridRange(200, 300, 1700), t2=epg.GridRange(30, 60, 270))
-        a = epg.build_dictionary(grid, short_schedule, chunk_size=4)
-        b = epg.build_dictionary(grid, short_schedule, chunk_size=10_000)
+        a = epg.build_dictionary(grid, short_schedule)
+        monkeypatch.setattr(epg, "CHUNK_SIZE", 4)
+        b = epg.build_dictionary(grid, short_schedule)
         np.testing.assert_array_equal(a.atoms, b.atoms)
-
-    @pytest.mark.parametrize("chunk_size", [0, -1])
-    def test_rejects_bad_chunk_size(self, short_schedule, chunk_size):
-        grid = epg.GridSpec(t1=epg.GridRange(200, 300, 500), t2=epg.GridRange(30, 60, 90))
-        with pytest.raises(ValueError):
-            epg.build_dictionary(grid, short_schedule, chunk_size=chunk_size)
 
     def test_normalized_atoms(self, small_dictionary):
         normed = small_dictionary.normalized_atoms()

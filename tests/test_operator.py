@@ -4,6 +4,8 @@ import pytest
 from mrfkit import forward_model as fm
 from mrfkit import subspace
 
+from oracles import expand
+
 
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -177,7 +179,7 @@ class TestForwardAdjoint:
         pattern = fm.make_vd_cartesian_masks(size, size, n_frames, accel=2.0, seed=9)
         coils = fm.make_coil_maps(size, size, 2, kind="gaussian-ring")
         x = random_complex(rng, (size * size, rank))
-        frames = subspace.expand(x, basis).T.reshape(n_frames, size, size)
+        frames = expand(x, basis).T.reshape(n_frames, size, size)
         direct = fm.apply_frames(frames, coils, pattern)
         fused = fm.forward(x, basis, coils, pattern)
         np.testing.assert_allclose(direct.y, fused.y, atol=1e-10)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from mrfkit import epg, phantom
+from mrfkit import phantom
+
+from oracles import simulate_fingerprint
 
 
 class TestMakePhantom:
@@ -44,6 +46,18 @@ class TestMakePhantom:
         with pytest.raises(ValueError):
             phantom.make_phantom(8, 8, [])
 
+    @pytest.mark.parametrize("key,value,match", [
+        ("t1", -5, "> 0"), ("t2", 0.0, "> 0"), ("pd", -0.1, ">= 0"),
+        ("t1", float("inf"), "finite number"), ("t2", float("nan"), "finite number"),
+        ("t1", None, "finite number"), ("pd", True, "finite number"), ("y1", "a", "finite number"),
+        ("shape", "circle", "unknown shape kind"),
+    ])
+    def test_bad_values_rejected(self, key, value, match):
+        entry = {"shape": "rectangle", "x0": 0.0, "y0": 0.0, "x1": 1.0, "y1": 1.0,
+                 "t1": 900.0, "t2": 90.0, "pd": 1.0, key: value}
+        with pytest.raises(ValueError, match=f"phantom entry 2 .*{match}"):
+            phantom.make_phantom(8, 8, [phantom.default_head_spec()[0], entry])
+
     def test_deterministic(self):
         a = phantom.make_phantom(32, 32)
         b = phantom.make_phantom(32, 32)
@@ -69,16 +83,14 @@ class TestSynthesizeTimeseries:
                  "t1": 1200.0, "t2": 110.0, "pd": 0.7}]
         gt = phantom.make_phantom(4, 4, spec)
         series = phantom.synthesize_timeseries(gt, short_schedule)
-        expected = 0.7 * epg.simulate_fingerprint(
-            epg.TissueParams(1200.0, 110.0), short_schedule
-        ).astype(np.complex64)
+        expected = 0.7 * simulate_fingerprint(1200.0, 110.0, short_schedule).astype(np.complex64)
         for voxel in series:
             np.testing.assert_array_equal(voxel, expected)
 
     def test_matches_dictionary_atom_exactly(self, small_dictionary, short_schedule):
-        label = small_dictionary.label(5)
         spec = [{"shape": "rectangle", "x0": 0.0, "y0": 0.0, "x1": 1.0, "y1": 1.0,
-                 "t1": label.t1_ms, "t2": label.t2_ms, "pd": 1.0}]
+                 "t1": float(small_dictionary.t1_ms[5]), "t2": float(small_dictionary.t2_ms[5]),
+                 "pd": 1.0}]
         gt = phantom.make_phantom(4, 4, spec)
         series = phantom.synthesize_timeseries(gt, short_schedule)
         np.testing.assert_array_equal(series[0], small_dictionary.atoms[:, 5])

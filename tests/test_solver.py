@@ -4,7 +4,9 @@ import pytest
 from mrfkit import forward_model as fm
 from mrfkit import solver, subspace
 from mrfkit.solver import SolverConfig
-from mrfkit.tvprox import TvConfig, tv_prox_stack
+from mrfkit.tvprox import tv_prox_stack
+
+from oracles import backtrack_ok, gradient
 
 
 def random_complex(rng, shape):
@@ -27,11 +29,15 @@ def problem(rng):
     return y, basis, coils, pattern, x_true, size
 
 
+def bpi(y, basis, coils, pattern):
+    return solver.solve(y, basis, coils, pattern, SolverConfig(mode="bpi"))[0]
+
+
 class TestBpi:
     def test_zero_data(self, problem):
         y, basis, coils, pattern, _, size = problem
         zero = fm.KSpaceData(y=np.zeros_like(y.y), pattern=pattern)
-        assert np.all(solver.bpi(zero, basis, coils, pattern) == 0)
+        assert np.all(bpi(zero, basis, coils, pattern) == 0)
 
     def test_unitary_case_recovers_projection(self, rng):
         n_frames, rank, size = 10, 3, 16
@@ -39,14 +45,14 @@ class TestBpi:
         pattern = fm.make_vd_cartesian_masks(size, size, n_frames, accel=1.0, seed=0)
         coils = fm.make_coil_maps(size, size, 1, kind="uniform")
         x = random_complex(rng, (size * size, rank))
-        recon = solver.bpi(fm.forward(x, basis, coils, pattern), basis, coils, pattern)
+        recon = bpi(fm.forward(x, basis, coils, pattern), basis, coils, pattern)
         np.testing.assert_allclose(recon, x, atol=1e-10)
 
 
 class TestGradient:
     def test_zero_point(self, problem):
         y, basis, coils, pattern, _, size = problem
-        g = solver.gradient(np.zeros((size * size, basis.rank_s), complex), y, basis, coils, pattern)
+        g = gradient(np.zeros((size * size, basis.rank_s), complex), y, basis, coils, pattern)
         np.testing.assert_allclose(g, -fm.adjoint(y, basis, coils, pattern), atol=1e-12)
 
     def test_consistent_data_zero_gradient(self, rng):
@@ -56,7 +62,7 @@ class TestGradient:
         coils = fm.make_coil_maps(size, size, 2, kind="gaussian-ring")
         x = random_complex(rng, (size * size, rank))
         y = fm.forward(x, basis, coils, pattern)
-        g = solver.gradient(x, y, basis, coils, pattern)
+        g = gradient(x, y, basis, coils, pattern)
         assert np.abs(g).max() < 1e-10 * np.abs(x).max()
 
     def test_matches_finite_differences(self, rng):
@@ -76,7 +82,7 @@ class TestGradient:
 
         for _ in range(3):
             x = random_complex(rng, (size * size, rank))
-            g = solver.gradient(x, y, basis, coils, pattern)
+            g = gradient(x, y, basis, coils, pattern)
             h = 1e-6
             # a handful of random coordinates, real and imaginary parts
             for _ in range(6):
@@ -94,8 +100,8 @@ class TestGradient:
 class TestBacktrackOk:
     def test_equal_points(self, problem):
         y, basis, coils, pattern, x_true, size = problem
-        g = solver.gradient(x_true, y, basis, coils, pattern)
-        assert solver.backtrack_ok(x_true, x_true, g, 1.0, y, basis, coils, pattern)
+        g = gradient(x_true, y, basis, coils, pattern)
+        assert backtrack_ok(x_true, x_true, g, 1.0, y, basis, coils, pattern)
 
     def test_unitary_mu_one_always_ok(self, rng):
         n_frames, rank, size = 8, 3, 16
@@ -104,24 +110,25 @@ class TestBacktrackOk:
         coils = fm.make_coil_maps(size, size, 1, kind="uniform")
         y = fm.KSpaceData(y=random_complex(rng, (n_frames, 1, size, size)), pattern=pattern)
         x = random_complex(rng, (size * size, rank))
-        g = solver.gradient(x, y, basis, coils, pattern)
+        g = gradient(x, y, basis, coils, pattern)
         z = x - 1.0 * g
-        assert solver.backtrack_ok(z, x, g, 1.0, y, basis, coils, pattern)
+        assert backtrack_ok(z, x, g, 1.0, y, basis, coils, pattern)
 
     def test_huge_step_violates(self, problem):
         y, basis, coils, pattern, _, size = problem
         x = np.zeros((size * size, basis.rank_s), dtype=complex)
-        g = solver.gradient(x, y, basis, coils, pattern)
+        g = gradient(x, y, basis, coils, pattern)
         mu = 1e6
         z = x - mu * g
-        assert not solver.backtrack_ok(z, x, g, mu, y, basis, coils, pattern)
+        assert not backtrack_ok(z, x, g, mu, y, basis, coils, pattern)
 
 
 class TestSolverConfig:
     def test_lambda_resolution(self):
-        assert SolverConfig(mode="lrtv").lam == 2e-5
-        assert SolverConfig(mode="lr").lam == 0.0
-        assert SolverConfig(mode="bpi").lam == 0.0
+        # one TV-weight default, 0 in every mode; the experiment config sets lrtv's
+        for mode in solver.MODES:
+            assert SolverConfig(mode=mode).lam == 0.0
+        assert SolverConfig(mode="lrtv", lam=1e-3).lam == 1e-3
 
     def test_invalid_combos(self):
         with pytest.raises(ValueError):
@@ -148,7 +155,7 @@ class TestSolve:
         y, basis, coils, pattern, _, _ = problem
         x1, trace = solver.solve(y, basis, coils, pattern,
                                  SolverConfig(mode="lr", max_outer_iters=1))
-        b = solver.bpi(y, basis, coils, pattern)
+        b = bpi(y, basis, coils, pattern)
         mu1 = trace[-1].mu
         err = np.linalg.norm(x1 - mu1 * b) / np.linalg.norm(x1)
         assert err < 1e-12
@@ -167,7 +174,7 @@ class TestSolve:
     def test_bpi_mode(self, problem):
         y, basis, coils, pattern, _, _ = problem
         x, trace = solver.solve(y, basis, coils, pattern, SolverConfig(mode="bpi"))
-        np.testing.assert_array_equal(x, solver.bpi(y, basis, coils, pattern))
+        np.testing.assert_array_equal(x, fm.adjoint(y, basis, coils, pattern))
         assert len(trace) == 1
 
     @pytest.mark.parametrize("mode,lam", [("lr", 0.0), ("lrtv", 1e-3)])
@@ -218,8 +225,8 @@ class TestSolve:
 
 
 def reference_solve(y, basis, coils, pattern, cfg):
-    """The solve loop on the k-space operator: solver.gradient and
-    solver.backtrack_ok run forward/adjoint at every step. Returns the
+    """The solve loop on the k-space operator: the oracles' gradient and
+    backtrack_ok run forward/adjoint at every step. Returns the
     iterates, the exact fidelities of the accepted z, step sizes and halvings."""
     h, w = pattern.shape
     ahyv = fm.adjoint(y, basis, coils, pattern)
@@ -229,16 +236,15 @@ def reference_solve(y, basis, coils, pattern, cfg):
     duals = None
     out = {"x": [], "fidelity": [], "mu": [], "halvings": []}
     for k in range(1, cfg.max_outer_iters + 1):
-        grad = solver.gradient(x, y, basis, coils, pattern, ahyv=ahyv)
+        grad = gradient(x, y, basis, coils, pattern, ahyv=ahyv)
         halvings = 0
         while True:
             step = x - mu * grad
             if cfg.lam > 0:
-                z, new_duals = tv_prox_stack(step, cfg.lam * mu, cfg.tv, (h, w),
-                                             dual_init=duals, return_dual=True)
+                z, new_duals = tv_prox_stack(step, cfg.lam * mu, cfg.tv, (h, w), dual_init=duals)
             else:
                 z, new_duals = step, None
-            if solver.backtrack_ok(z, x, grad, mu, y, basis, coils, pattern):
+            if backtrack_ok(z, x, grad, mu, y, basis, coils, pattern):
                 break
             mu *= 0.5
             halvings += 1

@@ -130,22 +130,22 @@ class TestTvProx:
 class TestTvProxStack:
     def test_tau_zero(self, rng):
         x = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
-        np.testing.assert_array_equal(tv_prox_stack(x, 0.0, TvConfig(), (8, 8)), x)
+        np.testing.assert_array_equal(tv_prox_stack(x, 0.0, TvConfig(), (8, 8))[0], x)
 
     def test_real_stack_stays_real(self, rng):
         x = rng.standard_normal((64, 3)).astype(complex)
-        out = tv_prox_stack(x, 0.4, TIGHT, (8, 8))
+        out, _ = tv_prox_stack(x, 0.4, TIGHT, (8, 8))
         assert np.all(out.imag == 0)
 
     def test_constant_channel_unchanged(self, rng):
         x = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
         x[:, 1] = 2.0 + 1.0j
-        out = tv_prox_stack(x, 0.4, TIGHT, (8, 8))
+        out, _ = tv_prox_stack(x, 0.4, TIGHT, (8, 8))
         np.testing.assert_allclose(out[:, 1], x[:, 1], atol=1e-12)
 
     def test_separable_channels(self, rng):
         x = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
-        out = tv_prox_stack(x, 0.3, TIGHT, (8, 8))
+        out, _ = tv_prox_stack(x, 0.3, TIGHT, (8, 8))
         for s in range(2):
             re = tv_prox(x[:, s].real.reshape(8, 8), 0.3, TIGHT)
             im = tv_prox(x[:, s].imag.reshape(8, 8), 0.3, TIGHT)
