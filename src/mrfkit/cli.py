@@ -3,9 +3,9 @@ are reproducible and stages can be rerun or swapped independently.
 
 Each command is a thin wrapper over the stage function of the same name in
 `mrfkit.experiment`. The flags a user gives override keys of the experiment
-configuration; every other setting takes its default from
-`experiment.DEFAULT_EXPERIMENT`, so the commands run by hand reproduce
-`run-experiment` byte for byte.
+configuration and are checked like a config file's keys; every other setting
+takes its default from `experiment.DEFAULT_EXPERIMENT`, so the commands run by
+hand reproduce `run-experiment` byte for byte.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 file I/O error,
 3 numerical failure. Errors print one machine-readable line on stderr.
@@ -16,7 +16,6 @@ import os
 import sys
 
 import click
-import jsonschema
 
 from . import bundle, experiment, inference, solver
 
@@ -260,10 +259,6 @@ def main(argv=None) -> int:
         return exc.exit_code
     except click.UsageError as exc:
         print(f"error kind=usage msg={exc.format_message()!r}", file=sys.stderr)
-        return EXIT_USAGE
-    except jsonschema.ValidationError as exc:
-        where = ".".join(str(p) for p in exc.absolute_path) or "config"
-        print(f"error kind=usage msg={f'{where}: {exc.message}'!r}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error kind=usage msg={str(exc)!r}", file=sys.stderr)

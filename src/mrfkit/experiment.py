@@ -7,100 +7,25 @@ defaults live; infer, match and score have none. The CLI commands and
 `run_experiment` call the same stage functions, so running the CLI stages by
 hand with an experiment's settings reproduces its files byte for byte.
 
-The configuration is one JSON document validated against EXPERIMENT_SCHEMA
-(unknown keys are rejected).
+The configuration is one JSON document checked against DEFAULT_EXPERIMENT
+itself: every key must be one of the default's, with a value of the default's
+type. A bad key or value raises ValueError("<dotted.key>: <reason>").
 """
 
 import csv
 import json
+import math
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import bundle, epg
 from . import forward_model as fm
 from . import inference, phantom, solver, subspace
-from .tvprox import TvConfig
+from .tvprox import VARIANTS, TvConfig
 
 METHODS = ("bpi", "lr", "lrtv")
-
-EXPERIMENT_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "seed": {"type": "integer", "minimum": 0},
-        "size": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 8},
-            "minItems": 2,
-            "maxItems": 2,
-        },
-        "frames": {"type": "integer", "minimum": 1},
-        "rank": {"type": "integer", "minimum": 1},
-        "coils": {"type": "integer", "minimum": 1},
-        "coil_kind": {"type": "string", "enum": ["uniform", "gaussian-ring"]},
-        "accel": {"type": "number", "minimum": 1},
-        "kspace_noise": {"type": "number", "minimum": 0},
-        "k_max": {"type": ["integer", "null"], "minimum": 1},
-        "dict": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "t1": {"type": "string"},
-                "t2": {"type": "string"},
-            },
-        },
-        "schedule": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "alpha_max_deg": {"type": "number", "exclusiveMinimum": 0},
-                "period": {"type": "integer", "minimum": 1},
-                "tr_ms": {"type": "number", "exclusiveMinimum": 0},
-                "te_ms": {"type": "number", "exclusiveMinimum": 0},
-                "tinv_ms": {"type": "number", "minimum": 0},
-            },
-        },
-        "phantom": {
-            "oneOf": [
-                {"type": "string", "enum": ["default", "offgrid"]},
-                {"type": "array", "items": {"type": "object"}},
-            ]
-        },
-        "recon": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "lambda": {"type": "number", "minimum": 0},
-                "iters": {"type": "integer", "minimum": 1},
-                "stop_rel_change": {"type": "number", "minimum": 0},
-                "tv_variant": {"type": "string", "enum": ["isotropic", "anisotropic"]},
-                "tv_iters": {"type": "integer", "minimum": 1},
-                "tv_tol": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "train": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "sigma": {"type": "number", "minimum": 0},
-                "augment": {"type": "integer", "minimum": 1},
-                "epochs": {"type": "integer", "minimum": 0},
-                "batch_size": {"type": "integer", "minimum": 1},
-                "learning_rate": {"type": "number", "exclusiveMinimum": 0},
-                "hidden": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 1},
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
-                "output_relu": {"type": "boolean"},
-            },
-        },
-    },
-}
+_PHANTOMS = {"default": phantom.default_head_spec, "offgrid": phantom.offgrid_head_spec}
 
 DEFAULT_EXPERIMENT = {
     "seed": 1234,
@@ -140,6 +65,62 @@ DEFAULT_EXPERIMENT = {
     },
 }
 
+# What a default value cannot say: a number must be > 0 unless it has an
+# inclusive minimum here, and a string with choices must be one of them.
+_MINIMUM = {
+    "seed": 0, "size": 8, "accel": 1, "kspace_noise": 0, "schedule.tinv_ms": 0,
+    "recon.lambda": 0, "recon.stop_rel_change": 0, "train.sigma": 0, "train.epochs": 0,
+}
+_CHOICES = {
+    "coil_kind": ("uniform", "gaussian-ring"),
+    "recon.tv_variant": VARIANTS,
+    "phantom": tuple(_PHANTOMS),
+}
+
+
+def _check(key: str, value, default) -> None:
+    """Check one value of a partial configuration against the default at the
+    same dotted key ("" for the whole configuration)."""
+
+    def fail(reason):
+        raise ValueError(f"{key or 'config'}: {reason}, got {value!r}")
+
+    if key == "k_max":  # null for no limit, else checked like an integer default
+        if value is None:
+            return
+        default = 1
+    if key == "phantom" and isinstance(value, list):  # a shape list
+        for index, entry in enumerate(value, 1):
+            if not isinstance(entry, dict):
+                raise ValueError(f"phantom: entry {index} must be an object")
+    elif isinstance(default, dict):
+        if not isinstance(value, dict):
+            fail("must be an object")
+        for name, item in value.items():
+            path = f"{key}.{name}" if key else name
+            if name not in default:
+                raise ValueError(f"{path}: unknown key")
+            _check(path, item, default[name])
+    elif isinstance(default, list):
+        if not isinstance(value, list) or len(value) != len(default):
+            fail(f"must be a list of {len(default)}")
+        for item, item_default in zip(value, default):
+            _check(key, item, item_default)
+    elif isinstance(default, (bool, str)):
+        if type(value) is not type(default):
+            fail("must be true or false" if isinstance(default, bool) else "must be a string")
+        if key in _CHOICES and value not in _CHOICES[key]:
+            fail(f"must be one of {', '.join(_CHOICES[key])}")
+    else:
+        kinds = int if isinstance(default, int) else (int, float)
+        if (isinstance(value, bool) or not isinstance(value, kinds)
+                or isinstance(value, float) and not math.isfinite(value)):
+            fail("must be an integer" if kinds is int else "must be a finite number")
+        if key in _MINIMUM and value < _MINIMUM[key]:
+            fail(f"must be >= {_MINIMUM[key]}")
+        if key not in _MINIMUM and value <= 0:
+            fail("must be > 0")
+
 
 def _merge(base: dict, override: dict) -> dict:
     merged = dict(base)
@@ -154,10 +135,8 @@ def _merge(base: dict, override: dict) -> dict:
 def resolve_config(config: dict | None) -> dict:
     """Validate a (partial) configuration and fill in the shipped defaults."""
     config = config or {}
-    jsonschema.validate(config, EXPERIMENT_SCHEMA)
-    merged = _merge(DEFAULT_EXPERIMENT, config)
-    jsonschema.validate(merged, EXPERIMENT_SCHEMA)
-    return merged
+    _check("", config, DEFAULT_EXPERIMENT)
+    return _merge(DEFAULT_EXPERIMENT, config)
 
 
 def _schedule(cfg: dict) -> epg.SequenceSchedule:
@@ -184,10 +163,8 @@ def learn_subspace(cfg: dict, dict_path, out_path) -> subspace.SubspaceBasis:
 def make_phantom(cfg: dict, out_path) -> phantom.GroundTruth:
     """Rasterize the configured phantom ("default", "offgrid" or a shape list)."""
     spec = cfg["phantom"]
-    if spec == "default":
-        spec = phantom.default_head_spec()
-    elif spec == "offgrid":
-        spec = phantom.offgrid_head_spec()
+    if isinstance(spec, str):
+        spec = _PHANTOMS[spec]()
     h, w = cfg["size"]
     gt = phantom.make_phantom(h, w, spec)
     phantom.save_ground_truth(gt, out_path)

@@ -8,7 +8,7 @@ at inference. Voxels with negligible coefficient energy are masked to zero.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,12 +30,12 @@ MATCH_CHUNK = 2048
 
 @dataclass
 class TrainConfig:
-    noise_sigma: float = 0.01
+    noise_sigma: float = 0.002
     augment_factor: int = 100
     epochs: int = 30
     batch_size: int = 512
-    learning_rate: float = 0.1
-    seed: int = 0
+    learning_rate: float = 0.05
+    seed: int = 1234
 
     def __post_init__(self):
         if self.augment_factor < 1:
@@ -319,7 +319,7 @@ def dictionary_match(
     return maps, pd
 
 
-def save_net(net: MrfNet, cfg: TrainConfig | None, path) -> None:
+def save_net(net: MrfNet, cfg: TrainConfig, path) -> None:
     from . import bundle
 
     arrays = {}
@@ -332,16 +332,8 @@ def save_net(net: MrfNet, cfg: TrainConfig | None, path) -> None:
         "t2_range": list(net.t2_range),
         "output_relu": net.output_relu,
         "layers": len(net.weights),
+        "train": asdict(cfg),
     }
-    if cfg is not None:
-        meta["train"] = {
-            "noise_sigma": cfg.noise_sigma,
-            "augment_factor": cfg.augment_factor,
-            "epochs": cfg.epochs,
-            "batch_size": cfg.batch_size,
-            "learning_rate": cfg.learning_rate,
-            "seed": cfg.seed,
-        }
     bundle.write_bundle(path, arrays, meta=meta)
 
 

@@ -1,11 +1,15 @@
+import dataclasses
 import filecmp
+import inspect
 import json
+import re
 import sys
 
 import numpy as np
 import pytest
 
-from mrfkit import bundle, cli, experiment
+from mrfkit import bundle, cli, epg, experiment, forward_model, inference, solver
+from mrfkit.tvprox import TvConfig
 
 
 def run_cli(*args):
@@ -71,6 +75,66 @@ class TestPipelineCommands:
         lines = (pipeline_dir / "metrics_net.csv").read_text().splitlines()
         assert lines[0] == "method,param,rmse,mae,nrmse"
         assert len(lines) == 3
+
+
+def nested(key, value):
+    """The partial configuration that sets dotted key `key` to `value`."""
+    *parents, leaf = key.split(".")
+    config = {leaf: value}
+    for parent in reversed(parents):
+        config = {parent: config}
+    return config
+
+
+INTEGER_KEYS = {
+    "seed": 1234.0, "size": [64.0, 64], "frames": 200.0, "rank": 5.0, "coils": 4.0,
+    "k_max": 5.0, "schedule.period": 250.0, "recon.iters": 50.0, "recon.tv_iters": 50.0,
+    "train.augment": 100.0, "train.epochs": 30.0, "train.batch_size": 512.0,
+    "train.hidden": [300, 300.0],
+}
+FLOAT_KEYS = (
+    "accel", "kspace_noise", "schedule.alpha_max_deg", "schedule.tr_ms", "schedule.te_ms",
+    "schedule.tinv_ms", "recon.lambda", "recon.stop_rel_change", "recon.tv_tol",
+    "train.sigma", "train.learning_rate",
+)
+# (key, smallest accepted value, a value just below it)
+BOUNDS = [
+    ("seed", 0, -1), ("kspace_noise", 0, -1e-9), ("schedule.tinv_ms", 0, -1e-9),
+    ("recon.lambda", 0, -1e-9), ("recon.stop_rel_change", 0, -1e-9), ("train.sigma", 0, -1e-9),
+    ("train.epochs", 0, -1), ("size", [8, 8], [64, 7]), ("accel", 1, 0.999),
+    ("frames", 1, 0), ("rank", 1, 0), ("coils", 1, 0), ("k_max", 1, 0),
+    ("schedule.period", 1, 0), ("recon.iters", 1, 0), ("recon.tv_iters", 1, 0),
+    ("train.augment", 1, 0), ("train.batch_size", 1, 0), ("train.hidden", [1, 1], [0, 300]),
+    ("schedule.alpha_max_deg", 1e-9, 0), ("schedule.tr_ms", 1e-9, 0),
+    ("schedule.te_ms", 1e-9, 0), ("recon.tv_tol", 1e-12, 0), ("train.learning_rate", 1e-9, 0),
+]
+CHOICES = {
+    "coil_kind": ("uniform", "gaussian-ring"),
+    "recon.tv_variant": ("isotropic", "anisotropic"),
+    "phantom": ("default", "offgrid"),
+}
+# one bad config per class of rejected input, and the key its error must name
+BAD_CONFIGS = [
+    ({"sixe": [32, 32]}, "sixe"),
+    ({"recon": {"lamda": 0.1}}, "recon.lamda"),
+    ({"coils": "4"}, "coils"),
+    ({"dict": {"t1": 100}}, "dict.t1"),
+    ({"train": {"output_relu": 1}}, "train.output_relu"),
+    ({"recon": [1]}, "recon"),
+    ({"size": [64, 7]}, "size"),
+    ({"accel": 0.5}, "accel"),
+    ({"schedule": {"tinv_ms": -1}}, "schedule.tinv_ms"),
+    ({"schedule": {"tr_ms": 0}}, "schedule.tr_ms"),
+    ({"coil_kind": "birdcage"}, "coil_kind"),
+    ({"recon": {"tv_variant": "huber"}}, "recon.tv_variant"),
+    ({"phantom": "shepp-logan"}, "phantom"),
+    ({"size": [64]}, "size"),
+    ({"train": {"hidden": [300, 300, 300]}}, "train.hidden"),
+    ({"phantom": [{"shape": "ellipse"}, "ellipse"]}, "phantom: entry 2"),
+    ({"train": {"epochs": 2.0}}, "train.epochs"),
+    ({"recon": {"lambda": float("nan")}}, "recon.lambda"),
+    ({"kspace_noise": float("inf")}, "kspace_noise"),
+]
 
 
 class TestExitCodes:
@@ -163,6 +227,21 @@ class TestExitCodes:
         assert "grid range 20.0:10.0:inf must be finite" in line
 
 
+    @pytest.mark.parametrize("config,key", BAD_CONFIGS)
+    def test_bad_config_fails_before_dictionary(self, tmp_path, capsys, config, key):
+        assert key in self.run_bad_experiment(tmp_path, capsys, config)
+
+    def test_nonfinite_lambda_flag_is_usage_error(self, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "x.mrfb"
+        capsys.readouterr()
+        assert run_cli("reconstruct", "--mode", "lrtv", "--lambda", "nan", "--iters", "2",
+                       "--in", str(pipeline_dir / "kspace.mrfb"),
+                       "--basis", str(pipeline_dir / "basis.mrfb"), "--out", str(out)) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error kind=usage")
+        assert "recon.lambda" in lines[0]
+        assert not out.exists()
+
 class TestThreadCap:
     def test_thread_cap_applied(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MRF_THREADS", "1")
@@ -187,11 +266,9 @@ class TestExperimentConfig:
         assert cfg["size"] == [64, 64]
 
     def test_unknown_keys_rejected(self):
-        import jsonschema
-
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(ValueError, match="sixe"):
             experiment.resolve_config({"sixe": [32, 32]})
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(ValueError, match=r"recon\.lamda"):
             experiment.resolve_config({"recon": {"lamda": 0.1}})
 
     def test_partial_override_merges(self):
@@ -200,8 +277,55 @@ class TestExperimentConfig:
         assert cfg["train"]["epochs"] == 2
         assert cfg["train"]["augment"] == 100
 
-    def test_schema_is_draft_2020(self):
-        assert "2020-12" in experiment.EXPERIMENT_SCHEMA["$schema"]
+    @pytest.mark.parametrize("key", INTEGER_KEYS)
+    def test_integer_valued_float_rejected(self, key):
+        with pytest.raises(ValueError, match=f"^{re.escape(key)}: must be an integer"):
+            experiment.resolve_config(nested(key, INTEGER_KEYS[key]))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_nonfinite_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"^{re.escape(key)}: must be a finite number"):
+            experiment.resolve_config(nested(key, value))
+
+    @pytest.mark.parametrize("key,lowest,below", BOUNDS)
+    def test_bounds(self, key, lowest, below):
+        experiment.resolve_config(nested(key, lowest))
+        with pytest.raises(ValueError, match=f"^{re.escape(key)}: must be"):
+            experiment.resolve_config(nested(key, below))
+
+    @pytest.mark.parametrize("key", CHOICES)
+    def test_choices(self, key):
+        for value in CHOICES[key]:
+            experiment.resolve_config(nested(key, value))
+        with pytest.raises(ValueError, match=f"^{re.escape(key)}: must be one of"):
+            experiment.resolve_config(nested(key, "other"))
+
+    def test_k_max_null_and_phantom_list_accepted(self):
+        shape = {"shape": "ellipse", "cx": 0.5, "cy": 0.5, "a": 0.4, "b": 0.4,
+                 "t1": 800.0, "t2": 80.0, "pd": 1.0}
+        cfg = experiment.resolve_config({"k_max": None, "phantom": [shape]})
+        assert cfg["k_max"] is None and cfg["phantom"] == [shape]
+
+    def test_library_defaults_match_config(self):
+        """Each library default that the configuration also sets equals the
+        configuration's value."""
+        d = experiment.DEFAULT_EXPERIMENT
+        tv, solver_cfg, train = TvConfig(), solver.SolverConfig(), inference.TrainConfig()
+        assert (tv.variant, tv.max_iters, tv.dual_gap_tol) == (
+            d["recon"]["tv_variant"], d["recon"]["tv_iters"], d["recon"]["tv_tol"])
+        assert (solver_cfg.max_outer_iters, solver_cfg.stop_rel_change) == (
+            d["recon"]["iters"], d["recon"]["stop_rel_change"])
+        schedule = inspect.signature(epg.default_schedule).parameters
+        assert {k: schedule[k].default for k in d["schedule"]} == d["schedule"]
+        assert list(inference.DEFAULT_HIDDEN) == d["train"]["hidden"]
+        coil_kind = inspect.signature(forward_model.make_coil_maps).parameters["kind"]
+        assert coil_kind.default == d["coil_kind"]
+        assert dataclasses.asdict(train) == {
+            "noise_sigma": d["train"]["sigma"], "augment_factor": d["train"]["augment"],
+            "epochs": d["train"]["epochs"], "batch_size": d["train"]["batch_size"],
+            "learning_rate": d["train"]["learning_rate"], "seed": d["seed"],
+        }
 
 
 TINY_EXPERIMENT = {
