@@ -312,6 +312,13 @@ def run_experiment(config: dict | None, out_dir) -> dict:
     acquisition, then reconstruction, network maps and scoring per method.
     """
     cfg = resolve_config(config)
+    # the network normalizes its targets by the grid ranges; check them
+    # before any stage runs, not after the dictionary is built
+    for axis in ("t1", "t2"):
+        text = cfg["dict"][axis]
+        if epg.GridRange.parse(text).values().size < 2:
+            raise ValueError(f"dict.{axis}: the network needs at least two grid values, "
+                             f"got {text!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "exp_config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")

@@ -38,6 +38,8 @@ class TrainConfig:
     seed: int = 1234
 
     def __post_init__(self):
+        if not (math.isfinite(self.noise_sigma) and math.isfinite(self.learning_rate)):
+            raise ValueError("noise_sigma and learning_rate must be finite")
         if self.augment_factor < 1:
             raise ValueError("augment_factor must be >= 1")
         if self.noise_sigma < 0:
@@ -179,19 +181,28 @@ def make_training_set(
     atoms = dictionary.normalized_atoms().T  # (d, L)
     inputs = np.empty((d * aug, basis.rank_s), dtype=np.float32)
     targets = np.empty((d * aug, 2), dtype=np.float32)
+    targets[:, 0] = np.repeat(dictionary.t1_ms, aug)
+    targets[:, 1] = np.repeat(dictionary.t2_ms, aug)
 
+    # one block and one noise buffer for every chunk; the noise is added in
+    # place, drawing the same stream as rng.normal(0, sigma, (2, n, L)) would
+    rows = min(TRAINING_CHUNK, d) * aug
+    block_buf = np.empty((rows, n_frames), dtype=np.complex128)
+    noise_buf = np.empty(2 * rows * n_frames) if cfg.noise_sigma > 0 else None
     for lo in range(0, d, TRAINING_CHUNK):
         hi = min(lo + TRAINING_CHUNK, d)
-        block = np.repeat(atoms[lo:hi], aug, axis=0)
-        if cfg.noise_sigma > 0:
-            noise = rng.normal(0.0, cfg.noise_sigma, (2, block.shape[0], n_frames))
-            block = block + noise[0] + 1j * noise[1]
+        n = (hi - lo) * aug
+        block = block_buf[:n]
+        block.reshape(hi - lo, aug, n_frames)[...] = atoms[lo:hi, None, :]
+        if noise_buf is not None:
+            noise = rng.standard_normal(out=noise_buf[: 2 * n * n_frames].reshape(2, n, n_frames))
+            noise *= cfg.noise_sigma
+            block.real += noise[0]
+            block.imag += noise[1]
         coeffs = phase_align(project(block, basis))
         norms = np.linalg.norm(coeffs, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         inputs[lo * aug : hi * aug] = coeffs / norms
-        targets[lo * aug : hi * aug, 0] = np.repeat(dictionary.t1_ms[lo:hi], aug)
-        targets[lo * aug : hi * aug, 1] = np.repeat(dictionary.t2_ms[lo:hi], aug)
 
     return inputs, targets
 
@@ -222,8 +233,14 @@ def train(
 
     rng = np.random.default_rng(cfg.seed + 1)
     lr = cfg.learning_rate
-    vel_w = [np.zeros_like(w) for w in net.weights]
-    vel_b = [np.zeros_like(b) for b in net.biases]
+    params = net.weights + net.biases
+    vels = [np.zeros_like(p) for p in params]
+    # The momentum product is formed in float64 and rounded once to the
+    # parameter dtype. A float32 x float32 product is exact in float64, so this
+    # equals the float32 product bit for bit, without the slow path float32
+    # multiplication takes on the subnormal velocities of dead ReLU units.
+    momenta = [np.float64(p.dtype.type(MOMENTUM)) for p in params]
+    scratch = [np.empty(p.shape) for p in params]
     history: list[float] = []
     best = math.inf
     stalled = 0
@@ -237,11 +254,13 @@ def train(
             loss, grad_ws, grad_bs = net.loss_and_gradients(inputs[idx], targets[idx])
             if not math.isfinite(loss):
                 raise DivergenceError(epoch)
-            for i in range(len(net.weights)):
-                vel_w[i] = MOMENTUM * vel_w[i] - lr * grad_ws[i]
-                vel_b[i] = MOMENTUM * vel_b[i] - lr * grad_bs[i]
-                net.weights[i] += vel_w[i]
-                net.biases[i] += vel_b[i]
+            for param, vel, grad, m, prod in zip(params, vels, grad_ws + grad_bs, momenta,
+                                                 scratch):
+                np.multiply(vel, m, out=prod)
+                np.copyto(vel, prod, casting="same_kind")
+                grad *= lr
+                vel -= grad
+                param += vel
             epoch_loss += loss
             n_batches += 1
         epoch_loss /= n_batches

@@ -8,7 +8,11 @@ Independent oracles avoid the library's code paths:
   subgradient descent;
 - ``match_full_space`` searches the full-length fingerprint space;
 - ``epg_reference`` is the straightforward per-frame configuration-state loop
-  that the library's blocked kernel must reproduce bit for bit.
+  that the library's blocked kernel must reproduce bit for bit;
+- ``training_set_reference`` and ``train_reference`` build the noisy training
+  rows and run the momentum SGD loop out of place, one fresh array per step;
+  ``inference.make_training_set`` and ``inference.train`` must reproduce them
+  bit for bit.
 
 Reference paths are built on the library's ``forward``/``adjoint`` pair,
 whose adjointness criterion 1 checks:
@@ -24,8 +28,9 @@ import math
 
 import numpy as np
 
-from mrfkit import epg
+from mrfkit import epg, inference
 from mrfkit import forward_model as fm
+from mrfkit.subspace import phase_align, project
 
 
 def rotation_x(angle_rad: float) -> np.ndarray:
@@ -128,6 +133,75 @@ def epg_reference(t1_ms, t2_ms, schedule, k_max=None):
         p[0] = -m[0]
 
     return (1j * signal * echo[None, :]).astype(np.complex64)
+
+
+def training_set_reference(dictionary, basis, cfg):
+    """``inference.make_training_set`` with fresh arrays per chunk: repeated
+    atoms, out-of-place noise from ``rng.normal`` and per-chunk labels."""
+    rng = np.random.default_rng(cfg.seed)
+    aug = cfg.augment_factor
+    d = dictionary.n_atoms
+    atoms = dictionary.normalized_atoms().T
+    inputs = np.empty((d * aug, basis.rank_s), dtype=np.float32)
+    targets = np.empty((d * aug, 2), dtype=np.float32)
+    for lo in range(0, d, inference.TRAINING_CHUNK):
+        hi = min(lo + inference.TRAINING_CHUNK, d)
+        block = np.repeat(atoms[lo:hi], aug, axis=0)
+        if cfg.noise_sigma > 0:
+            noise = rng.normal(0.0, cfg.noise_sigma, (2, block.shape[0], dictionary.n_frames))
+            block = block + noise[0] + 1j * noise[1]
+        coeffs = phase_align(project(block, basis))
+        norms = np.linalg.norm(coeffs, axis=1, keepdims=True)
+        norms[norms == 0] = 1.0
+        inputs[lo * aug : hi * aug] = coeffs / norms
+        targets[lo * aug : hi * aug, 0] = np.repeat(dictionary.t1_ms[lo:hi], aug)
+        targets[lo * aug : hi * aug, 1] = np.repeat(dictionary.t2_ms[lo:hi], aug)
+    return inputs, targets
+
+
+def train_reference(net, data, cfg):
+    """``inference.train`` with the momentum update out of place in the
+    parameter dtype. Returns the trained net, the loss history and the final
+    velocities (weights then biases)."""
+    inputs, targets_ms = data
+    net = net.copy()
+    targets = net.normalize_targets(
+        targets_ms[:, 0].astype(np.float64), targets_ms[:, 1].astype(np.float64)
+    ).astype(inputs.dtype)
+    rng = np.random.default_rng(cfg.seed + 1)
+    lr = cfg.learning_rate
+    vel_w = [np.zeros_like(w) for w in net.weights]
+    vel_b = [np.zeros_like(b) for b in net.biases]
+    history = []
+    best = math.inf
+    stalled = 0
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(inputs.shape[0])
+        epoch_loss = 0.0
+        n_batches = 0
+        for lo in range(0, inputs.shape[0], cfg.batch_size):
+            idx = order[lo : lo + cfg.batch_size]
+            loss, grad_ws, grad_bs = net.loss_and_gradients(inputs[idx], targets[idx])
+            if not math.isfinite(loss):
+                raise inference.DivergenceError(epoch)
+            for i in range(len(net.weights)):
+                vel_w[i] = inference.MOMENTUM * vel_w[i] - lr * grad_ws[i]
+                vel_b[i] = inference.MOMENTUM * vel_b[i] - lr * grad_bs[i]
+                net.weights[i] += vel_w[i]
+                net.biases[i] += vel_b[i]
+            epoch_loss += loss
+            n_batches += 1
+        epoch_loss /= n_batches
+        history.append(epoch_loss)
+        if epoch_loss < best * (1.0 - inference.PLATEAU_REL_IMPROVEMENT):
+            best = epoch_loss
+            stalled = 0
+        else:
+            stalled += 1
+            if stalled >= inference.PLATEAU_PATIENCE:
+                lr *= 0.5
+                stalled = 0
+    return net, history, vel_w + vel_b
 
 
 def tv_objective(u, b, tau, variant):

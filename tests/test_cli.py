@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from mrfkit import bundle, cli, epg, experiment, forward_model, inference, solver
+from mrfkit import bundle, cli, epg, experiment, forward_model, inference, solver, subspace
 from mrfkit.tvprox import TvConfig
 
 
@@ -182,6 +182,12 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error kind=usage")
         assert "T1 range" in lines[0]
         assert not (tmp_path / "net.mrfb").exists()
+        # matching needs no range, so it accepts the grid
+        basis = subspace.load_basis(b)
+        x = np.random.default_rng(0).standard_normal((64, 3)) + 0j
+        solver.save_reconstruction(x, basis, (8, 8), tmp_path / "x.mrfb")
+        assert run_cli("match", "--dict", d, "--in", str(tmp_path / "x.mrfb"),
+                       "--out", str(tmp_path / "maps.mrfb")) == 0
 
     def test_malformed_phantom_entry_fails_before_dictionary(self, tmp_path, capsys):
         config = tmp_path / "exp.json"
@@ -226,6 +232,12 @@ class TestExitCodes:
         line = self.run_bad_experiment(tmp_path, capsys, {"dict": {"t2": "20:10:inf"}})
         assert "grid range 20.0:10.0:inf must be finite" in line
 
+
+    @pytest.mark.parametrize("axis,grid", [("t1", "800:50:800"), ("t2", "40:10:45")])
+    def test_single_value_grid_axis_fails_before_phantom(self, tmp_path, capsys, axis, grid):
+        line = self.run_bad_experiment(tmp_path, capsys, {"dict": {axis: grid}})
+        assert f"dict.{axis}: the network needs at least two grid values" in line
+        assert not (tmp_path / "out" / "gt.mrfb").exists()
 
     @pytest.mark.parametrize("config,key", BAD_CONFIGS)
     def test_bad_config_fails_before_dictionary(self, tmp_path, capsys, config, key):

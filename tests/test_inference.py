@@ -4,13 +4,19 @@ import pytest
 from mrfkit import epg, inference, subspace
 from mrfkit.inference import MrfNet, TrainConfig
 
-from oracles import match_full_space
+from oracles import match_full_space, train_reference, training_set_reference
 
 
 @pytest.fixture(scope="module")
 def toy_setup(small_dictionary):
     basis = subspace.learn_subspace(small_dictionary, 3)
     return small_dictionary, basis
+
+
+def bits(a):
+    """Unsigned-integer view of a float array, for bitwise comparison."""
+    a = np.asarray(a)
+    return a.view({4: np.uint32, 8: np.uint64}[a.itemsize])
 
 
 def clean_projections(dictionary, basis):
@@ -60,6 +66,18 @@ class TestMakeTrainingSet:
         )
         with pytest.raises(ValueError):
             inference.make_training_set(empty, basis, TrainConfig())
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("noise_sigma", float("nan")), ("noise_sigma", float("inf")), ("noise_sigma", -0.1),
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("learning_rate", -float("inf")), ("learning_rate", 0.0),
+        ("augment_factor", 0), ("epochs", -1), ("batch_size", 0),
+    ])
+    def test_bad_values_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            TrainConfig(**{field: value})
 
 
 class TestNetBasics:
@@ -154,6 +172,88 @@ class TestTraining:
         net = MrfNet.initialize(3, (400.0, 2000.0), (40.0, 200.0), hidden=(8, 8), seed=1)
         with pytest.raises(inference.DivergenceError):
             inference.train(net, data, cfg)
+
+
+def assert_trains_like_reference(net, data, cfg):
+    """Train with the library and with the oracle, require equal bits in every
+    weight, bias and loss; returns the oracle's final velocities."""
+    got, got_history = inference.train(net, data, cfg)
+    ref, ref_history, velocities = train_reference(net, data, cfg)
+    assert len(got_history) == cfg.epochs
+    for g, r in zip(got.weights + got.biases, ref.weights + ref.biases):
+        assert g.dtype == r.dtype
+        np.testing.assert_array_equal(bits(g), bits(r))
+    np.testing.assert_array_equal(bits(got_history), bits(ref_history))
+    return velocities
+
+
+class TestBitwiseReference:
+    """make_training_set and train reproduce the out-of-place oracles in
+    tests/oracles.py bit for bit."""
+
+    @pytest.mark.parametrize("sigma,aug", [(0.002, 3), (0.0, 2), (0.01, 1)])
+    def test_training_set(self, desk_dictionary, desk_basis, sigma, aug):
+        d = desk_dictionary
+        assert 0 < d.n_atoms % inference.TRAINING_CHUNK  # a short last chunk
+        cfg = TrainConfig(noise_sigma=sigma, augment_factor=aug, epochs=0, seed=7)
+        got = inference.make_training_set(d, desk_basis, cfg)
+        ref = training_set_reference(d, desk_basis, cfg)
+        for g, r in zip(got, ref):
+            assert g.dtype == r.dtype
+            np.testing.assert_array_equal(bits(g), bits(r))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("output_relu", [False, True])
+    def test_train(self, toy_setup, dtype, output_relu):
+        d, basis = toy_setup
+        # 90 rows in batches of 32: the last batch holds 26
+        cfg = TrainConfig(noise_sigma=0.01, augment_factor=10, epochs=40,
+                          batch_size=32, learning_rate=0.1, seed=4)
+        data = inference.make_training_set(d, basis, cfg)
+        net = MrfNet.initialize(3, (400.0, 2000.0), (40.0, 200.0), hidden=(16, 16), seed=4,
+                                output_relu=output_relu, dtype=dtype)
+        assert_trains_like_reference(net, data, cfg)
+
+    def test_train_through_subnormal_velocities(self, toy_setup):
+        # units that die early keep decaying velocities for ~800 batches
+        # until these are float32 subnormals, where the float32 product is slow
+        d, basis = toy_setup
+        cfg = TrainConfig(noise_sigma=0.01, augment_factor=1, epochs=300,
+                          batch_size=4, learning_rate=0.2, seed=5)
+        data = inference.make_training_set(d, basis, cfg)
+        net = MrfNet.initialize(3, (400.0, 2000.0), (40.0, 200.0), hidden=(32, 32), seed=5)
+        velocities = assert_trains_like_reference(net, data, cfg)
+        tiny = np.finfo(np.float32).tiny
+        assert sum(np.count_nonzero((v != 0) & (np.abs(v) < tiny)) for v in velocities) > 0
+
+
+class TestMomentumProduct:
+    """train forms MOMENTUM * v for float32 v as a float64 product rounded
+    once to float32. The product of two float32 values is exact in float64,
+    so the single rounding gives the float32 product."""
+
+    @staticmethod
+    def positive_patterns():
+        subnormal = np.arange(1, 2**23, dtype=np.uint32)
+        special = np.array([0, 0x7F800000, 0x7FC00000, 0x7F7FFFFF], dtype=np.uint32)
+        normal = np.random.default_rng(0).integers(0x00800000, 0x7F800000, 10**6,
+                                                   dtype=np.uint32)
+        return np.concatenate([subnormal, special, normal])
+
+    @pytest.mark.parametrize("sign", [0, 0x80000000])
+    def test_float64_product_is_float32_product(self, sign):
+        v = (self.positive_patterns() | np.uint32(sign)).view(np.float32)
+        want = np.float32(inference.MOMENTUM) * v
+        got = (v.astype(np.float64) * np.float64(np.float32(inference.MOMENTUM))).astype(
+            np.float32)
+        nan = np.isnan(want)
+        assert nan.sum() == 1 and np.array_equal(np.isnan(got), nan)
+        np.testing.assert_array_equal(bits(got)[~nan], bits(want)[~nan])
+
+    def test_double_momentum_would_differ(self):
+        v = self.positive_patterns().view(np.float32)
+        wrong = (v.astype(np.float64) * np.float64(inference.MOMENTUM)).astype(np.float32)
+        assert np.any(bits(wrong) != bits(np.float32(inference.MOMENTUM) * v))
 
 
 class TestInfer:
