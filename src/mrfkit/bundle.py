@@ -47,6 +47,19 @@ class DtypeError(BundleError):
     code = "dtype-mismatch"
 
 
+class _Fields(dict):
+    """A bundle's arrays, or an object of its header, whose lookup of a
+    missing key raises HeaderError naming the file and the key, so a loader
+    given a bundle without a field it needs fails as a corrupt header."""
+
+    def __init__(self, path: str, what: str, items=()):
+        super().__init__(items)
+        self.path, self.what = path, what
+
+    def __missing__(self, key):
+        raise HeaderError(f"{self.path} has no {self.what} {key!r}")
+
+
 def _canonical_dtype(arr: np.ndarray) -> str:
     kind = arr.dtype.kind
     if kind == "f":
@@ -138,6 +151,7 @@ def read_bundle(path, kind: str | None = None) -> tuple[dict, dict]:
 
     Every check runs on the header and the file size before any payload is
     read; each payload is then read straight into its own array."""
+    where = os.fspath(path)
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < 8:
@@ -146,7 +160,8 @@ def read_bundle(path, kind: str | None = None) -> tuple[dict, dict]:
         if 8 + header_len > size:
             raise HeaderError("header length exceeds file size")
         try:
-            header = json.loads(fh.read(header_len).decode("utf-8"))
+            header = json.loads(fh.read(header_len).decode("utf-8"),
+                                object_hook=lambda obj: _Fields(where, "header field", obj))
         except (UnicodeDecodeError, ValueError, RecursionError) as exc:
             raise HeaderError(f"unparseable header: {exc}") from exc
         if not isinstance(header, dict) or header.get("magic") != MAGIC:
@@ -162,7 +177,7 @@ def read_bundle(path, kind: str | None = None) -> tuple[dict, dict]:
                 dtype_name = entry["dtype"]
                 shape = tuple(entry["shape"])
                 offset = entry["offset"]
-            except (KeyError, TypeError) as exc:
+            except TypeError as exc:
                 raise HeaderError(f"malformed array entry: {exc}") from exc
             if not isinstance(name, str):
                 raise HeaderError(f"array name {name!r} is not a string")
@@ -189,14 +204,14 @@ def read_bundle(path, kind: str | None = None) -> tuple[dict, dict]:
             if start_b < end_a:
                 raise HeaderError(f"overlapping payloads: {name_a!r} and {name_b!r}")
 
-        meta = header.get("meta", {})
+        meta = header.get("meta", _Fields(where, "header field"))
         if not isinstance(meta, dict):
             raise HeaderError("meta must be an object")
         if kind is not None and meta.get("kind") != kind:
-            raise HeaderError(f"{os.fspath(path)} holds a {meta.get('kind')!r} bundle, not {kind!r}")
+            raise HeaderError(f"{where} holds a {meta.get('kind')!r} bundle, not {kind!r}")
 
         # the payloads do not overlap, so the arrays together fit in the file
-        arrays = {}
+        arrays = _Fields(where, "array")
         for offset, end, name, shape, dtype in spans:
             try:
                 arrays[name] = np.empty(shape, dtype=dtype)

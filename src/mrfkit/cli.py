@@ -12,35 +12,15 @@ Exit codes: 0 success, 1 usage or configuration error, 2 file I/O error,
 """
 
 import json
-import os
 import sys
 
 import click
 
-from . import bundle, experiment, inference, solver
+from . import bundle, epg, experiment, inference, solver
 
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
-
-
-def _apply_thread_cap():
-    value = os.environ.get("MRF_THREADS")
-    if not value or value == "0":
-        return
-    try:
-        limit = int(value)
-    except ValueError:
-        raise click.UsageError(f"MRF_THREADS must be an integer, got {value!r}")
-    if limit < 1:
-        return
-    try:
-        import threadpoolctl
-    except ImportError:
-        msg = f"MRF_THREADS={value} ignored: threadpoolctl is not installed"
-        print(f"warning kind=threads msg={msg!r}", file=sys.stderr)
-        return
-    threadpoolctl.threadpool_limits(limit)
 
 
 def _setting(flag, key, help="", **kwargs):
@@ -81,6 +61,11 @@ def _schedule_settings(fn):
     return fn
 
 
+_k_max_setting = _setting(
+    "--k-max", "k_max", type=int,
+    help=f"Highest retained configuration order; null means min(frames, {epg.DEFAULT_K_MAX}).")
+
+
 def _out_option(fn):
     return click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))(fn)
 
@@ -94,7 +79,7 @@ def cli():
 @_setting("--t1", "dict.t1", help="T1 grid as start:step:stop (ms).")
 @_setting("--t2", "dict.t2", help="T2 grid as start:step:stop (ms).")
 @_setting("--frames", "frames", type=int, help="Number of repetitions L.")
-@_setting("--k-max", "k_max", type=int, help="Highest retained configuration order.")
+@_k_max_setting
 @_schedule_settings
 @_out_option
 def simulate_dict(out_path, **settings):
@@ -141,7 +126,7 @@ def make_phantom_cmd(spec_path, offgrid, out_path, **settings):
 @_setting("--seed", "seed", type=int, help="Mask seed; the noise uses seed + 1.")
 @_setting("--kspace-noise", "kspace_noise", type=float,
           help="AWGN sigma per component on sampled k-space entries.")
-@_setting("--k-max", "k_max", type=int)
+@_k_max_setting
 @_schedule_settings
 @_out_option
 def acquire(gt_path, out_path, **settings):
@@ -252,7 +237,6 @@ def run_experiment_cmd(config_path, out_dir):
 
 def main(argv=None) -> int:
     try:
-        _apply_thread_cap()
         cli.main(args=argv, standalone_mode=False)
         return 0
     except click.exceptions.Exit as exc:

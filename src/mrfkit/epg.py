@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bundle
+
 DEFAULT_TR_MS = 10.0
 DEFAULT_TE_MS = 1.908
 DEFAULT_TINV_MS = 18.0
@@ -286,8 +288,6 @@ def build_dictionary(
 
 
 def save_dictionary(dictionary: Dictionary, path) -> None:
-    from . import bundle
-
     s = dictionary.schedule
     meta = {
         "kind": "dictionary",
@@ -315,8 +315,6 @@ def save_dictionary(dictionary: Dictionary, path) -> None:
 
 
 def load_dictionary(path) -> Dictionary:
-    from . import bundle
-
     arrays, meta = bundle.read_bundle(path, kind="dictionary")
     schedule = SequenceSchedule(
         arrays["flip_angles_deg"].astype(np.float64),

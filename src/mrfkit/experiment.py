@@ -85,7 +85,7 @@ def _check(key: str, value, default) -> None:
     def fail(reason):
         raise ValueError(f"{key or 'config'}: {reason}, got {value!r}")
 
-    if key == "k_max":  # null for no limit, else checked like an integer default
+    if key == "k_max":  # null means min(frames, epg.DEFAULT_K_MAX), else an integer
         if value is None:
             return
         default = 1

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bundle
 from .subspace import SubspaceBasis
 
 DEFAULT_CENTER_RADIUS = 4
@@ -288,8 +289,6 @@ def normal(x: np.ndarray, kernel: np.ndarray, coils: CoilMaps) -> np.ndarray:
 
 
 def save_kspace(data: KSpaceData, coils: CoilMaps, path, extra_meta: dict | None = None) -> None:
-    from . import bundle
-
     p = data.pattern
     meta = {"kind": "kspace", **{key: getattr(p, key) for key in _PATTERN_META}}
     if extra_meta:
@@ -306,8 +305,6 @@ def save_kspace(data: KSpaceData, coils: CoilMaps, path, extra_meta: dict | None
 
 
 def load_kspace(path) -> tuple[KSpaceData, CoilMaps, dict]:
-    from . import bundle
-
     arrays, meta = bundle.read_bundle(path, kind="kspace")
     pattern = SamplingPattern(arrays["masks"].astype(bool),
                               *(meta.get(key) for key in _PATTERN_META))

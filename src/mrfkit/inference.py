@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import bundle
 from .epg import Dictionary
 from .subspace import SubspaceBasis, phase_align, project
 
@@ -102,13 +103,7 @@ class MrfNet:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Normalized (T1, T2) predictions for a batch of coefficient rows."""
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
-            if i < last or self.output_relu:
-                h = np.maximum(h, 0.0)
-        return h
+        return self._forward_cached(x)[1][-1]
 
     def _forward_cached(self, x):
         pre, post = [], [x]
@@ -278,23 +273,29 @@ def train(
     return net, history
 
 
+def _foreground(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The background rule of both estimators: rows whose norm is at most
+    BACKGROUND_REL_NORM of the largest are background. Returns the foreground
+    mask, the foreground rows' norms and those rows unit-normalized."""
+    norms = np.linalg.norm(coeffs, axis=1)
+    fg = norms > BACKGROUND_REL_NORM * (norms.max() if norms.size else 0.0)
+    norms = norms[fg]
+    return fg, norms, coeffs[fg] / norms[:, None]
+
+
 def infer(net: MrfNet, coeffs: np.ndarray) -> np.ndarray:
     """Per-voxel (T1, T2) maps from aligned real coefficient rows (n, S).
 
     Rows are unit-normalized before the network sees them. Rows whose norm is
-    below 1e-3 of the stack maximum are treated as background and reported as
+    at most 1e-3 of the stack maximum are treated as background and reported as
     zero.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.ndim != 2 or coeffs.shape[1] != net.rank:
         raise ValueError(f"expected (n, {net.rank}) coefficients")
-    norms = np.linalg.norm(coeffs, axis=1)
-    threshold = BACKGROUND_REL_NORM * (norms.max() if norms.size else 0.0)
-    fg = norms > threshold
-
+    fg, _, rows = _foreground(coeffs)
     maps = np.zeros((coeffs.shape[0], 2))
     if fg.any():
-        rows = coeffs[fg] / norms[fg][:, None]
         maps[fg] = net.predict_ms(rows.astype(net.weights[0].dtype))
     return maps
 
@@ -317,13 +318,9 @@ def dictionary_match(
     raw_norms[raw_norms == 0] = 1.0
     table = (proj / raw_norms[:, None]).astype(np.float64)  # (d, S)
 
-    norms = np.linalg.norm(coeffs, axis=1)
-    threshold = BACKGROUND_REL_NORM * (norms.max() if norms.size else 0.0)
-    fg = norms > threshold
-
+    fg, norms, rows = _foreground(coeffs)
     maps = np.zeros((coeffs.shape[0], 2))
     pd = np.zeros(coeffs.shape[0])
-    rows = coeffs[fg] / norms[fg][:, None]
     best_idx = np.empty(rows.shape[0], dtype=np.int64)
     best_score = np.empty(rows.shape[0])
     for lo in range(0, rows.shape[0], MATCH_CHUNK):
@@ -334,13 +331,11 @@ def dictionary_match(
 
     maps[fg, 0] = dictionary.t1_ms[best_idx]
     maps[fg, 1] = dictionary.t2_ms[best_idx]
-    pd[fg] = best_score * norms[fg] / raw_norms[best_idx]
+    pd[fg] = best_score * norms / raw_norms[best_idx]
     return maps, pd
 
 
 def save_net(net: MrfNet, cfg: TrainConfig, path) -> None:
-    from . import bundle
-
     arrays = {}
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         arrays[f"w{i}"] = w.astype(np.float32)
@@ -357,8 +352,6 @@ def save_net(net: MrfNet, cfg: TrainConfig, path) -> None:
 
 
 def load_net(path) -> MrfNet:
-    from . import bundle
-
     arrays, meta = bundle.read_bundle(path, kind="mrf-net")
     n_layers = int(meta["layers"])
     weights = [arrays[f"w{i}"] for i in range(n_layers)]

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bundle
 from .epg import SequenceSchedule, simulate_fingerprints
 
 # default tissue triplets (t1_ms, t2_ms, pd); values sit inside the desk grid
@@ -191,8 +192,6 @@ def score_maps(
 
 
 def save_ground_truth(gt: GroundTruth, path) -> None:
-    from . import bundle
-
     bundle.write_bundle(
         path,
         {
@@ -206,8 +205,6 @@ def save_ground_truth(gt: GroundTruth, path) -> None:
 
 
 def load_ground_truth(path) -> GroundTruth:
-    from . import bundle
-
     arrays, _ = bundle.read_bundle(path, kind="ground-truth")
     return GroundTruth(
         t1_map=arrays["t1"].astype(np.float64),

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from . import bundle
 from . import forward_model as fm
 from .forward_model import CoilMaps, KSpaceData, SamplingPattern
 from .subspace import SubspaceBasis
@@ -248,8 +249,6 @@ def solve(
 
 
 def save_reconstruction(x: np.ndarray, basis: SubspaceBasis, hw: tuple[int, int], path) -> None:
-    from . import bundle
-
     h, w = hw
     bundle.write_bundle(
         path,
@@ -262,8 +261,6 @@ def save_reconstruction(x: np.ndarray, basis: SubspaceBasis, hw: tuple[int, int]
 
 
 def load_reconstruction(path) -> tuple[np.ndarray, SubspaceBasis, tuple[int, int]]:
-    from . import bundle
-
     arrays, _ = bundle.read_bundle(path, kind="reconstruction")
     stack = arrays["x_subspace"].astype(np.complex128)
     rank, h, w = stack.shape

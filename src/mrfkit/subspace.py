@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bundle
 from .epg import Dictionary
 
 # wide dictionaries go through the Gram matrix; below this ratio a direct SVD
@@ -112,8 +113,6 @@ def phase_align(coeffs: np.ndarray) -> np.ndarray:
 
 
 def save_basis(basis: SubspaceBasis, path) -> None:
-    from . import bundle
-
     bundle.write_bundle(
         path,
         {
@@ -125,8 +124,6 @@ def save_basis(basis: SubspaceBasis, path) -> None:
 
 
 def load_basis(path) -> SubspaceBasis:
-    from . import bundle
-
     arrays, meta = bundle.read_bundle(path, kind="basis")
     v = arrays["v"].astype(np.complex128)
     return SubspaceBasis(

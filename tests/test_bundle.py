@@ -180,6 +180,15 @@ class TestErrors:
         with pytest.raises(bundle.HeaderError, match="'basis' bundle, not 'dictionary'"):
             bundle.read_bundle(path, kind="dictionary")
 
+    def test_missing_field_is_header_error(self, tmp_path):
+        meta = {"kind": "basis", "grid": {"t1": [1, 2]}}
+        path, arrays, read_meta = write_read(tmp_path, {"a": np.zeros(2, dtype=np.float32)}, meta)
+        assert read_meta == meta and read_meta.get("rank") is None and "rank" not in read_meta
+        for mapping, key, what in ((arrays, "b", "array"), (read_meta, "rank", "header field"),
+                                   (read_meta["grid"], "t2", "header field")):
+            with pytest.raises(bundle.HeaderError, match=f"{path} has no {what} '{key}'"):
+                mapping[key]
+
     def test_interrupted_write_keeps_previous_file(self, tmp_path, rng, monkeypatch):
         path = tmp_path / "t.mrfb"
         bundle.write_bundle(path, {"a": np.arange(4, dtype=np.float32)})
@@ -234,11 +243,12 @@ class TestCorruption:
         ('[{"name":"a","dtype":"float32","shape":' + "1" * 5000 + ',"offset":128}]',
          bundle.HeaderError),
         ('[{"name":"a","dtype":"float32","shape":7,"offset":128}]', bundle.HeaderError),
+        ('[{"name":"a","dtype":"float32","shape":[1]}]', bundle.HeaderError),
         ("[7]", bundle.HeaderError),
         ("[" * 100000 + "]" * 100000, bundle.HeaderError),
     ], ids=["dtype-list", "name-list", "shape-overflow", "shape-float", "shape-negative",
             "offset-string", "empty-huge-float", "empty-huge-int", "digits-limit",
-            "shape-scalar", "entry-not-object", "deep-nesting"])
+            "shape-scalar", "entry-missing-key", "entry-not-object", "deep-nesting"])
     def test_crafted_headers(self, tmp_path, arrays_json, error):
         path = tmp_path / "t.mrfb"
         write_raw_header(path, arrays_json)

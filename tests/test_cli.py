@@ -3,7 +3,6 @@ import filecmp
 import inspect
 import json
 import re
-import sys
 
 import numpy as np
 import pytest
@@ -136,6 +135,22 @@ BAD_CONFIGS = [
     ({"kspace_noise": float("inf")}, "kspace_noise"),
 ]
 
+# per kind of bundle: the file of that kind, a command that loads it and
+# the header fields its loader needs (kind itself aside)
+LOADERS = {
+    "ground-truth": ("gt", ("acquire", "--gt", "{gt}"), ()),
+    "dictionary": ("dict", ("learn-subspace", "--dict", "{dict}"),
+                   ("tr_ms", "te_ms", "tinv_ms", "inversion")),
+    "basis": ("basis", ("reconstruct", "--mode", "lr", "--in", "{kspace}",
+                        "--basis", "{basis}"), ("rank",)),
+    "kspace": ("kspace", ("reconstruct", "--mode", "lr", "--in", "{kspace}",
+                          "--basis", "{basis}"), ()),
+    "reconstruction": ("recon", ("match", "--dict", "{dict}", "--in", "{recon}"), ()),
+    "mrf-net": ("net", ("infer", "--net", "{net}", "--in", "{recon}"),
+                ("layers", "t1_range", "t2_range", "output_relu")),
+    "maps": ("maps", ("score", "--est", "{maps}", "--gt", "{gt}"), ()),
+}
+
 
 class TestExitCodes:
     def test_usage_error(self):
@@ -243,6 +258,36 @@ class TestExitCodes:
     def test_bad_config_fails_before_dictionary(self, tmp_path, capsys, config, key):
         assert key in self.run_bad_experiment(tmp_path, capsys, config)
 
+    @pytest.mark.parametrize("kind", list(LOADERS))
+    def test_missing_field_is_io_error(self, pipeline_dir, tmp_path, capsys, kind):
+        files = {name: str(pipeline_dir / f"{name}.mrfb")
+                 for name in ("dict", "basis", "gt", "kspace")}
+        basis = subspace.load_basis(files["basis"])
+        x = np.random.default_rng(0).standard_normal((32 * 32, basis.rank_s)) + 0j
+        files["recon"] = str(tmp_path / "x.mrfb")
+        solver.save_reconstruction(x, basis, (32, 32), files["recon"])
+        net = inference.MrfNet.initialize(basis.rank_s, (300.0, 2100.0), (40.0, 340.0),
+                                          hidden=(8, 8))
+        files["net"] = str(tmp_path / "net.mrfb")
+        inference.save_net(net, inference.TrainConfig(), files["net"])
+        files["maps"] = str(tmp_path / "maps.mrfb")
+        assert run_cli("infer", "--net", files["net"], "--in", files["recon"],
+                       "--out", files["maps"]) == 0
+        source, args, meta_keys = LOADERS[kind]
+        arrays, meta = bundle.read_bundle(files[source], kind=kind)
+        path, out = tmp_path / "partial.mrfb", tmp_path / "out.mrfb"
+        cases = [({k: a for k, a in arrays.items() if k != name}, meta, name) for name in arrays]
+        cases += [(arrays, {k: v for k, v in meta.items() if k != key}, key) for key in meta_keys]
+        capsys.readouterr()
+        for partial_arrays, partial_meta, missing in cases:
+            bundle.write_bundle(path, partial_arrays, partial_meta)
+            command = [arg.format(**{**files, source: path}) for arg in args]
+            assert run_cli(*command, "--out", str(out)) == 2, missing
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error kind=io code=corrupt-header")
+            assert f"{path} has no" in lines[0] and repr(missing) in lines[0]
+            assert not out.exists()
+
     def test_nonfinite_lambda_flag_is_usage_error(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "x.mrfb"
         capsys.readouterr()
@@ -253,23 +298,6 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error kind=usage")
         assert "recon.lambda" in lines[0]
         assert not out.exists()
-
-class TestThreadCap:
-    def test_thread_cap_applied(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("MRF_THREADS", "1")
-        gt = tmp_path / "gt.mrfb"
-        assert run_cli("make-phantom", "--size", "16", "16", "--out", str(gt)) == 0
-        # without threadpoolctl the cap cannot be applied; say so, same exit code
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-        capsys.readouterr()
-        assert run_cli("make-phantom", "--size", "16", "16", "--out", str(gt)) == 0
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("warning kind=threads msg=")
-
-    def test_invalid_value_is_usage_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MRF_THREADS", "lots")
-        assert run_cli("make-phantom", "--size", "16", "16",
-                       "--out", str(tmp_path / "gt.mrfb")) == 1
 
 
 class TestExperimentConfig:

@@ -257,15 +257,22 @@ class TestMomentumProduct:
 
 
 class TestInfer:
-    def test_background_masked(self, toy_setup):
+    @pytest.mark.parametrize("estimator", ["infer", "match"])
+    def test_background_masked(self, toy_setup, estimator):
         d, basis = toy_setup
-        net = MrfNet.initialize(3, (400.0, 2000.0), (40.0, 200.0), hidden=(8, 8), seed=0)
         coeffs = np.zeros((10, 3))
         coeffs[0] = [1.0, 0.2, 0.1]
         coeffs[1] = [1e-6, 0.0, 0.0]  # below the relative threshold
-        maps = inference.infer(net, coeffs)
-        assert np.all(maps[1:] == 0)
-        assert np.all(maps[0] > 0)
+        coeffs[2] = [2e-3, 0.0, 0.0]  # above it
+        if estimator == "infer":
+            net = MrfNet.initialize(3, (400.0, 2000.0), (40.0, 200.0), hidden=(8, 8), seed=0)
+            maps = inference.infer(net, coeffs)
+        else:
+            maps, pd = inference.dictionary_match(coeffs, d, basis)
+            assert np.all(pd[3:] == 0) and pd[1] == 0
+            assert np.all(pd[[0, 2]] > 0)
+        assert np.all(maps[3:] == 0) and np.all(maps[1] == 0)
+        assert np.all(maps[[0, 2]] > 0)
 
     def test_row_permutation_equivariance(self, toy_setup, rng):
         d, basis = toy_setup
