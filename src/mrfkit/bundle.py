@@ -8,6 +8,7 @@ dtype, shape, offset) and an optional free-form metadata object.
 
 import json
 import os
+import sys
 
 import numpy as np
 
@@ -49,8 +50,9 @@ class DtypeError(BundleError):
 
 class _Fields(dict):
     """A bundle's arrays, or an object of its header, whose lookup of a
-    missing key raises HeaderError naming the file and the key, so a loader
-    given a bundle without a field it needs fails as a corrupt header."""
+    missing key, and typed lookup of a value of the wrong type or shape, raise
+    HeaderError naming the file and the key: a loader given a bundle without a
+    field it needs, or with a malformed one, fails as a corrupt header."""
 
     def __init__(self, path: str, what: str, items=()):
         super().__init__(items)
@@ -58,6 +60,43 @@ class _Fields(dict):
 
     def __missing__(self, key):
         raise HeaderError(f"{self.path} has no {self.what} {key!r}")
+
+    def _fault(self, key, fault):
+        return HeaderError(f"{self.path} {self.what} {key!r} {fault}")
+
+    def typed(self, key, kind):
+        """self[key], which must be a JSON value of kind bool, int, float (a
+        finite number, integers included), str or dict (an object)."""
+        value = self[key]
+        if not _is_kind(value, kind):
+            raise self._fault(key, f"must be {_KINDS[kind]}, got {value!r}")
+        return value
+
+    def numbers(self, key, count):
+        """self[key], which must be a list of count finite numbers."""
+        value = self[key]
+        if not (isinstance(value, list) and len(value) == count
+                and all(_is_kind(v, float) for v in value)):
+            raise self._fault(key, f"must be a list of {count} finite numbers, got {value!r}")
+        return value
+
+    def array(self, name, ndim):
+        """self[name], which must be an array with ndim dimensions."""
+        if self[name].ndim != ndim:
+            raise self._fault(name, f"must have {ndim} dimensions, got shape {self[name].shape}")
+        return self[name]
+
+
+_KINDS = {bool: "true or false", int: "an integer", float: "a finite number",
+          str: "a string", dict: "an object"}
+
+
+def _is_kind(value, kind) -> bool:
+    if kind is bool or isinstance(value, bool):  # a bool is no number, a number no bool
+        return type(value) is kind
+    if kind is float:  # finite, and an integer within float range
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
 
 
 def _canonical_dtype(arr: np.ndarray) -> str:

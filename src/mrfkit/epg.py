@@ -107,7 +107,7 @@ class Dictionary:
     t1_ms: np.ndarray  # float32, (d,)
     t2_ms: np.ndarray  # float32, (d,)
     schedule: SequenceSchedule
-    grid_spec: GridSpec | None = None
+    grid_spec: GridSpec
 
     @property
     def n_frames(self) -> int:
@@ -288,20 +288,18 @@ def build_dictionary(
 
 
 def save_dictionary(dictionary: Dictionary, path) -> None:
-    s = dictionary.schedule
+    s, g = dictionary.schedule, dictionary.grid_spec
     meta = {
         "kind": "dictionary",
         "tr_ms": s.tr_ms,
         "te_ms": s.te_ms,
         "tinv_ms": s.tinv_ms,
         "inversion": s.inversion,
-    }
-    if dictionary.grid_spec is not None:
-        g = dictionary.grid_spec
-        meta["grid"] = {
+        "grid": {
             "t1": [g.t1.start, g.t1.step, g.t1.stop],
             "t2": [g.t2.start, g.t2.step, g.t2.stop],
-        }
+        },
+    }
     bundle.write_bundle(
         path,
         {
@@ -318,21 +316,17 @@ def load_dictionary(path) -> Dictionary:
     arrays, meta = bundle.read_bundle(path, kind="dictionary")
     schedule = SequenceSchedule(
         arrays["flip_angles_deg"].astype(np.float64),
-        tr_ms=float(meta["tr_ms"]),
-        te_ms=float(meta["te_ms"]),
-        tinv_ms=float(meta["tinv_ms"]),
-        inversion=bool(meta["inversion"]),
+        tr_ms=float(meta.typed("tr_ms", float)),
+        te_ms=float(meta.typed("te_ms", float)),
+        tinv_ms=float(meta.typed("tinv_ms", float)),
+        inversion=meta.typed("inversion", bool),
     )
-    grid = None
-    if "grid" in meta:
-        grid = GridSpec(
-            t1=GridRange(*meta["grid"]["t1"]),
-            t2=GridRange(*meta["grid"]["t2"]),
-        )
+    grid = meta.typed("grid", dict)
     return Dictionary(
         atoms=arrays["atoms"],
         t1_ms=arrays["t1"],
         t2_ms=arrays["t2"],
         schedule=schedule,
-        grid_spec=grid,
+        grid_spec=GridSpec(t1=GridRange(*grid.numbers("t1", 3)),
+                           t2=GridRange(*grid.numbers("t2", 3))),
     )

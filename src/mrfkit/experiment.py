@@ -185,7 +185,7 @@ def acquire(cfg: dict, gt_path, out_path) -> fm.KSpaceData:
         rng = np.random.default_rng(seed + 1)
         noise = rng.normal(0.0, cfg["kspace_noise"], (2,) + data.y.shape)
         data.y += (noise[0] + 1j * noise[1]) * pattern.masks[:, None, :, :]
-    fm.save_kspace(data, coils, out_path, extra_meta={"kspace_noise": cfg["kspace_noise"]})
+    fm.save_kspace(data, coils, out_path, cfg["kspace_noise"])
     return data
 
 
@@ -270,7 +270,7 @@ def score(maps_path, gt_path) -> tuple[dict, dict, str]:
     arrays, meta = bundle.read_bundle(maps_path, kind="maps")
     gt = phantom.load_ground_truth(gt_path)
     maps = {p: arrays[p].astype(np.float64) for p in ("t1", "t2")}
-    return phantom.score_maps(maps["t1"], maps["t2"], gt), maps, meta.get("estimator", "est")
+    return phantom.score_maps(maps["t1"], maps["t2"], gt), maps, meta.typed("estimator", str)
 
 
 def metric_rows(method: str, result: dict) -> list[dict]:

@@ -176,9 +176,9 @@ def make_coil_maps(h: int, w: int, n_coils: int, kind: str = "gaussian-ring") ->
         ramp = 0.2 * (np.cos(theta) * yy - np.sin(theta) * xx) / max(h, w)
         sens[c] = mag * np.exp(2j * np.pi * ramp)
 
-    rss = np.sqrt(np.sum(np.abs(sens) ** 2, axis=0))
-    sens /= rss.max()
-    return CoilMaps(sens=sens)
+    coils = CoilMaps(sens=sens)
+    coils.sens /= coils.rss().max()
+    return coils
 
 
 def _check_geometry(basis, coils: CoilMaps, pattern: SamplingPattern):
@@ -288,11 +288,10 @@ def normal(x: np.ndarray, kernel: np.ndarray, coils: CoilMaps) -> np.ndarray:
     return np.ascontiguousarray(combined.reshape(rank, h * w).T)
 
 
-def save_kspace(data: KSpaceData, coils: CoilMaps, path, extra_meta: dict | None = None) -> None:
+def save_kspace(data: KSpaceData, coils: CoilMaps, path, kspace_noise: float) -> None:
     p = data.pattern
-    meta = {"kind": "kspace", **{key: getattr(p, key) for key in _PATTERN_META}}
-    if extra_meta:
-        meta.update(extra_meta)
+    meta = {"kind": "kspace", "kspace_noise": kspace_noise,
+            **{key: getattr(p, key) for key in _PATTERN_META}}
     bundle.write_bundle(
         path,
         {

@@ -353,13 +353,13 @@ def save_net(net: MrfNet, cfg: TrainConfig, path) -> None:
 
 def load_net(path) -> MrfNet:
     arrays, meta = bundle.read_bundle(path, kind="mrf-net")
-    n_layers = int(meta["layers"])
+    n_layers = meta.typed("layers", int)
     weights = [arrays[f"w{i}"] for i in range(n_layers)]
     biases = [arrays[f"b{i}"] for i in range(n_layers)]
     return MrfNet(
         weights=weights,
         biases=biases,
-        t1_range=tuple(meta["t1_range"]),
-        t2_range=tuple(meta["t2_range"]),
-        output_relu=bool(meta["output_relu"]),
+        t1_range=tuple(meta.numbers("t1_range", 2)),
+        t2_range=tuple(meta.numbers("t2_range", 2)),
+        output_relu=meta.typed("output_relu", bool),
     )

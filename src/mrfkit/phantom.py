@@ -147,23 +147,17 @@ def synthesize_timeseries(
     return series
 
 
-def score_maps(
-    est_t1: np.ndarray,
-    est_t2: np.ndarray,
-    gt: GroundTruth,
-    mask: np.ndarray | None = None,
-) -> dict:
-    """Error metrics over the mask (default: foreground).
+def score_maps(est_t1: np.ndarray, est_t2: np.ndarray, gt: GroundTruth) -> dict:
+    """Error metrics over the ground truth's foreground.
 
     Returns per-parameter rmse / mae / nrmse (normalized by the ground-truth
-    range over the mask) and per-region mean estimates.
+    range over the foreground).
     """
     if est_t1.shape != gt.shape or est_t2.shape != gt.shape:
         raise ValueError("estimate and ground-truth shapes differ")
-    if mask is None:
-        mask = gt.foreground()
+    mask = gt.foreground()
     if not mask.any():
-        raise ValueError("empty mask")
+        raise ValueError("the ground truth has no foreground (pd > 0) to score")
 
     out = {}
     for name, est, ref in (("t1", est_t1, gt.t1_map), ("t2", est_t2, gt.t2_map)):
@@ -176,18 +170,6 @@ def score_maps(
             "mae": mae,
             "nrmse": rmse / span if span > 0 else float("nan"),
         }
-
-    regions = {}
-    for label in np.unique(gt.region_labels[mask]):
-        sel = mask & (gt.region_labels == label)
-        regions[int(label)] = {
-            "t1_mean": float(np.mean(est_t1[sel])),
-            "t2_mean": float(np.mean(est_t2[sel])),
-            "t1_true": float(np.mean(gt.t1_map[sel])),
-            "t2_true": float(np.mean(gt.t2_map[sel])),
-            "pixels": int(sel.sum()),
-        }
-    out["regions"] = regions
     return out
 
 

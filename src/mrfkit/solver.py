@@ -39,7 +39,6 @@ class NumericalError(RuntimeError):
 class SolverConfig:
     mode: str = "lrtv"
     lam: float = 0.0  # TV weight, lrtv only
-    mu0: float | str = "auto"
     max_outer_iters: int = 50
     stop_rel_change: float = 1e-4
     tv: TvConfig = field(default_factory=TvConfig)
@@ -53,11 +52,6 @@ class SolverConfig:
             raise ValueError(f"lambda must be 0 in mode {self.mode!r}")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
-        if isinstance(self.mu0, str):
-            if self.mu0 != "auto":
-                raise ValueError("mu0 must be a positive number or 'auto'")
-        elif self.mu0 <= 0:
-            raise ValueError("mu0 must be a positive number or 'auto'")
 
 
 @dataclass
@@ -152,10 +146,7 @@ def solve(
     lam = cfg.lam
 
     ahyv = fm.adjoint(y, basis, coils, pattern)
-    if isinstance(cfg.mu0, str):
-        mu = auto_step_size(pattern, coils.n_coils)
-    else:
-        mu = float(cfg.mu0)
+    mu = auto_step_size(pattern, coils.n_coils)
 
     x = np.zeros((n, basis.rank_s), dtype=np.complex128)
     z_prev = np.zeros_like(x)
@@ -262,7 +253,7 @@ def save_reconstruction(x: np.ndarray, basis: SubspaceBasis, hw: tuple[int, int]
 
 def load_reconstruction(path) -> tuple[np.ndarray, SubspaceBasis, tuple[int, int]]:
     arrays, _ = bundle.read_bundle(path, kind="reconstruction")
-    stack = arrays["x_subspace"].astype(np.complex128)
+    stack = arrays.array("x_subspace", 3).astype(np.complex128)
     rank, h, w = stack.shape
     x = stack.reshape(rank, h * w).T
     v = arrays["basis_v"].astype(np.complex128)

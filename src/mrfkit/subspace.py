@@ -129,5 +129,5 @@ def load_basis(path) -> SubspaceBasis:
     return SubspaceBasis(
         v=v,
         s_values=arrays["singular_values"].astype(np.float64),
-        rank_s=int(meta["rank"]),
+        rank_s=meta.typed("rank", int),
     )

@@ -45,14 +45,18 @@ def _grad_adj(p, q):
     return out
 
 
-def tv_norm(img: np.ndarray, variant: str = "isotropic") -> float:
+def _tv(dy, dx, variant):
+    """Total variation from the forward differences of an image."""
+    if variant == "isotropic":
+        return np.sum(np.sqrt(dy**2 + dx**2))
+    return np.sum(np.abs(dy)) + np.sum(np.abs(dx))
+
+
+def tv_norm(img: np.ndarray, variant: str) -> float:
     """Total variation of a real image under the configured variant."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    dy, dx = _grad(np.asarray(img, dtype=np.float64))
-    if variant == "isotropic":
-        return float(np.sum(np.sqrt(dy**2 + dx**2)))
-    return float(np.sum(np.abs(dy)) + np.sum(np.abs(dx)))
+    return float(_tv(*_grad(np.asarray(img, dtype=np.float64)), variant))
 
 
 def _project_dual(p, q, variant):
@@ -66,24 +70,21 @@ def _project_dual(p, q, variant):
 def tv_prox(
     img: np.ndarray,
     tau: float,
-    cfg: TvConfig | None = None,
+    cfg: TvConfig,
     dual_init: np.ndarray | None = None,
-    return_dual: bool = False,
-):
+) -> tuple[np.ndarray, np.ndarray]:
     """Approximate argmin_u 0.5*||u - img||^2 + tau*TV(u).
 
     Runs fast gradient projection on the dual with step 1/8, stopping when the
     primal-dual gap drops below dual_gap_tol * ||img||^2 or at max_iters. An
-    optional dual field (2, H, W) warm-starts the iteration; with
-    return_dual=True the final dual field is returned for reuse.
+    optional dual field (2, H, W) warm-starts the iteration. Returns the result
+    and the final dual field, for reuse as the next warm start.
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
-    cfg = cfg or TvConfig()
     b = np.asarray(img, dtype=np.float64)
     if tau == 0:
-        out = b.copy()
-        return (out, np.zeros((2,) + b.shape)) if return_dual else out
+        return b.copy(), np.zeros((2,) + b.shape)
 
     if dual_init is not None:
         p = dual_init[0].astype(np.float64, copy=True)
@@ -110,16 +111,11 @@ def tv_prox(
         # gap at the feasible dual point: tau * (TV(u_p) - <grad(u_p), P>)
         u_p = b - tau * _grad_adj(p, q)
         gy, gx = _grad(u_p)
-        if cfg.variant == "isotropic":
-            tv_val = np.sum(np.sqrt(gy**2 + gx**2))
-        else:
-            tv_val = np.sum(np.abs(gy)) + np.sum(np.abs(gx))
-        gap = tau * (tv_val - np.sum(gy * p) - np.sum(gx * q))
+        gap = tau * (_tv(gy, gx, cfg.variant) - np.sum(gy * p) - np.sum(gx * q))
         if gap <= gap_bound:
             break
 
-    out = b - tau * _grad_adj(p, q)
-    return (out, np.stack([p, q])) if return_dual else out
+    return b - tau * _grad_adj(p, q), np.stack([p, q])
 
 
 def tv_prox_stack(
@@ -136,15 +132,11 @@ def tv_prox_stack(
     problems (2S calls). The dual state has shape (S, 2, 2, H, W) indexed
     [channel, real/imag, p/q].
     """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
     h, w = hw
     x = np.asarray(x)
     n, rank = x.shape
     if n != h * w:
         raise ValueError(f"stack rows {n} do not match image size {h}x{w}")
-    if tau == 0:
-        return x.astype(np.complex128, copy=True), np.zeros((rank, 2, 2, h, w))
 
     out = np.empty((n, rank), dtype=np.complex128)
     duals = np.zeros((rank, 2, 2, h, w))
@@ -152,7 +144,7 @@ def tv_prox_stack(
         for part, comp in enumerate(("real", "imag")):
             img = getattr(x[:, s], comp).reshape(h, w)
             init = dual_init[s, part] if dual_init is not None else None
-            res, dual = tv_prox(img, tau, cfg, dual_init=init, return_dual=True)
+            res, dual = tv_prox(img, tau, cfg, dual_init=init)
             duals[s, part] = dual
             if part == 0:
                 out[:, s] = res.ravel()

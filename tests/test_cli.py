@@ -140,7 +140,7 @@ BAD_CONFIGS = [
 LOADERS = {
     "ground-truth": ("gt", ("acquire", "--gt", "{gt}"), ()),
     "dictionary": ("dict", ("learn-subspace", "--dict", "{dict}"),
-                   ("tr_ms", "te_ms", "tinv_ms", "inversion")),
+                   ("tr_ms", "te_ms", "tinv_ms", "inversion", "grid")),
     "basis": ("basis", ("reconstruct", "--mode", "lr", "--in", "{kspace}",
                         "--basis", "{basis}"), ("rank",)),
     "kspace": ("kspace", ("reconstruct", "--mode", "lr", "--in", "{kspace}",
@@ -148,8 +148,52 @@ LOADERS = {
     "reconstruction": ("recon", ("match", "--dict", "{dict}", "--in", "{recon}"), ()),
     "mrf-net": ("net", ("infer", "--net", "{net}", "--in", "{recon}"),
                 ("layers", "t1_range", "t2_range", "output_relu")),
-    "maps": ("maps", ("score", "--est", "{maps}", "--gt", "{gt}"), ()),
+    "maps": ("maps", ("score", "--est", "{maps}", "--gt", "{gt}"), ("estimator",)),
 }
+# per kind of bundle: a header value or an array, by its dotted key, replaced
+# by one of the wrong type or shape, which the kind's loader must reject
+BAD_FIELDS = [
+    ("dictionary", "grid.t1", [100.0, 50.0]),
+    ("dictionary", "tr_ms", "ten"),
+    ("dictionary", "te_ms", float("nan")),
+    ("dictionary", "tinv_ms", 10**400),
+    ("dictionary", "inversion", "no"),
+    ("basis", "rank", "x"),
+    ("reconstruction", "x_subspace", np.zeros((4, 32 * 32), np.complex64)),
+    ("mrf-net", "layers", "x"),
+    ("mrf-net", "t1_range", 5),
+    ("mrf-net", "output_relu", "no"),
+    ("maps", "estimator", 1),
+]
+
+
+@pytest.fixture(scope="module")
+def loader_files(pipeline_dir, tmp_path_factory):
+    """One bundle of each kind LOADERS names, by its LOADERS file name."""
+    root = tmp_path_factory.mktemp("loaders")
+    files = {name: str(pipeline_dir / f"{name}.mrfb") for name in ("dict", "basis", "gt", "kspace")}
+    basis = subspace.load_basis(files["basis"])
+    x = np.random.default_rng(0).standard_normal((32 * 32, basis.rank_s)) + 0j
+    files["recon"] = str(root / "x.mrfb")
+    solver.save_reconstruction(x, basis, (32, 32), files["recon"])
+    net = inference.MrfNet.initialize(basis.rank_s, (300.0, 2100.0), (40.0, 340.0),
+                                      hidden=(8, 8))
+    files["net"] = str(root / "net.mrfb")
+    inference.save_net(net, inference.TrainConfig(), files["net"])
+    files["maps"] = str(root / "maps.mrfb")
+    assert run_cli("infer", "--net", files["net"], "--in", files["recon"],
+                   "--out", files["maps"]) == 0
+    return files
+
+
+def assert_corrupt_header(capsys, code, where, key, out):
+    """The command exited 2 with one corrupt-header line that contains where
+    and names key, and wrote no output."""
+    assert code == 2, key
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error kind=io code=corrupt-header")
+    assert str(where) in lines[0] and repr(key) in lines[0]
+    assert not out.exists()
 
 
 class TestExitCodes:
@@ -259,34 +303,35 @@ class TestExitCodes:
         assert key in self.run_bad_experiment(tmp_path, capsys, config)
 
     @pytest.mark.parametrize("kind", list(LOADERS))
-    def test_missing_field_is_io_error(self, pipeline_dir, tmp_path, capsys, kind):
-        files = {name: str(pipeline_dir / f"{name}.mrfb")
-                 for name in ("dict", "basis", "gt", "kspace")}
-        basis = subspace.load_basis(files["basis"])
-        x = np.random.default_rng(0).standard_normal((32 * 32, basis.rank_s)) + 0j
-        files["recon"] = str(tmp_path / "x.mrfb")
-        solver.save_reconstruction(x, basis, (32, 32), files["recon"])
-        net = inference.MrfNet.initialize(basis.rank_s, (300.0, 2100.0), (40.0, 340.0),
-                                          hidden=(8, 8))
-        files["net"] = str(tmp_path / "net.mrfb")
-        inference.save_net(net, inference.TrainConfig(), files["net"])
-        files["maps"] = str(tmp_path / "maps.mrfb")
-        assert run_cli("infer", "--net", files["net"], "--in", files["recon"],
-                       "--out", files["maps"]) == 0
+    def test_missing_field_is_io_error(self, loader_files, tmp_path, capsys, kind):
         source, args, meta_keys = LOADERS[kind]
-        arrays, meta = bundle.read_bundle(files[source], kind=kind)
+        arrays, meta = bundle.read_bundle(loader_files[source], kind=kind)
         path, out = tmp_path / "partial.mrfb", tmp_path / "out.mrfb"
         cases = [({k: a for k, a in arrays.items() if k != name}, meta, name) for name in arrays]
         cases += [(arrays, {k: v for k, v in meta.items() if k != key}, key) for key in meta_keys]
         capsys.readouterr()
         for partial_arrays, partial_meta, missing in cases:
             bundle.write_bundle(path, partial_arrays, partial_meta)
-            command = [arg.format(**{**files, source: path}) for arg in args]
-            assert run_cli(*command, "--out", str(out)) == 2, missing
-            lines = capsys.readouterr().err.splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error kind=io code=corrupt-header")
-            assert f"{path} has no" in lines[0] and repr(missing) in lines[0]
-            assert not out.exists()
+            command = [arg.format(**{**loader_files, source: path}) for arg in args]
+            code = run_cli(*command, "--out", str(out))
+            assert_corrupt_header(capsys, code, f"{path} has no", missing, out)
+
+    @pytest.mark.parametrize("kind,key,value", BAD_FIELDS,
+                             ids=[f"{kind}-{key}" for kind, key, _ in BAD_FIELDS])
+    def test_malformed_field_is_io_error(self, loader_files, tmp_path, capsys, kind, key, value):
+        source, args, _ = LOADERS[kind]
+        arrays, meta = bundle.read_bundle(loader_files[source], kind=kind)
+        *parents, leaf = key.split(".")
+        node = arrays if key in arrays else meta
+        for parent in parents:
+            node = node[parent]
+        node[leaf] = value
+        path, out = tmp_path / "bad.mrfb", tmp_path / "out.mrfb"
+        bundle.write_bundle(path, arrays, meta)
+        command = [arg.format(**{**loader_files, source: path}) for arg in args]
+        capsys.readouterr()
+        code = run_cli(*command, "--out", str(out))
+        assert_corrupt_header(capsys, code, path, leaf, out)
 
     def test_nonfinite_lambda_flag_is_usage_error(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "x.mrfb"

@@ -63,6 +63,7 @@ class TestMakeTrainingSet:
             t1_ms=np.zeros(0, np.float32),
             t2_ms=np.zeros(0, np.float32),
             schedule=short_schedule,
+            grid_spec=d.grid_spec,
         )
         with pytest.raises(ValueError):
             inference.make_training_set(empty, basis, TrainConfig())

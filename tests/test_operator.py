@@ -244,7 +244,7 @@ class TestKspaceRoundTrip:
         y = random_complex(rng, (4, 2, 16, 16)).astype(np.complex64)
         data = fm.KSpaceData(y=y, pattern=pattern)
         path = tmp_path / "kspace.mrfb"
-        fm.save_kspace(data, coils, path, extra_meta={"kspace_noise": 0.5})
+        fm.save_kspace(data, coils, path, 0.5)
         loaded, loaded_coils, meta = fm.load_kspace(path)
         np.testing.assert_array_equal(loaded.y, y)
         np.testing.assert_array_equal(loaded.pattern.masks, pattern.masks)

@@ -140,17 +140,12 @@ class TestScoreMaps:
         span_t1 = gt.t1_map[gt.foreground()].max() - gt.t1_map[gt.foreground()].min()
         assert score["t1"]["nrmse"] == pytest.approx(27.0 / span_t1)
 
-    def test_region_means(self):
-        gt = phantom.make_phantom(64, 64)
-        score = phantom.score_maps(gt.t1_map, gt.t2_map, gt)
-        for label, entry in score["regions"].items():
-            assert entry["t1_mean"] == pytest.approx(entry["t1_true"])
-            assert entry["pixels"] > 0
-
     def test_empty_mask_rejected(self):
-        gt = phantom.make_phantom(16, 16)
-        with pytest.raises(ValueError):
-            phantom.score_maps(gt.t1_map, gt.t2_map, gt, mask=np.zeros((16, 16), bool))
+        spec = [{"shape": "rectangle", "x0": 0.0, "y0": 0.0, "x1": 1.0, "y1": 1.0,
+                 "t1": 800.0, "t2": 80.0, "pd": 0.0}]
+        gt = phantom.make_phantom(16, 16, spec)
+        with pytest.raises(ValueError, match="no foreground"):
+            phantom.score_maps(gt.t1_map, gt.t2_map, gt)
 
     def test_shape_mismatch(self):
         gt = phantom.make_phantom(16, 16)

@@ -135,10 +135,6 @@ class TestSolverConfig:
             SolverConfig(mode="lr", lam=0.1)
         with pytest.raises(ValueError):
             SolverConfig(mode="nope")
-        with pytest.raises(ValueError):
-            SolverConfig(mu0=-2.0)
-        with pytest.raises(ValueError):
-            SolverConfig(mu0="fast")
 
 
 class TestSolve:
@@ -167,7 +163,8 @@ class TestSolve:
         coils = fm.make_coil_maps(size, size, 1, kind="uniform")
         x_true = random_complex(rng, (size * size, rank))
         y = fm.forward(x_true, basis, coils, pattern)
-        cfg = SolverConfig(mode="lr", mu0=1.0, max_outer_iters=1)
+        assert solver.auto_step_size(pattern, coils.n_coils) == 1.0
+        cfg = SolverConfig(mode="lr", max_outer_iters=1)
         x, _ = solver.solve(y, basis, coils, pattern, cfg)
         np.testing.assert_allclose(x, x_true, atol=1e-10)
 
@@ -224,13 +221,13 @@ class TestSolve:
         assert mu == pytest.approx(size * size / per_frame)
 
 
-def reference_solve(y, basis, coils, pattern, cfg):
-    """The solve loop on the k-space operator: the oracles' gradient and
-    backtrack_ok run forward/adjoint at every step. Returns the
-    iterates, the exact fidelities of the accepted z, step sizes and halvings."""
+def reference_solve(y, basis, coils, pattern, cfg, mu):
+    """The solve loop on the k-space operator from the initial step size mu:
+    the oracles' gradient and backtrack_ok run forward/adjoint at every step.
+    Returns the iterates, the exact fidelities of the accepted z, step sizes
+    and halvings."""
     h, w = pattern.shape
     ahyv = fm.adjoint(y, basis, coils, pattern)
-    mu = float(cfg.mu0)
     x = np.zeros((h * w, basis.rank_s), dtype=complex)
     z_prev = np.zeros_like(x)
     duals = None
@@ -263,12 +260,13 @@ class TestSolveMatchesReference:
     forward/adjoint must take the same steps."""
 
     @pytest.mark.parametrize("mode,lam", [("lr", 0.0), ("lrtv", 1e-3)])
-    def test_same_halvings_and_iterates(self, problem, mode, lam):
+    def test_same_halvings_and_iterates(self, problem, monkeypatch, mode, lam):
         y, basis, coils, pattern, _, _ = problem
         # a step size well above 1/||A^H A|| so that backtracking halves
-        cfg = SolverConfig(mode=mode, lam=lam, mu0=16.0, max_outer_iters=8, stop_rel_change=0.0)
+        monkeypatch.setattr(solver, "auto_step_size", lambda *_: 16.0)
+        cfg = SolverConfig(mode=mode, lam=lam, max_outer_iters=8, stop_rel_change=0.0)
         _, trace = solver.solve(y, basis, coils, pattern, cfg)
-        ref = reference_solve(y, basis, coils, pattern, cfg)
+        ref = reference_solve(y, basis, coils, pattern, cfg, 16.0)
         records = trace.records[1:]
         assert [r.halvings for r in records] == ref["halvings"]
         assert sum(ref["halvings"]) > 0
@@ -280,13 +278,14 @@ class TestSolveMatchesReference:
             assert np.linalg.norm(x - ref_x) / np.linalg.norm(ref_x) < 1e-10
 
     @pytest.mark.parametrize("mode,lam", [("lr", 0.0), ("lrtv", 1e-3)])
-    def test_fidelity_matches_exact_residual(self, problem, mode, lam):
+    def test_fidelity_matches_exact_residual(self, problem, monkeypatch, mode, lam):
         # the expanded fidelity ||y||^2 - 2 Re<A^H y v, z> + Re<z, Gz> must not
         # lose the residual to cancellation as the solve converges
         y, basis, coils, pattern, _, _ = problem
-        cfg = SolverConfig(mode=mode, lam=lam, mu0=16.0, max_outer_iters=30, stop_rel_change=0.0)
+        monkeypatch.setattr(solver, "auto_step_size", lambda *_: 16.0)
+        cfg = SolverConfig(mode=mode, lam=lam, max_outer_iters=30, stop_rel_change=0.0)
         _, trace = solver.solve(y, basis, coils, pattern, cfg)
-        ref = reference_solve(y, basis, coils, pattern, cfg)
+        ref = reference_solve(y, basis, coils, pattern, cfg, 16.0)
         norm_y_sq = float(np.vdot(y.y, y.y).real)
         assert ref["fidelity"][-1] < 1e-2 * norm_y_sq  # the residual is a small difference
         for rec, exact in zip(trace.records[1:], ref["fidelity"]):

@@ -10,9 +10,25 @@ TIGHT = TvConfig(max_iters=500, dual_gap_tol=1e-12)
 TIGHT_ANISO = TvConfig(variant="anisotropic", max_iters=500, dual_gap_tol=1e-12)
 
 
+def _image_prox(rng, tau):
+    """tv_prox of a random 8x8 image: (input, result, dual)."""
+    x = rng.standard_normal((8, 8))
+    return x, *tv_prox(x, tau, TIGHT)
+
+
+def _stack_prox(rng, tau):
+    """tv_prox_stack of a random complex stack of three 8x8 images."""
+    x = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
+    return x, *tv_prox_stack(x, tau, TIGHT, (8, 8))
+
+
+both_proxes = pytest.mark.parametrize("prox", [_image_prox, _stack_prox],
+                                      ids=["tv_prox", "tv_prox_stack"])
+
+
 class TestTvNorm:
     def test_constant_image(self):
-        assert tv_norm(np.full((6, 7), 3.2)) == 0.0
+        assert tv_norm(np.full((6, 7), 3.2), "isotropic") == 0.0
         assert tv_norm(np.full((6, 7), 3.2), "anisotropic") == 0.0
 
     def test_single_difference(self):
@@ -49,24 +65,27 @@ class TestGradAdjoint:
 
 
 class TestTvProx:
-    def test_tau_zero_identity(self, rng):
-        img = rng.standard_normal((8, 8))
-        np.testing.assert_array_equal(tv_prox(img, 0.0), img)
+    @both_proxes
+    def test_tau_zero_identity(self, rng, prox):
+        x, out, dual = prox(rng, 0.0)
+        np.testing.assert_array_equal(out, x)
+        assert dual.shape[-3:] == (2, 8, 8) and not dual.any()
 
     def test_constant_unchanged(self):
         img = np.full((12, 9), 1.7)
-        np.testing.assert_array_equal(tv_prox(img, 2.5, TIGHT), img)
+        np.testing.assert_array_equal(tv_prox(img, 2.5, TIGHT)[0], img)
 
-    def test_negative_tau_rejected(self):
+    @both_proxes
+    def test_negative_tau_rejected(self, rng, prox):
         with pytest.raises(ValueError):
-            tv_prox(np.zeros((4, 4)), -0.1)
+            prox(rng, -0.1)
 
     def test_1x2_closed_form(self):
         # prox moves each endpoint min(tau, |a-b|/2) toward the mean
         img = np.array([[0.0, 2.0]])
-        out = tv_prox(img, 0.5, TIGHT_ANISO)
+        out, _ = tv_prox(img, 0.5, TIGHT_ANISO)
         np.testing.assert_allclose(out, [[0.5, 1.5]], atol=1e-10)
-        out = tv_prox(img, 5.0, TIGHT_ANISO)
+        out, _ = tv_prox(img, 5.0, TIGHT_ANISO)
         np.testing.assert_allclose(out, [[1.0, 1.0]], atol=1e-10)
 
     def test_1x2_brute_force(self):
@@ -77,7 +96,7 @@ class TestTvProx:
         u1, u2 = np.meshgrid(grid, grid, indexing="ij")
         objective = 0.5 * ((u1 - 0.0) ** 2 + (u2 - 2.0) ** 2) + tau * np.abs(u2 - u1)
         best = np.unravel_index(np.argmin(objective), objective.shape)
-        out = tv_prox(img, tau, TIGHT_ANISO)
+        out, _ = tv_prox(img, tau, TIGHT_ANISO)
         assert abs(grid[best[0]] - out[0, 0]) < 2e-3
         assert abs(grid[best[1]] - out[0, 1]) < 2e-3
 
@@ -86,7 +105,7 @@ class TestTvProx:
     def test_objective_vs_subgradient_oracle(self, rng, variant, tau):
         img = rng.random((8, 8))
         cfg = TvConfig(variant=variant, max_iters=2000, dual_gap_tol=1e-14)
-        out = tv_prox(img, tau, cfg)
+        out, _ = tv_prox(img, tau, cfg)
         f_fgp = tv_objective(out, img, tau, variant)
         _, f_oracle = tv_prox_subgradient(img, tau, variant, iters=20_000)
         assert f_fgp <= f_oracle + 1e-5
@@ -94,13 +113,13 @@ class TestTvProx:
     def test_mean_preserved(self, rng):
         img = rng.standard_normal((16, 16))
         for tau in (0.05, 0.5, 5.0):
-            out = tv_prox(img, tau, TIGHT)
+            out, _ = tv_prox(img, tau, TIGHT)
             assert out.mean() == pytest.approx(img.mean(), abs=1e-8)
 
     def test_tv_shrinks(self, rng):
         img = rng.standard_normal((12, 12))
         for variant, cfg in (("isotropic", TIGHT), ("anisotropic", TIGHT_ANISO)):
-            out = tv_prox(img, 0.3, cfg)
+            out, _ = tv_prox(img, 0.3, cfg)
             assert tv_norm(out, variant) <= tv_norm(img, variant)
 
     def test_nonexpansive(self, rng):
@@ -108,30 +127,27 @@ class TestTvProx:
         for _ in range(5):
             a = rng.standard_normal((10, 10))
             b = rng.standard_normal((10, 10))
-            pa = tv_prox(a, 0.4, cfg)
-            pb = tv_prox(b, 0.4, cfg)
+            pa, _ = tv_prox(a, 0.4, cfg)
+            pb, _ = tv_prox(b, 0.4, cfg)
             slack = 2 * np.sqrt(cfg.dual_gap_tol * max(np.sum(a**2), np.sum(b**2)))
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + slack
 
     def test_warm_start_dual_reuse(self, rng):
         img = rng.standard_normal((12, 12))
-        out_cold, dual = tv_prox(img, 0.2, TIGHT, return_dual=True)
+        out_cold, dual = tv_prox(img, 0.2, TIGHT)
         # a warm restart from the converged dual should change nothing much
-        out_warm = tv_prox(img, 0.2, TvConfig(max_iters=1, dual_gap_tol=1e-12), dual_init=dual)
+        out_warm, _ = tv_prox(img, 0.2, TvConfig(max_iters=1, dual_gap_tol=1e-12), dual_init=dual)
         assert np.abs(out_warm - out_cold).max() < 1e-6
 
     def test_deterministic(self, rng):
         img = rng.standard_normal((8, 8))
-        a = tv_prox(img, 0.3, TIGHT)
-        b = tv_prox(img, 0.3, TIGHT)
+        a, dual_a = tv_prox(img, 0.3, TIGHT)
+        b, dual_b = tv_prox(img, 0.3, TIGHT)
         np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(dual_a, dual_b)
 
 
 class TestTvProxStack:
-    def test_tau_zero(self, rng):
-        x = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
-        np.testing.assert_array_equal(tv_prox_stack(x, 0.0, TvConfig(), (8, 8))[0], x)
-
     def test_real_stack_stays_real(self, rng):
         x = rng.standard_normal((64, 3)).astype(complex)
         out, _ = tv_prox_stack(x, 0.4, TIGHT, (8, 8))
@@ -147,8 +163,8 @@ class TestTvProxStack:
         x = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
         out, _ = tv_prox_stack(x, 0.3, TIGHT, (8, 8))
         for s in range(2):
-            re = tv_prox(x[:, s].real.reshape(8, 8), 0.3, TIGHT)
-            im = tv_prox(x[:, s].imag.reshape(8, 8), 0.3, TIGHT)
+            re, _ = tv_prox(x[:, s].real.reshape(8, 8), 0.3, TIGHT)
+            im, _ = tv_prox(x[:, s].imag.reshape(8, 8), 0.3, TIGHT)
             np.testing.assert_allclose(out[:, s], (re + 1j * im).ravel(), atol=1e-14)
 
     def test_shape_mismatch(self, rng):
