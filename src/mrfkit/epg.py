@@ -19,11 +19,6 @@ import numpy as np
 
 from . import bundle
 
-DEFAULT_TR_MS = 10.0
-DEFAULT_TE_MS = 1.908
-DEFAULT_TINV_MS = 18.0
-DEFAULT_ALPHA_MAX_DEG = 70.0
-DEFAULT_FLIP_PERIOD = 250
 DEFAULT_K_MAX = 100
 # atoms per simulation block: the state of one block stays in the L2 cache
 CHUNK_SIZE = 512
@@ -34,10 +29,10 @@ class SequenceSchedule:
     """Flip-angle train and fixed timings of a FISP acquisition."""
 
     flip_angles_deg: np.ndarray
-    tr_ms: float = DEFAULT_TR_MS
-    te_ms: float = DEFAULT_TE_MS
-    tinv_ms: float = DEFAULT_TINV_MS
-    inversion: bool = True
+    tr_ms: float
+    te_ms: float
+    tinv_ms: float
+    inversion: bool
 
     def __post_init__(self):
         flips = np.asarray(self.flip_angles_deg, dtype=np.float64)
@@ -126,11 +121,11 @@ class Dictionary:
 
 def default_schedule(
     n_frames: int,
-    alpha_max_deg: float = DEFAULT_ALPHA_MAX_DEG,
-    period: int = DEFAULT_FLIP_PERIOD,
-    tr_ms: float = DEFAULT_TR_MS,
-    te_ms: float = DEFAULT_TE_MS,
-    tinv_ms: float = DEFAULT_TINV_MS,
+    alpha_max_deg: float = 70.0,
+    period: int = 250,
+    tr_ms: float = 10.0,
+    te_ms: float = 1.908,
+    tinv_ms: float = 18.0,
 ) -> SequenceSchedule:
     """Inversion-prepared FISP schedule with rectified-sinusoid flip angles.
 

@@ -17,7 +17,6 @@ from .epg import Dictionary
 from .subspace import SubspaceBasis, phase_align, project
 
 BACKGROUND_REL_NORM = 1e-3
-DEFAULT_HIDDEN = (300, 300)
 MOMENTUM = 0.9
 # the learning rate halves after PLATEAU_PATIENCE epochs without a relative
 # loss improvement of PLATEAU_REL_IMPROVEMENT
@@ -31,9 +30,9 @@ MATCH_CHUNK = 2048
 
 @dataclass
 class TrainConfig:
-    noise_sigma: float = 0.002
-    augment_factor: int = 100
-    epochs: int = 30
+    noise_sigma: float
+    augment_factor: int
+    epochs: int
     batch_size: int = 512
     learning_rate: float = 0.05
     seed: int = 1234
@@ -58,7 +57,7 @@ class MrfNet:
     biases: list[np.ndarray]
     t1_range: tuple[float, float]
     t2_range: tuple[float, float]
-    output_relu: bool = False
+    output_relu: bool
 
     @classmethod
     def initialize(
@@ -66,8 +65,8 @@ class MrfNet:
         rank: int,
         t1_range: tuple[float, float],
         t2_range: tuple[float, float],
-        hidden: tuple[int, int] = DEFAULT_HIDDEN,
-        seed: int = 0,
+        hidden: tuple[int, int],
+        seed: int,
         output_relu: bool = False,
         dtype=np.float32,
     ) -> "MrfNet":

@@ -37,9 +37,9 @@ class NumericalError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    mode: str = "lrtv"
+    mode: str
+    max_outer_iters: int
     lam: float = 0.0  # TV weight, lrtv only
-    max_outer_iters: int = 50
     stop_rel_change: float = 1e-4
     tv: TvConfig = field(default_factory=TvConfig)
 

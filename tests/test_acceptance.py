@@ -165,7 +165,7 @@ def test_criterion_06_bpi_is_first_lr_iterate(rng):
     y = fm.forward(x_true, basis, coils, pattern)
     x1, trace = solver.solve(y, basis, coils, pattern,
                              SolverConfig(mode="lr", max_outer_iters=1))
-    b, _ = solver.solve(y, basis, coils, pattern, SolverConfig(mode="bpi"))
+    b, _ = solver.solve(y, basis, coils, pattern, SolverConfig(mode="bpi", max_outer_iters=50))
     mu1 = trace[-1].mu
     err = np.linalg.norm(x1 - mu1 * b) / np.linalg.norm(x1)
     report(6, "first LR iterate = mu1 * BPI", err < 1e-12,

@@ -5,6 +5,9 @@ from mrfkit import epg
 
 from oracles import bloch_fingerprint, epg_reference, simulate_fingerprint
 
+# the timings of epg.default_schedule
+TIMINGS = {"tr_ms": 10.0, "te_ms": 1.908, "tinv_ms": 18.0, "inversion": True}
+
 
 def assert_same_bits(a, b):
     assert a.shape == b.shape and a.dtype == b.dtype == np.complex64
@@ -37,9 +40,9 @@ class TestSchedule:
         with pytest.raises(ValueError):
             epg.default_schedule(0)
         with pytest.raises(ValueError):
-            epg.SequenceSchedule(np.array([190.0]))
+            epg.SequenceSchedule(np.array([190.0]), **TIMINGS)
         with pytest.raises(ValueError):
-            epg.SequenceSchedule(np.array([10.0]), tr_ms=1.0, te_ms=2.0)
+            epg.SequenceSchedule(np.array([10.0]), **{**TIMINGS, "tr_ms": 1.0, "te_ms": 2.0})
 
 
 class TestTissueParams:
@@ -62,7 +65,7 @@ class TestTissueParams:
 
 class TestSimulateFingerprint:
     def test_zero_flips_zero_signal(self, short_schedule):
-        s = epg.SequenceSchedule(np.zeros(50))
+        s = epg.SequenceSchedule(np.zeros(50), **TIMINGS)
         for t1, t2 in [(500.0, 60.0), (3000.0, 400.0)]:
             sig = simulate_fingerprint(t1, t2, s)
             assert np.all(sig == 0)
@@ -96,7 +99,7 @@ class TestSimulateFingerprint:
         # at moderate flips the refocused coherence interferes destructively
         # with the fresh FID and breaks pointwise ordering; this regime
         # (75 deg, long T1) keeps the ordering with a 2e-3 margin
-        s = epg.SequenceSchedule(np.full(30, 75.0))
+        s = epg.SequenceSchedule(np.full(30, 75.0), **TIMINGS)
         signals = [
             np.abs(simulate_fingerprint(2000.0, t2, s))
             for t2 in (50.0, 100.0, 200.0)
@@ -126,14 +129,14 @@ class TestMatchesReference:
         flips = rng.uniform(0, 180, n_frames)
         flips[::5] = 180.0
         flips[1::4] = 0.0
-        schedule = epg.SequenceSchedule(flips, inversion=inversion)
+        schedule = epg.SequenceSchedule(flips, **{**TIMINGS, "inversion": inversion})
         t1, t2 = self.tissues(rng, 37)
         monkeypatch.setattr(epg, "CHUNK_SIZE", 16)
         assert_same_bits(epg.simulate_fingerprints(t1, t2, schedule, k_max=k_max),
                          epg_reference(t1, t2, schedule, k_max=k_max))
 
     def test_zero_flips(self, rng):
-        schedule = epg.SequenceSchedule(np.zeros(20))
+        schedule = epg.SequenceSchedule(np.zeros(20), **TIMINGS)
         t1, t2 = self.tissues(rng, 5)
         assert_same_bits(epg.simulate_fingerprints(t1, t2, schedule),
                          epg_reference(t1, t2, schedule))

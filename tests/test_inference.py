@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,9 @@ from mrfkit import epg, inference, subspace
 from mrfkit.inference import MrfNet, TrainConfig
 
 from oracles import match_full_space, train_reference, training_set_reference
+
+# TrainConfig at the shipped training settings
+TRAIN_DEFAULTS = TrainConfig(noise_sigma=0.002, augment_factor=100, epochs=30)
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +71,7 @@ class TestMakeTrainingSet:
             grid_spec=d.grid_spec,
         )
         with pytest.raises(ValueError):
-            inference.make_training_set(empty, basis, TrainConfig())
+            inference.make_training_set(empty, basis, TRAIN_DEFAULTS)
 
 
 class TestTrainConfig:
@@ -78,7 +83,7 @@ class TestTrainConfig:
     ])
     def test_bad_values_rejected(self, field, value):
         with pytest.raises(ValueError):
-            TrainConfig(**{field: value})
+            dataclasses.replace(TRAIN_DEFAULTS, **{field: value})
 
 
 class TestNetBasics:
@@ -86,7 +91,7 @@ class TestNetBasics:
         d, basis = toy_setup
         data = clean_projections(d, basis)
         net = MrfNet.initialize(3, (400.0, 2000.0), (40.0, 200.0), hidden=(16, 16), seed=4)
-        trained, history = inference.train(net, data, TrainConfig(epochs=0))
+        trained, history = inference.train(net, data, dataclasses.replace(TRAIN_DEFAULTS, epochs=0))
         assert history == []
         for w0, w1 in zip(net.weights, trained.weights):
             np.testing.assert_array_equal(w0, w1)

@@ -30,7 +30,7 @@ def problem(rng):
 
 
 def bpi(y, basis, coils, pattern):
-    return solver.solve(y, basis, coils, pattern, SolverConfig(mode="bpi"))[0]
+    return solver.solve(y, basis, coils, pattern, SolverConfig(mode="bpi", max_outer_iters=50))[0]
 
 
 class TestBpi:
@@ -127,14 +127,14 @@ class TestSolverConfig:
     def test_lambda_resolution(self):
         # one TV-weight default, 0 in every mode; the experiment config sets lrtv's
         for mode in solver.MODES:
-            assert SolverConfig(mode=mode).lam == 0.0
-        assert SolverConfig(mode="lrtv", lam=1e-3).lam == 1e-3
+            assert SolverConfig(mode=mode, max_outer_iters=50).lam == 0.0
+        assert SolverConfig(mode="lrtv", max_outer_iters=50, lam=1e-3).lam == 1e-3
 
     def test_invalid_combos(self):
         with pytest.raises(ValueError):
-            SolverConfig(mode="lr", lam=0.1)
+            SolverConfig(mode="lr", max_outer_iters=50, lam=0.1)
         with pytest.raises(ValueError):
-            SolverConfig(mode="nope")
+            SolverConfig(mode="nope", max_outer_iters=50)
 
 
 class TestSolve:
@@ -170,7 +170,7 @@ class TestSolve:
 
     def test_bpi_mode(self, problem):
         y, basis, coils, pattern, _, _ = problem
-        x, trace = solver.solve(y, basis, coils, pattern, SolverConfig(mode="bpi"))
+        x, trace = solver.solve(y, basis, coils, pattern, SolverConfig(mode="bpi", max_outer_iters=50))
         np.testing.assert_array_equal(x, fm.adjoint(y, basis, coils, pattern))
         assert len(trace) == 1
 
