@@ -6,6 +6,7 @@ The header carries the magic string "MRFB1", one entry per array (name,
 dtype, shape, offset) and an optional free-form metadata object.
 """
 
+import functools
 import json
 import os
 import sys
@@ -61,15 +62,16 @@ class _Fields(dict):
     def __missing__(self, key):
         raise HeaderError(f"{self.path} has no {self.what} {key!r}")
 
-    def _fault(self, key, fault):
-        return HeaderError(f"{self.path} {self.what} {key!r} {fault}")
+    def fault(self, key, problem):
+        """The HeaderError for a value of key that has the given problem."""
+        return HeaderError(f"{self.path} {self.what} {key!r} {problem}")
 
     def typed(self, key, kind):
         """self[key], which must be a JSON value of kind bool, int, float (a
         finite number, integers included), str or dict (an object)."""
         value = self[key]
         if not _is_kind(value, kind):
-            raise self._fault(key, f"must be {_KINDS[kind]}, got {value!r}")
+            raise self.fault(key, f"must be {_KINDS[kind]}, got {value!r}")
         return value
 
     def numbers(self, key, count):
@@ -77,14 +79,18 @@ class _Fields(dict):
         value = self[key]
         if not (isinstance(value, list) and len(value) == count
                 and all(_is_kind(v, float) for v in value)):
-            raise self._fault(key, f"must be a list of {count} finite numbers, got {value!r}")
+            raise self.fault(key, f"must be a list of {count} finite numbers, got {value!r}")
         return value
 
-    def array(self, name, ndim):
-        """self[name], which must be an array with ndim dimensions."""
-        if self[name].ndim != ndim:
-            raise self._fault(name, f"must have {ndim} dimensions, got shape {self[name].shape}")
-        return self[name]
+    def array(self, name, shape):
+        """self[name], which must be an array of the given shape, in which a
+        length of None matches any length."""
+        value = self[name]
+        if value.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, value.shape)):
+            dims = ", ".join("*" if n is None else str(n) for n in shape)
+            comma = "," if len(shape) == 1 else ""
+            raise self.fault(name, f"must have shape ({dims}{comma}), got {value.shape}")
+        return value
 
 
 _KINDS = {bool: "true or false", int: "an integer", float: "a finite number",
@@ -123,6 +129,22 @@ def _is_count(value) -> bool:
 def _byte_view(a: np.ndarray) -> memoryview:
     """Flat byte view of a C-contiguous array's own buffer (no copy)."""
     return memoryview(a.reshape(-1).view(np.uint8))
+
+
+def loader(load):
+    """Decorate a function that loads objects from the bundle at path and
+    whose objects check their own values: a ValueError they raise on an
+    impossible value, such as a schedule with tr_ms below te_ms, becomes a
+    HeaderError naming the file, since the file is at fault."""
+
+    @functools.wraps(load)
+    def checked(path):
+        try:
+            return load(path)
+        except ValueError as exc:
+            raise HeaderError(f"{os.fspath(path)}: {exc}") from exc
+
+    return checked
 
 
 def write_bundle(path, arrays: dict, meta: dict | None = None) -> None:

@@ -108,6 +108,9 @@ def learn_subspace_cmd(dict_path, out_path, **settings):
 @_out_option
 def make_phantom_cmd(spec_path, offgrid, out_path, **settings):
     """Rasterize a piecewise-constant ground-truth phantom."""
+    if spec_path is not None and offgrid:
+        raise click.UsageError("--offgrid selects a built-in layout; it cannot be given "
+                               "with --spec")
     if spec_path is not None:
         with open(spec_path) as fh:
             settings["phantom"] = json.load(fh)

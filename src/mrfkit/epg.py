@@ -37,13 +37,13 @@ class SequenceSchedule:
     def __post_init__(self):
         flips = np.asarray(self.flip_angles_deg, dtype=np.float64)
         if flips.ndim != 1 or flips.size < 1:
-            raise ValueError("flip_angles_deg must be a non-empty 1-D array")
+            raise ValueError("'flip_angles_deg' must be a non-empty 1-D array")
         if np.any(flips < 0) or np.any(flips > 180):
-            raise ValueError("flip angles must lie in [0, 180] degrees")
+            raise ValueError("'flip_angles_deg' must lie in [0, 180] degrees")
         if not (self.tr_ms > self.te_ms > 0):
-            raise ValueError("need tr_ms > te_ms > 0")
+            raise ValueError(f"need 'tr_ms' > 'te_ms' > 0, got {self.tr_ms} and {self.te_ms}")
         if self.tinv_ms < 0:
-            raise ValueError("tinv_ms must be >= 0")
+            raise ValueError(f"'tinv_ms' must be >= 0, got {self.tinv_ms}")
         object.__setattr__(self, "flip_angles_deg", flips)
 
     @property
@@ -65,7 +65,8 @@ class GridRange:
                 f"grid range {self.start}:{self.step}:{self.stop} must be finite"
             )
         if self.step <= 0 or self.start <= 0 or self.stop < self.start:
-            raise ValueError("grid range must be positive with stop >= start")
+            raise ValueError(f"grid range {self.start}:{self.step}:{self.stop} must be "
+                             "positive with stop >= start")
 
     def values(self) -> np.ndarray:
         count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
@@ -307,10 +308,12 @@ def save_dictionary(dictionary: Dictionary, path) -> None:
     )
 
 
+@bundle.loader
 def load_dictionary(path) -> Dictionary:
     arrays, meta = bundle.read_bundle(path, kind="dictionary")
+    n_frames, n_atoms = arrays.array("atoms", (None, None)).shape
     schedule = SequenceSchedule(
-        arrays["flip_angles_deg"].astype(np.float64),
+        arrays.array("flip_angles_deg", (n_frames,)).astype(np.float64),
         tr_ms=float(meta.typed("tr_ms", float)),
         te_ms=float(meta.typed("te_ms", float)),
         tinv_ms=float(meta.typed("tinv_ms", float)),
@@ -319,8 +322,8 @@ def load_dictionary(path) -> Dictionary:
     grid = meta.typed("grid", dict)
     return Dictionary(
         atoms=arrays["atoms"],
-        t1_ms=arrays["t1"],
-        t2_ms=arrays["t2"],
+        t1_ms=arrays.array("t1", (n_atoms,)),
+        t2_ms=arrays.array("t2", (n_atoms,)),
         schedule=schedule,
         grid_spec=GridSpec(t1=GridRange(*grid.numbers("t1", 3)),
                            t2=GridRange(*grid.numbers("t2", 3))),

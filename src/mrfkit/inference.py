@@ -59,6 +59,27 @@ class MrfNet:
     t2_range: tuple[float, float]
     output_relu: bool
 
+    def __post_init__(self):
+        if not self.weights:
+            raise ValueError("'layers' must be at least 1")
+        width = None  # the output width of the layer before
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if w.ndim != 2 or (i and w.shape[0] != width) or b.shape != w.shape[1:]:
+                raise ValueError(f"layer shapes must chain from rank to 2, got 'w{i}' {w.shape} "
+                                 f"after width {width} and 'b{i}' {b.shape}")
+            width = w.shape[1]
+        if width != 2:
+            raise ValueError(f"layer shapes must chain from rank to 2, got 'w{i}' {w.shape}")
+        # targets are normalized by these ranges, so a single-value axis
+        # would divide by zero during training
+        for name, key in (("T1", "t1_range"), ("T2", "t2_range")):
+            lo, hi = getattr(self, key)
+            if not hi > lo:
+                raise ValueError(
+                    f"{name} range {key!r} [{lo}, {hi}] is not increasing; the network "
+                    "needs a grid with at least two values on each axis"
+                )
+
     @classmethod
     def initialize(
         cls,
@@ -70,14 +91,6 @@ class MrfNet:
         output_relu: bool = False,
         dtype=np.float32,
     ) -> "MrfNet":
-        # targets are normalized by these ranges, so a single-value axis
-        # would divide by zero during training
-        for name, (lo, hi) in (("T1", t1_range), ("T2", t2_range)):
-            if not hi > lo:
-                raise ValueError(
-                    f"{name} range [{lo}, {hi}] is a single value; the network "
-                    "needs a grid with at least two values on each axis"
-                )
         rng = np.random.default_rng(seed)
         sizes = [rank, hidden[0], hidden[1], 2]
         weights, biases = [], []
@@ -350,6 +363,7 @@ def save_net(net: MrfNet, cfg: TrainConfig, path) -> None:
     bundle.write_bundle(path, arrays, meta=meta)
 
 
+@bundle.loader
 def load_net(path) -> MrfNet:
     arrays, meta = bundle.read_bundle(path, kind="mrf-net")
     n_layers = meta.typed("layers", int)

@@ -253,9 +253,9 @@ def save_reconstruction(x: np.ndarray, basis: SubspaceBasis, hw: tuple[int, int]
 
 def load_reconstruction(path) -> tuple[np.ndarray, SubspaceBasis, tuple[int, int]]:
     arrays, _ = bundle.read_bundle(path, kind="reconstruction")
-    stack = arrays.array("x_subspace", 3).astype(np.complex128)
+    stack = arrays.array("x_subspace", (None, None, None)).astype(np.complex128)
     rank, h, w = stack.shape
     x = stack.reshape(rank, h * w).T
-    v = arrays["basis_v"].astype(np.complex128)
+    v = arrays.array("basis_v", (None, rank)).astype(np.complex128)
     basis = SubspaceBasis(v=v, s_values=np.zeros(min(v.shape)), rank_s=rank)
     return x, basis, (h, w)

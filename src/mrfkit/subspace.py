@@ -125,9 +125,13 @@ def save_basis(basis: SubspaceBasis, path) -> None:
 
 def load_basis(path) -> SubspaceBasis:
     arrays, meta = bundle.read_bundle(path, kind="basis")
-    v = arrays["v"].astype(np.complex128)
+    v = arrays.array("v", (None, None)).astype(np.complex128)
+    rank = meta.typed("rank", int)
+    if not 1 <= rank == v.shape[1]:
+        raise meta.fault("rank", f"must equal the {v.shape[1]} columns of 'v' and be "
+                                 f"at least 1, got {rank}")
     return SubspaceBasis(
         v=v,
-        s_values=arrays["singular_values"].astype(np.float64),
-        rank_s=meta.typed("rank", int),
+        s_values=arrays.array("singular_values", (None,)).astype(np.float64),
+        rank_s=rank,
     )

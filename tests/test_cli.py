@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from mrfkit import bundle, cli, epg, experiment, forward_model, inference, solver, subspace
+from mrfkit import bundle, cli, epg, experiment, forward_model, inference, phantom, solver
+from mrfkit import subspace
 from mrfkit.tvprox import TvConfig
 
 
@@ -164,6 +165,18 @@ BAD_FIELDS = [
     ("mrf-net", "output_relu", "no"),
     ("maps", "estimator", 1),
 ]
+# a header value or an array of the right type and shape, but with an
+# impossible value or one that disagrees with another field of the bundle
+IMPOSSIBLE_FIELDS = [
+    pytest.param("dictionary", "tr_ms", 1.0, id="dictionary-tr_ms-below-te_ms"),
+    pytest.param("basis", "rank", 9, id="basis-rank-above-columns"),
+    pytest.param("basis", "rank", 0, id="basis-rank-zero"),
+    pytest.param("kspace", "masks", np.zeros((10, 32, 32), np.uint8), id="kspace-masks-frames"),
+    pytest.param("ground-truth", "t2", np.zeros((8, 8), np.float32), id="ground-truth-t2-shape"),
+    pytest.param("mrf-net", "layers", 0, id="mrf-net-layers-zero"),
+    pytest.param("mrf-net", "w1", np.zeros((7, 4), np.float32), id="mrf-net-w1-shape"),
+    pytest.param("mrf-net", "t1_range", [1800.0, 300.0], id="mrf-net-t1_range-reversed"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +226,16 @@ class TestExitCodes:
     def test_bad_grid_is_usage_error(self, tmp_path):
         assert run_cli("simulate-dict", "--t1", "nope", "--t2", "20:2:600",
                        "--frames", "10", "--out", str(tmp_path / "d.mrfb")) == 1
+
+    def test_spec_with_offgrid_is_usage_error(self, tmp_path, capsys):
+        spec, out = tmp_path / "spec.json", tmp_path / "gt.mrfb"
+        spec.write_text(json.dumps(phantom.default_head_spec()))
+        capsys.readouterr()
+        assert run_cli("make-phantom", "--spec", str(spec), "--offgrid", "--out", str(out)) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error kind=usage")
+        assert "--offgrid" in lines[0] and "--spec" in lines[0]
+        assert not out.exists()
 
     def test_machine_readable_stderr(self, tmp_path, capsys):
         run_cli("learn-subspace", "--dict", str(tmp_path / "none.mrfb"),
@@ -316,8 +339,8 @@ class TestExitCodes:
             code = run_cli(*command, "--out", str(out))
             assert_corrupt_header(capsys, code, f"{path} has no", missing, out)
 
-    @pytest.mark.parametrize("kind,key,value", BAD_FIELDS,
-                             ids=[f"{kind}-{key}" for kind, key, _ in BAD_FIELDS])
+    @pytest.mark.parametrize("kind,key,value", [
+        *(pytest.param(*row, id=f"{row[0]}-{row[1]}") for row in BAD_FIELDS), *IMPOSSIBLE_FIELDS])
     def test_malformed_field_is_io_error(self, loader_files, tmp_path, capsys, kind, key, value):
         source, args, _ = LOADERS[kind]
         arrays, meta = bundle.read_bundle(loader_files[source], kind=kind)
