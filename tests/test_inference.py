@@ -91,7 +91,8 @@ class TestNetBasics:
         d, basis = toy_setup
         data = clean_projections(d, basis)
         net = MrfNet.initialize(3, (400.0, 2000.0), (40.0, 200.0), hidden=(16, 16), seed=4)
-        trained, history = inference.train(net, data, dataclasses.replace(TRAIN_DEFAULTS, epochs=0))
+        cfg = dataclasses.replace(TRAIN_DEFAULTS, epochs=0)
+        trained, history = inference.train(net, data, cfg)
         assert history == []
         for w0, w1 in zip(net.weights, trained.weights):
             np.testing.assert_array_equal(w0, w1)

@@ -170,7 +170,8 @@ class TestSolve:
 
     def test_bpi_mode(self, problem):
         y, basis, coils, pattern, _, _ = problem
-        x, trace = solver.solve(y, basis, coils, pattern, SolverConfig(mode="bpi", max_outer_iters=50))
+        x, trace = solver.solve(y, basis, coils, pattern,
+                                SolverConfig(mode="bpi", max_outer_iters=50))
         np.testing.assert_array_equal(x, fm.adjoint(y, basis, coils, pattern))
         assert len(trace) == 1
 
