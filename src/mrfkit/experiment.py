@@ -269,7 +269,8 @@ def score(maps_path, gt_path) -> tuple[dict, dict, str]:
     estimator that made them."""
     arrays, meta = bundle.read_bundle(maps_path, kind="maps")
     gt = phantom.load_ground_truth(gt_path)
-    maps = {p: arrays[p].astype(np.float64) for p in ("t1", "t2")}
+    t1 = arrays.array("t1", (None, None)).astype(np.float64)
+    maps = {"t1": t1, "t2": arrays.array("t2", t1.shape).astype(np.float64)}
     return phantom.score_maps(maps["t1"], maps["t2"], gt), maps, meta.typed("estimator", str)
 
 

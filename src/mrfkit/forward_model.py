@@ -1,6 +1,11 @@
-"""Forward operator: per-frame masked unitary 2-D Fourier transforms with
-multi-coil sensitivities, acting on subspace coefficient stacks, plus the
-mask and coil-map generators.
+"""Forward operator: masked multi-coil unitary 2-D Fourier transforms of the
+frames x v^H of a subspace coefficient stack, plus the mask and coil-map
+generators.
+
+With Cartesian masks the temporal basis commutes with the coil weighting and
+the FFT, so :func:`forward`, :func:`adjoint` and :func:`normal` transform the
+S coefficient images per coil instead of the L frame images; only
+:func:`apply_frames`, for explicit frames, transforms frame by frame.
 
 Masks live on the dense k-space grid in natural FFT layout (DC at index 0).
 The DFT is unitary both ways, so with full sampling and a single uniform coil
@@ -190,60 +195,72 @@ def _check_geometry(basis, coils: CoilMaps, pattern: SamplingPattern):
     return h, w
 
 
-def _masked_fft(frames_of, coils: CoilMaps, pattern: SamplingPattern) -> KSpaceData:
-    """Coil-weight, unitary 2-D FFT and mask frame images one block of frames
-    at a time; frames_of(lo, hi) gives the images of frames lo..hi-1."""
-    h, w = pattern.shape
+def apply_frames(frames: np.ndarray, coils: CoilMaps, pattern: SamplingPattern) -> KSpaceData:
+    """Masked multi-coil unitary FFT of explicit frame images (L, H, W),
+    one block of frames at a time."""
+    h, w = _check_geometry(None, coils, pattern)
     n_frames = pattern.n_frames
+    if frames.shape != (n_frames, h, w):
+        raise ValueError(f"frames must have shape {(n_frames, h, w)}")
     y = np.empty((n_frames, coils.n_coils, h, w), dtype=np.complex128)
     for lo in range(0, n_frames, _FRAME_BLOCK):
         hi = min(lo + _FRAME_BLOCK, n_frames)
-        weighted = coils.sens[None, :, :, :] * frames_of(lo, hi)[:, None, :, :]
+        weighted = coils.sens[None, :, :, :] * frames[lo:hi, None, :, :]
         np.fft.fft2(weighted, norm="ortho", axes=(-2, -1), out=y[lo:hi])
         y[lo:hi] *= pattern.masks[lo:hi, None, :, :]
     return KSpaceData(y=y, pattern=pattern)
 
 
-def apply_frames(frames: np.ndarray, coils: CoilMaps, pattern: SamplingPattern) -> KSpaceData:
-    """Masked multi-coil unitary FFT of explicit frame images (L, H, W)."""
-    h, w = _check_geometry(None, coils, pattern)
-    if frames.shape != (pattern.n_frames, h, w):
-        raise ValueError(f"frames must have shape {(pattern.n_frames, h, w)}")
-    return _masked_fft(lambda lo, hi: frames[lo:hi], coils, pattern)
+def _coil_fft(x: np.ndarray, sens: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Unitary 2-D FFTs of the coil-weighted coefficient images of x (n, S),
+    shape (C, S, H, W): S*C transforms."""
+    images = x.T.reshape(1, x.shape[1], h, w)
+    return np.fft.fft2(sens[:, None, :, :] * images, norm="ortho", axes=(-2, -1))
+
+
+def _coil_combine(coeffs: np.ndarray, sens: np.ndarray) -> np.ndarray:
+    """Inverse unitary 2-D FFTs of (C, S, H, W) k-space coefficients and the
+    conjugate coil combine, shape (n, S): S*C transforms."""
+    _, rank, h, w = coeffs.shape
+    back = np.fft.ifft2(coeffs, norm="ortho", axes=(-2, -1))
+    combined = np.sum(sens.conj()[:, None, :, :] * back, axis=0)
+    return np.ascontiguousarray(combined.reshape(rank, h * w).T)
 
 
 def forward(
     x: np.ndarray, basis: SubspaceBasis, coils: CoilMaps, pattern: SamplingPattern
 ) -> KSpaceData:
-    """A(x v^H): frame images from the coefficient stack, coil-weighted,
-    unitary 2-D FFT, masked. x has shape (n, S) with n = H*W."""
+    """A(x v^H): coil weighting and S*C unitary 2-D FFTs of the coefficient
+    images, then frame t of coil c is sum_s conj(v[t, s]) FFT(sens_c x_s),
+    masked. x has shape (n, S) with n = H*W."""
     h, w = _check_geometry(basis, coils, pattern)
-    if x.shape != (h * w, basis.rank_s):
-        raise ValueError(f"x must have shape {(h * w, basis.rank_s)}")
-    vh = basis.v.conj()  # frame t image = x @ vh[t]
-    return _masked_fft(lambda lo, hi: (x @ vh[lo:hi].T).T.reshape(hi - lo, h, w),
-                       coils, pattern)
+    rank = basis.rank_s
+    if x.shape != (h * w, rank):
+        raise ValueError(f"x must have shape {(h * w, rank)}")
+    coeffs = _coil_fft(x, coils.sens, h, w).transpose(1, 0, 2, 3).reshape(rank, -1)
+    y = (basis.v.conj() @ coeffs).reshape(pattern.n_frames, coils.n_coils, h, w)
+    y *= pattern.masks[:, None, :, :]
+    return KSpaceData(y=y, pattern=pattern)
 
 
 def adjoint(
     data: KSpaceData, basis: SubspaceBasis, coils: CoilMaps, pattern: SamplingPattern
 ) -> np.ndarray:
-    """A^H(y) v: zero-filled inverse unitary FFT, conjugate coil combine,
-    projected onto the basis. Exact adjoint of :func:`forward`."""
+    """A^H(y) v: the masked k-space projected onto the basis, sum_t v[t, s]
+    M_t y_t, then S*C inverse unitary FFTs and the conjugate coil combine.
+    Exact adjoint of :func:`forward`."""
     h, w = _check_geometry(basis, coils, pattern)
-    n_frames = pattern.n_frames
+    n_frames, n_coils, rank = pattern.n_frames, coils.n_coils, basis.rank_s
     y = data.y
-    if y.shape != (n_frames, coils.n_coils, h, w):
-        raise ValueError(f"k-space must have shape {(n_frames, coils.n_coils, h, w)}")
-    x = np.zeros((h * w, basis.rank_s), dtype=np.complex128)
-    conj_sens = coils.sens.conj()
+    if y.shape != (n_frames, n_coils, h, w):
+        raise ValueError(f"k-space must have shape {(n_frames, n_coils, h, w)}")
+    coeffs = np.zeros((rank, n_coils * h * w), dtype=np.complex128)
+    slab = np.empty((min(_FRAME_BLOCK, n_frames), n_coils, h, w), dtype=np.complex128)
     for lo in range(0, n_frames, _FRAME_BLOCK):
         hi = min(lo + _FRAME_BLOCK, n_frames)
-        masked = y[lo:hi] * pattern.masks[lo:hi, None, :, :]
-        imgs = np.fft.ifft2(masked, norm="ortho", axes=(-2, -1))
-        combined = np.sum(conj_sens[None, :, :, :] * imgs, axis=1)
-        x += combined.reshape(hi - lo, h * w).T @ basis.v[lo:hi]
-    return x
+        masked = np.multiply(y[lo:hi], pattern.masks[lo:hi, None, :, :], out=slab[: hi - lo])
+        coeffs += basis.v[lo:hi].T @ masked.reshape(hi - lo, -1)
+    return _coil_combine(coeffs.reshape(rank, n_coils, h, w).transpose(1, 0, 2, 3), coils.sens)
 
 
 def gram_kernel(basis: SubspaceBasis, pattern: SamplingPattern) -> np.ndarray:
@@ -280,12 +297,8 @@ def normal(x: np.ndarray, kernel: np.ndarray, coils: CoilMaps) -> np.ndarray:
         raise ValueError(f"x must have shape {(h * w, rank)}")
     if coils.sens.shape[1:] != (h, w):
         raise ValueError("coil maps and kernel disagree on image size")
-    images = x.T.reshape(1, rank, h, w)
-    coeffs = np.fft.fft2(coils.sens[:, None, :, :] * images, norm="ortho", axes=(-2, -1))
-    mixed = np.einsum("hwab,cbhw->cahw", kernel, coeffs)
-    back = np.fft.ifft2(mixed, norm="ortho", axes=(-2, -1))
-    combined = np.sum(coils.sens.conj()[:, None, :, :] * back, axis=0)
-    return np.ascontiguousarray(combined.reshape(rank, h * w).T)
+    mixed = np.einsum("hwab,cbhw->cahw", kernel, _coil_fft(x, coils.sens, h, w))
+    return _coil_combine(mixed, coils.sens)
 
 
 def save_kspace(data: KSpaceData, coils: CoilMaps, path, kspace_noise: float) -> None:

@@ -98,8 +98,9 @@ class SolveTrace:
 
 
 def _fidelity(y: np.ndarray, ks: np.ndarray) -> float:
-    resid = y - ks
-    return float(np.vdot(resid, resid).real)
+    """||y - ks||^2; overwrites ks with the residual."""
+    np.subtract(y, ks, out=ks)
+    return float(np.vdot(ks, ks).real)
 
 
 def _expanded_fidelity(norm_y_sq: float, ahyv: np.ndarray, x: np.ndarray, gx: np.ndarray) -> float:
@@ -231,8 +232,8 @@ def solve(
         if rel_change < cfg.stop_rel_change:
             break
 
-    # the final fidelity, on the reference operator: the objective a solve
-    # reports carries no cancellation error from the expanded form
+    # the final fidelity from the k-space residual y - A(z v^H): the objective
+    # a solve reports carries no cancellation error from the expanded form
     last = trace.records[-1]
     last.fidelity = _fidelity(y.y, fm.forward(z_prev, basis, coils, pattern).y)
     last.objective = last.fidelity + last.tv_term

@@ -14,13 +14,15 @@ Independent oracles avoid the library's code paths:
   ``inference.make_training_set`` and ``inference.train`` must reproduce them
   bit for bit.
 
-Reference paths are built on the library's ``forward``/``adjoint`` pair,
-whose adjointness criterion 1 checks:
+Reference paths are built on the per-frame k-space operator:
 
-- ``gradient`` and ``backtrack_ok`` form the solver's gradient and
-  majorization test in k-space, where ``solver.solve`` uses the subspace
-  normal operator instead;
 - ``expand`` maps subspace coefficients back to time series, ``c @ v^H``;
+- ``forward_frames`` and ``adjoint_frames`` form every frame image and run
+  L*C FFTs each way, where ``forward_model.forward``, ``adjoint`` and
+  ``normal`` transform the S coefficient images per coil instead;
+- ``gradient`` and ``backtrack_ok`` form the solver's gradient and
+  majorization test in k-space on that pair, where ``solver.solve`` uses the
+  subspace normal operator instead;
 - ``simulate_fingerprint`` is one atom of ``epg.simulate_fingerprints``.
 """
 
@@ -280,17 +282,36 @@ def expand(coeffs, basis):
     return c @ basis.v.conj().T
 
 
+def forward_frames(x, basis, coils, pattern):
+    """A(x v^H) frame by frame: the L frame images x v^H, then the masked
+    multi-coil FFT of ``forward_model.apply_frames``."""
+    h, w = pattern.shape
+    return fm.apply_frames(expand(x, basis).T.reshape(pattern.n_frames, h, w), coils, pattern)
+
+
+def adjoint_frames(data, basis, coils, pattern):
+    """A^H(y) v frame by frame: zero-filled inverse FFT of every frame and
+    coil, conjugate coil combine, then each frame image times its row of v."""
+    h, w = pattern.shape
+    x = np.zeros((h * w, basis.rank_s), dtype=np.complex128)
+    conj_sens = coils.sens.conj()
+    for t in range(pattern.n_frames):
+        imgs = np.fft.ifft2(data.y[t] * pattern.masks[t], norm="ortho", axes=(-2, -1))
+        x += np.sum(conj_sens * imgs, axis=0).reshape(h * w, 1) @ basis.v[t : t + 1]
+    return x
+
+
 def _fidelity(x, y, basis, coils, pattern):
-    resid = y.y - fm.forward(x, basis, coils, pattern).y
+    resid = y.y - forward_frames(x, basis, coils, pattern).y
     return float(np.vdot(resid, resid).real)
 
 
 def gradient(x, y, basis, coils, pattern, ahyv=None):
     """Subspace gradient A^H(A(x v^H)) v - A^H(y) v (no factor two)."""
     if ahyv is None:
-        ahyv = fm.adjoint(y, basis, coils, pattern)
-    ks = fm.forward(x, basis, coils, pattern)
-    return fm.adjoint(ks, basis, coils, pattern) - ahyv
+        ahyv = adjoint_frames(y, basis, coils, pattern)
+    ks = forward_frames(x, basis, coils, pattern)
+    return adjoint_frames(ks, basis, coils, pattern) - ahyv
 
 
 def backtrack_ok(z, x, grad, mu, y, basis, coils, pattern):

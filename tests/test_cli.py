@@ -164,6 +164,7 @@ BAD_FIELDS = [
     ("mrf-net", "t1_range", 5),
     ("mrf-net", "output_relu", "no"),
     ("maps", "estimator", 1),
+    ("maps", "t1", np.zeros(32 * 32, np.float32)),
 ]
 # a header value or an array of the right type and shape, but with an
 # impossible value or one that disagrees with another field of the bundle
@@ -176,6 +177,7 @@ IMPOSSIBLE_FIELDS = [
     pytest.param("mrf-net", "layers", 0, id="mrf-net-layers-zero"),
     pytest.param("mrf-net", "w1", np.zeros((7, 4), np.float32), id="mrf-net-w1-shape"),
     pytest.param("mrf-net", "t1_range", [1800.0, 300.0], id="mrf-net-t1_range-reversed"),
+    pytest.param("maps", "t2", np.zeros((8, 8), np.float32), id="maps-t2-shape"),
 ]
 
 

@@ -4,7 +4,7 @@ import pytest
 from mrfkit import forward_model as fm
 from mrfkit import subspace
 
-from oracles import expand
+from oracles import adjoint_frames, forward_frames
 
 
 def random_complex(rng, shape):
@@ -13,6 +13,24 @@ def random_complex(rng, shape):
 
 def random_basis(rng, n_frames, rank):
     return subspace.learn_subspace(random_complex(rng, (n_frames, 3 * n_frames)), rank)
+
+
+def rel_err(fast, reference):
+    assert fast.shape == reference.shape
+    return np.linalg.norm(fast - reference) / np.linalg.norm(reference)
+
+
+# (h, w, n_coils, coil kind, rank, frames) of the subspace operators' checks
+# against the per-frame oracles
+OPERATOR_SHAPES = [
+    (32, 32, 1, "uniform", 1, 12),
+    (24, 40, 4, "gaussian-ring", 3, 12),
+    (40, 24, 3, "uniform", 10, 16),
+    (32, 32, 4, "gaussian-ring", 10, 12),
+    # frame counts that are not a multiple of the frame block
+    (16, 20, 2, "gaussian-ring", 3, fm._FRAME_BLOCK + 5),
+    (20, 16, 3, "uniform", 1, 2 * fm._FRAME_BLOCK + 1),
+]
 
 
 class TestMasks:
@@ -172,21 +190,24 @@ class TestForwardAdjoint:
         with pytest.raises(ValueError):
             fm.adjoint(bad_y, basis, coils, pattern)
 
-    def test_apply_frames_matches_forward(self, rng):
-        # expanding to explicit frames and applying must agree with the fused op
-        n_frames, rank, size = 10, 4, 16
+    @pytest.mark.parametrize("h,w,n_coils,kind,rank,n_frames", OPERATOR_SHAPES)
+    def test_matches_per_frame_oracles(self, rng, h, w, n_coils, kind, rank, n_frames):
         basis = random_basis(rng, n_frames, rank)
-        pattern = fm.make_vd_cartesian_masks(size, size, n_frames, accel=2.0, seed=9)
-        coils = fm.make_coil_maps(size, size, 2, kind="gaussian-ring")
-        x = random_complex(rng, (size * size, rank))
-        frames = expand(x, basis).T.reshape(n_frames, size, size)
-        direct = fm.apply_frames(frames, coils, pattern)
-        fused = fm.forward(x, basis, coils, pattern)
-        np.testing.assert_allclose(direct.y, fused.y, atol=1e-10)
+        pattern = fm.make_vd_cartesian_masks(h, w, n_frames, accel=3.0, seed=31)
+        coils = fm.make_coil_maps(h, w, n_coils, kind=kind)
+        x = random_complex(rng, (h * w, rank))
+        y = fm.KSpaceData(y=random_complex(rng, (n_frames, n_coils, h, w)), pattern=pattern)
+        ks = fm.forward(x, basis, coils, pattern)
+        assert ks.pattern is pattern
+        assert rel_err(ks.y, forward_frames(x, basis, coils, pattern).y) < 1e-12
+        assert np.all(ks.y[~np.broadcast_to(pattern.masks[:, None], ks.y.shape)] == 0)
+        assert rel_err(fm.adjoint(y, basis, coils, pattern),
+                       adjoint_frames(y, basis, coils, pattern)) < 1e-12
 
 
 class TestNormalOperator:
-    """The kernel normal operator against the reference adjoint(forward(x))."""
+    """The kernel normal operator against the per-frame oracles,
+    adjoint_frames(forward_frames(x))."""
 
     def problem(self, rng, h, w, n_coils, kind, rank, n_frames):
         basis = random_basis(rng, n_frames, rank)
@@ -194,26 +215,13 @@ class TestNormalOperator:
         coils = fm.make_coil_maps(h, w, n_coils, kind=kind)
         return basis, pattern, coils, fm.gram_kernel(basis, pattern)
 
-    @pytest.mark.parametrize(
-        "h,w,n_coils,kind,rank,n_frames",
-        [
-            (32, 32, 1, "uniform", 1, 12),
-            (24, 40, 4, "gaussian-ring", 3, 12),
-            (40, 24, 3, "uniform", 10, 16),
-            (32, 32, 4, "gaussian-ring", 10, 12),
-            # frame counts that are not a multiple of the frame block
-            (16, 20, 2, "gaussian-ring", 3, fm._FRAME_BLOCK + 5),
-            (20, 16, 3, "uniform", 1, 2 * fm._FRAME_BLOCK + 1),
-        ],
-    )
+    @pytest.mark.parametrize("h,w,n_coils,kind,rank,n_frames", OPERATOR_SHAPES)
     def test_matches_adjoint_of_forward(self, rng, h, w, n_coils, kind, rank, n_frames):
         basis, pattern, coils, kernel = self.problem(rng, h, w, n_coils, kind, rank, n_frames)
         assert kernel.shape == (h, w, rank, rank)
         x = random_complex(rng, (h * w, rank))
-        reference = fm.adjoint(fm.forward(x, basis, coils, pattern), basis, coils, pattern)
-        fast = fm.normal(x, kernel, coils)
-        assert fast.shape == reference.shape
-        assert np.linalg.norm(fast - reference) / np.linalg.norm(reference) < 1e-12
+        reference = adjoint_frames(forward_frames(x, basis, coils, pattern), basis, coils, pattern)
+        assert rel_err(fm.normal(x, kernel, coils), reference) < 1e-12
 
     @pytest.mark.parametrize("rank", [1, 3, 10])
     def test_hermitian_positive_semidefinite(self, rng, rank):

@@ -6,7 +6,7 @@ from mrfkit import solver, subspace
 from mrfkit.solver import SolverConfig
 from mrfkit.tvprox import tv_prox_stack
 
-from oracles import backtrack_ok, gradient
+from oracles import adjoint_frames, backtrack_ok, forward_frames, gradient
 
 
 def random_complex(rng, shape):
@@ -223,12 +223,12 @@ class TestSolve:
 
 
 def reference_solve(y, basis, coils, pattern, cfg, mu):
-    """The solve loop on the k-space operator from the initial step size mu:
-    the oracles' gradient and backtrack_ok run forward/adjoint at every step.
-    Returns the iterates, the exact fidelities of the accepted z, step sizes
-    and halvings."""
+    """The solve loop on the per-frame k-space operator from the initial step
+    size mu: the oracles' gradient and backtrack_ok run forward_frames and
+    adjoint_frames at every step. Returns the iterates, the exact fidelities
+    of the accepted z, step sizes and halvings."""
     h, w = pattern.shape
-    ahyv = fm.adjoint(y, basis, coils, pattern)
+    ahyv = adjoint_frames(y, basis, coils, pattern)
     x = np.zeros((h * w, basis.rank_s), dtype=complex)
     z_prev = np.zeros_like(x)
     duals = None
@@ -247,7 +247,7 @@ def reference_solve(y, basis, coils, pattern, cfg, mu):
             mu *= 0.5
             halvings += 1
         duals = new_duals
-        resid = y.y - fm.forward(z, basis, coils, pattern).y
+        resid = y.y - forward_frames(z, basis, coils, pattern).y
         momentum = (k - 1.0) / (k + 2.0)
         x, z_prev = z + momentum * (z - z_prev), z
         for key, value in (("x", x), ("fidelity", np.vdot(resid, resid).real),
@@ -257,8 +257,8 @@ def reference_solve(y, basis, coils, pattern, cfg, mu):
 
 
 class TestSolveMatchesReference:
-    """solve() runs on the kernel normal operator; the reference loop on
-    forward/adjoint must take the same steps."""
+    """solve() runs on the kernel normal operator; the reference loop on the
+    per-frame forward/adjoint oracles must take the same steps."""
 
     @pytest.mark.parametrize("mode,lam", [("lr", 0.0), ("lrtv", 1e-3)])
     def test_same_halvings_and_iterates(self, problem, monkeypatch, mode, lam):
