@@ -13,7 +13,10 @@ arrays; the physical factor i is reattached at readout.
 """
 
 import math
+import mmap
+import os
 from dataclasses import dataclass
+from signal import SIGKILL
 
 import numpy as np
 
@@ -217,6 +220,9 @@ def simulate_fingerprints(
 ) -> np.ndarray:
     """Simulate fingerprints for arrays of tissues at once.
 
+    Blocks of CHUNK_SIZE tissues are shared among up to one process per CPU
+    this process may run on; the output is the same for any number.
+
     Parameters
     ----------
     t1_ms, t2_ms : array_like, shape (n,)
@@ -259,14 +265,66 @@ def simulate_fingerprints(
         z0 = np.ones(t1.shape, dtype=np.float32)
 
     coefficients = _flip_coefficients(schedule.flip_angles_deg)
-    out = np.empty((n_frames, t1.size), dtype=np.complex64)
-    for lo in range(0, t1.size, CHUNK_SIZE):
-        block = slice(lo, lo + CHUNK_SIZE)
-        signal = np.empty((n_frames, e1[block].size), dtype=np.float32)
-        _simulate_block(coefficients, n_orders, z0[block], e1[block], e2[block],
-                        recovery[block], signal)
-        np.multiply(1j * signal, echo[block], out=out[:, block])
+    n_blocks = -(-t1.size // CHUNK_SIZE)
+    workers = max(1, min(n_blocks, _worker_count()))
+    if workers > 1:
+        # one anonymous shared mapping: the forked workers write straight into it
+        nbytes = n_frames * t1.size * np.dtype(np.complex64).itemsize
+        out = np.frombuffer(mmap.mmap(-1, nbytes), np.complex64).reshape(n_frames, t1.size)
+    else:
+        out = np.empty((n_frames, t1.size), dtype=np.complex64)
+
+    def run_share(k):
+        """Simulate blocks k, k + workers, ... into out."""
+        for lo in range(k * CHUNK_SIZE, t1.size, workers * CHUNK_SIZE):
+            block = slice(lo, lo + CHUNK_SIZE)
+            signal = np.empty((n_frames, e1[block].size), dtype=np.float32)
+            _simulate_block(coefficients, n_orders, z0[block], e1[block], e2[block],
+                            recovery[block], signal)
+            np.multiply(1j * signal, echo[block], out=out[:, block])
+
+    _run_forked(run_share, workers)
     return out
+
+
+def _worker_count() -> int:
+    """Processes the EPG may run at once: the CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _run_forked(run_share, workers: int) -> None:
+    """Call run_share(k) for k = 0 .. workers-1, share 0 in this process and
+    each other share in a forked child. Raises ChildProcessError when a child
+    fails; no child outlives the call.
+
+    A forked child has only the forking thread, so it must not need a lock
+    that another thread (a BLAS worker, say) held at the fork: the children
+    run numpy element-wise operations alone, no BLAS and no I/O.
+    """
+    pids = []
+    try:
+        for k in range(1, workers):
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    run_share(k)
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+        run_share(0)
+        while pids:
+            pid = pids[0]
+            _, status = os.waitpid(pid, 0)
+            pids.pop(0)
+            if status != 0:
+                raise ChildProcessError(f"EPG worker process {pid} failed with exit "
+                                        f"status {os.waitstatus_to_exitcode(status)}")
+    finally:
+        for pid in pids:
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def build_dictionary(

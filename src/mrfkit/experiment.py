@@ -143,12 +143,20 @@ def _schedule(cfg: dict) -> epg.SequenceSchedule:
     return epg.default_schedule(cfg["frames"], **cfg["schedule"])
 
 
+def _grid(cfg: dict) -> epg.GridSpec:
+    """The configured (T1, T2) grid; a bad range raises ValueError naming its key."""
+    axes = {}
+    for axis in ("t1", "t2"):
+        try:
+            axes[axis] = epg.GridRange.parse(cfg["dict"][axis])
+        except ValueError as exc:
+            raise ValueError(f"dict.{axis}: {exc}") from None
+    return epg.GridSpec(**axes)
+
+
 def simulate_dict(cfg: dict, out_path) -> epg.Dictionary:
     """Simulate the fingerprint dictionary over the configured (T1, T2) grid."""
-    grid = epg.GridSpec(
-        t1=epg.GridRange.parse(cfg["dict"]["t1"]), t2=epg.GridRange.parse(cfg["dict"]["t2"])
-    )
-    dictionary = epg.build_dictionary(grid, _schedule(cfg), k_max=cfg["k_max"])
+    dictionary = epg.build_dictionary(_grid(cfg), _schedule(cfg), k_max=cfg["k_max"])
     epg.save_dictionary(dictionary, out_path)
     return dictionary
 
@@ -315,11 +323,11 @@ def run_experiment(config: dict | None, out_dir) -> dict:
     cfg = resolve_config(config)
     # the network normalizes its targets by the grid ranges; check them
     # before any stage runs, not after the dictionary is built
+    grid = _grid(cfg)
     for axis in ("t1", "t2"):
-        text = cfg["dict"][axis]
-        if epg.GridRange.parse(text).values().size < 2:
+        if getattr(grid, axis).values().size < 2:
             raise ValueError(f"dict.{axis}: the network needs at least two grid values, "
-                             f"got {text!r}")
+                             f"got {cfg['dict'][axis]!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "exp_config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")

@@ -1,6 +1,7 @@
 import filecmp
 import inspect
 import json
+import os
 import re
 
 import numpy as np
@@ -118,6 +119,8 @@ BAD_CONFIGS = [
     ({"recon": {"lamda": 0.1}}, "recon.lamda"),
     ({"coils": "4"}, "coils"),
     ({"dict": {"t1": 100}}, "dict.t1"),
+    ({"dict": {"t2": "600:10:20"}}, "dict.t2: grid range 600.0:10.0:20.0 must be positive"),
+    ({"dict": {"t1": "100:4000"}}, "dict.t1: expected start:step:stop"),
     ({"train": {"output_relu": 1}}, "train.output_relu"),
     ({"recon": [1]}, "recon"),
     ({"size": [64, 7]}, "size"),
@@ -228,6 +231,40 @@ class TestExitCodes:
     def test_bad_grid_is_usage_error(self, tmp_path):
         assert run_cli("simulate-dict", "--t1", "nope", "--t2", "20:2:600",
                        "--frames", "10", "--out", str(tmp_path / "d.mrfb")) == 1
+
+    @pytest.mark.parametrize("flag,text,reason", [
+        ("--t1", "100:-10:4000", "grid range 100.0:-10.0:4000.0 must be positive"),
+        ("--t2", "20:x:600", "could not convert string to float"),
+    ])
+    def test_bad_grid_flag_names_its_key(self, tmp_path, capsys, flag, text, reason):
+        d = tmp_path / "d.mrfb"
+        capsys.readouterr()
+        assert run_cli("simulate-dict", flag, text, "--frames", "10", "--out", str(d)) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert re.match(f"error kind=usage msg=.dict.{flag[2:]}: {reason}", lines[0])
+        assert not d.exists()
+
+    def test_failed_epg_worker_is_io_error(self, tmp_path, capsys, monkeypatch):
+        parent, simulate_block = os.getpid(), epg._simulate_block
+
+        def block(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("worker block")
+            simulate_block(*args)
+
+        monkeypatch.setattr(epg, "CHUNK_SIZE", 4)
+        monkeypatch.setattr(epg, "_worker_count", lambda: 2)
+        monkeypatch.setattr(epg, "_simulate_block", block)
+        d = tmp_path / "d.mrfb"
+        capsys.readouterr()
+        assert run_cli("simulate-dict", "--t1", "300:300:2100", "--t2", "40:60:340",
+                       "--frames", "10", "--out", str(d)) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error kind=io msg='EPG worker process")
+        assert not d.exists()
+        with pytest.raises(ChildProcessError):  # no worker is left
+            os.waitpid(-1, os.WNOHANG)
 
     def test_spec_with_offgrid_is_usage_error(self, tmp_path, capsys):
         spec, out = tmp_path / "spec.json", tmp_path / "gt.mrfb"

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -141,12 +143,75 @@ class TestMatchesReference:
         assert_same_bits(epg.simulate_fingerprints(t1, t2, schedule),
                          epg_reference(t1, t2, schedule))
 
-    @pytest.mark.parametrize("n_atoms", [2 * epg.CHUNK_SIZE + 3, 1])
+    @pytest.mark.parametrize("n_atoms", [2 * epg.CHUNK_SIZE + 3, 1, 0])
     def test_default_chunking(self, rng, n_atoms):
         schedule = epg.default_schedule(300)
         t1, t2 = self.tissues(rng, n_atoms)
         assert_same_bits(epg.simulate_fingerprints(t1, t2, schedule, k_max=100),
                          epg_reference(t1, t2, schedule, k_max=100))
+
+
+def assert_no_children():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkers:
+    """simulate_fingerprints splits its blocks across forked worker processes;
+    every worker count reproduces the reference and the serial run bit for bit."""
+
+    @pytest.fixture
+    def small_blocks(self, rng, monkeypatch):
+        """Seven full 16-atom blocks and a partial eighth, on a 40-frame train."""
+        monkeypatch.setattr(epg, "CHUNK_SIZE", 16)
+        t1, t2 = TestMatchesReference.tissues(rng, 7 * 16 + 5)
+        return t1, t2, epg.default_schedule(40)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 20])
+    def test_worker_counts(self, small_blocks, monkeypatch, workers):
+        t1, t2, schedule = small_blocks
+        monkeypatch.setattr(epg, "_worker_count", lambda: workers)
+        out = epg.simulate_fingerprints(t1, t2, schedule)
+        assert_no_children()
+        assert_same_bits(out, epg_reference(t1, t2, schedule))
+        monkeypatch.setattr(epg, "_worker_count", lambda: 1)
+        assert_same_bits(out, epg.simulate_fingerprints(t1, t2, schedule))
+
+    def test_one_block_does_not_fork(self, short_schedule, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked for a single block")
+
+        monkeypatch.setattr(epg, "_worker_count", lambda: 4)
+        monkeypatch.setattr(os, "fork", no_fork)
+        epg.simulate_fingerprints([800.0, 1200.0], [80.0, 60.0], short_schedule)
+
+    @staticmethod
+    def fail_in(monkeypatch, where, exc):
+        """Make _simulate_block raise exc in the parent ("parent") or in the
+        forked workers only ("child")."""
+        parent, simulate_block = os.getpid(), epg._simulate_block
+
+        def block(*args):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise exc
+            simulate_block(*args)
+
+        monkeypatch.setattr(epg, "_worker_count", lambda: 3)
+        monkeypatch.setattr(epg, "_simulate_block", block)
+
+    def test_child_failure_raises(self, small_blocks, monkeypatch):
+        self.fail_in(monkeypatch, "child", RuntimeError("child block"))
+        with pytest.raises(ChildProcessError, match="EPG worker process .* exit status 1"):
+            epg.simulate_fingerprints(*small_blocks)
+        assert_no_children()
+
+    @pytest.mark.parametrize("exc", [RuntimeError("parent block"), KeyboardInterrupt()])
+    def test_parent_failure_propagates(self, small_blocks, monkeypatch, exc):
+        self.fail_in(monkeypatch, "parent", exc)
+        with pytest.raises(type(exc)):
+            epg.simulate_fingerprints(*small_blocks)
+        assert_no_children()
 
 
 class TestGrid:

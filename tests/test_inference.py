@@ -6,7 +6,8 @@ import pytest
 from mrfkit import epg, inference, subspace
 from mrfkit.inference import MrfNet, TrainConfig
 
-from oracles import match_full_space, train_reference, training_set_reference
+from oracles import (dictionary_match_reference, match_full_space, train_reference,
+                     training_set_reference)
 
 # TrainConfig at the shipped training settings
 TRAIN_DEFAULTS = TrainConfig(noise_sigma=0.002, augment_factor=100, epochs=30)
@@ -321,6 +322,16 @@ class TestDictionaryMatch:
         maps, pd = inference.dictionary_match(coeff[None, :], d, basis)
         assert maps[0, 0] == d.t1_ms[4]
         assert pd[0] == pytest.approx(0.7, rel=1e-3)
+
+    def test_matches_large_block_reference(self, desk_dictionary, desk_basis, rng):
+        # BLAS may round a score 1 ulp differently in a smaller block; the
+        # argmax, and so the maps, must not move
+        rows = rng.standard_normal((3 * inference.MATCH_CHUNK + 5, 5))
+        rows = np.concatenate([rows, clean_projections(desk_dictionary, desk_basis)[0]])
+        maps, pd = inference.dictionary_match(rows, desk_dictionary, desk_basis)
+        ref_maps, ref_pd = dictionary_match_reference(rows, desk_dictionary, desk_basis)
+        np.testing.assert_array_equal(bits(maps), bits(ref_maps))
+        np.testing.assert_allclose(pd, ref_pd, rtol=1e-15, atol=0)
 
     def test_agrees_with_full_space_oracle(self, desk_dictionary, desk_basis):
         d, basis = desk_dictionary, desk_basis
