@@ -119,8 +119,6 @@ BAD_CONFIGS = [
     ({"recon": {"lamda": 0.1}}, "recon.lamda"),
     ({"coils": "4"}, "coils"),
     ({"dict": {"t1": 100}}, "dict.t1"),
-    ({"dict": {"t2": "600:10:20"}}, "dict.t2: grid range 600.0:10.0:20.0 must be positive"),
-    ({"dict": {"t1": "100:4000"}}, "dict.t1: expected start:step:stop"),
     ({"train": {"output_relu": 1}}, "train.output_relu"),
     ({"recon": [1]}, "recon"),
     ({"size": [64, 7]}, "size"),
@@ -136,6 +134,8 @@ BAD_CONFIGS = [
     ({"train": {"epochs": 2.0}}, "train.epochs"),
     ({"recon": {"lambda": float("nan")}}, "recon.lambda"),
     ({"kspace_noise": float("inf")}, "kspace_noise"),
+    ({"dict": {"t2": "600:10:20"}}, "dict.t2: grid range 600.0:10.0:20.0 must be positive"),
+    ({"dict": {"t1": "100:4000"}}, "dict.t1: expected start:step:stop"),
 ]
 
 # per kind of bundle: the file of that kind, a command that loads it and
