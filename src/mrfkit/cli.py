@@ -93,7 +93,7 @@ def simulate_dict(out_path, **settings):
 @_setting("--rank", "rank", type=int, help="Subspace dimension S.")
 @_out_option
 def learn_subspace_cmd(dict_path, out_path, **settings):
-    """Learn the temporal subspace from the dictionary SVD."""
+    """Learn the temporal subspace from the dictionary Gram matrix."""
     basis = experiment.learn_subspace(_resolve(settings), dict_path, out_path)
     click.echo(
         f"rank {basis.rank_s} captures {100 * basis.captured_energy():.4f}% of dictionary energy"

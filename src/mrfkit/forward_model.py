@@ -276,7 +276,7 @@ def gram_kernel(basis: SubspaceBasis, pattern: SamplingPattern) -> np.ndarray:
     n_frames, rank = pattern.n_frames, basis.rank_s
     if basis.n_frames != n_frames:
         raise ValueError("basis frames and sampling pattern frames disagree")
-    v = basis.v.astype(np.complex128)
+    v = np.ascontiguousarray(basis.v, dtype=np.complex128)  # row-major for the float64 view
     # real and imaginary parts side by side, so the masks enter a real GEMM
     outer = (v[:, :, None] * v.conj()[:, None, :]).reshape(n_frames, rank * rank)
     outer = outer.view(np.float64)

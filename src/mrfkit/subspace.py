@@ -1,9 +1,9 @@
-"""Temporal subspace learning from the dictionary SVD, plus projection helpers.
+"""Temporal subspace learning by Gram eigendecomposition, plus projection helpers.
 
-The basis holds the leading left singular vectors of the atom matrix. Time
-series are treated as rows: coefficients are ``x @ v`` and the reconstruction
-is ``coeffs @ v.conj().T``, so ``project(x) @ v.conj().T`` is the orthogonal
-projection onto the model subspace.
+The basis holds the leading left singular vectors of the atom matrix D, the
+leading eigenvectors of D D^H. Time series are treated as rows: coefficients
+are ``x @ v`` and the reconstruction is ``coeffs @ v.conj().T``, so
+``project(x) @ v.conj().T`` is the orthogonal projection onto the model subspace.
 """
 
 from dataclasses import dataclass
@@ -12,10 +12,6 @@ import numpy as np
 
 from . import bundle
 from .epg import Dictionary
-
-# wide dictionaries go through the Gram matrix; below this ratio a direct SVD
-# is just as fast and keeps full accuracy in the singular-value tail
-_GRAM_WIDTH_RATIO = 32
 
 
 @dataclass
@@ -48,7 +44,11 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
 
 
 def learn_subspace(dictionary, rank: int) -> SubspaceBasis:
-    """Learn the rank-S temporal subspace from the dictionary SVD.
+    """Learn the rank-S temporal subspace from the eigenvectors of G = D D^H.
+
+    They are the left singular vectors of D, and the eigenvalues of G its
+    squared singular values: values under about 1e-8 of the largest are not
+    resolved, but the leading vectors and the captured energy are.
 
     Parameters
     ----------
@@ -64,24 +64,19 @@ def learn_subspace(dictionary, rank: int) -> SubspaceBasis:
     if not 1 <= rank <= min(n_frames, n_atoms):
         raise ValueError(f"rank must be in [1, {min(n_frames, n_atoms)}]")
 
-    if n_atoms >= _GRAM_WIDTH_RATIO * n_frames:
-        # accumulate G = D D^H in chunks; eigenvectors of G are the left
-        # singular vectors and its eigenvalues the squared singular values;
-        # a 2048-atom complex128 block is 33 MB at 1000 frames
-        gram = np.zeros((n_frames, n_frames), dtype=np.complex128)
-        chunk = 2048
-        for lo in range(0, n_atoms, chunk):
-            block = atoms[:, lo : lo + chunk].astype(np.complex128)
+    # G accumulates over 2048-atom complex128 blocks, 33 MB each at 1000 frames
+    gram = np.zeros((n_frames, n_frames), dtype=np.complex128)
+    with np.errstate(invalid="ignore"):  # an inf atom entry makes NaNs, rejected below
+        for lo in range(0, n_atoms, 2048):
+            block = atoms[:, lo : lo + 2048].astype(np.complex128)
             gram += block @ block.conj().T
-        eigvals, eigvecs = np.linalg.eigh(gram)
-        order = np.argsort(eigvals)[::-1]
-        s_values = np.sqrt(np.clip(eigvals[order], 0.0, None))
-        u = eigvecs[:, order]
-    else:
-        u, s_values, _ = np.linalg.svd(atoms.astype(np.complex128), full_matrices=False)
-
-    v = _fix_column_phases(u[:, :rank])
-    return SubspaceBasis(v=v, s_values=s_values.astype(np.float64), rank_s=int(rank))
+    if not np.isfinite(gram).all():  # every non-finite atom entry reaches G
+        raise ValueError("dictionary has non-finite atoms (NaN or inf)")
+    eigvals, eigvecs = np.linalg.eigh(gram)  # ascending
+    s_values = np.sqrt(np.clip(eigvals[::-1][: min(n_frames, n_atoms)], 0.0, None))
+    # eigh's vectors are Fortran-ordered; v is row-major, as a loaded basis is
+    v = np.ascontiguousarray(_fix_column_phases(eigvecs[:, ::-1][:, :rank]))
+    return SubspaceBasis(v=v, s_values=s_values, rank_s=int(rank))
 
 
 def project(series: np.ndarray, basis: SubspaceBasis) -> np.ndarray:

@@ -276,6 +276,24 @@ class TestExitCodes:
         assert "--offgrid" in lines[0] and "--spec" in lines[0]
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")  # nothing but the error line on stderr
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("frames,t1", [(80, "300:300:2100"), (8, "300:30:2100")],
+                             ids=["narrow", "wide"])
+    def test_non_finite_atoms_are_usage_error(self, tmp_path, capsys, frames, t1, bad):
+        d, b = tmp_path / "d.mrfb", tmp_path / "b.mrfb"
+        assert run_cli("simulate-dict", "--t1", t1, "--t2", "40:60:340",
+                       "--frames", str(frames), "--out", str(d)) == 0
+        dictionary = epg.load_dictionary(d)
+        dictionary.atoms[frames // 2, dictionary.n_atoms // 2] = bad
+        epg.save_dictionary(dictionary, d)
+        capsys.readouterr()
+        assert run_cli("learn-subspace", "--dict", str(d), "--rank", "3", "--out", str(b)) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error kind=usage")
+        assert "non-finite atoms" in lines[0]
+        assert not b.exists()
+
     def test_machine_readable_stderr(self, tmp_path, capsys):
         run_cli("learn-subspace", "--dict", str(tmp_path / "none.mrfb"),
                 "--rank", "3", "--out", str(tmp_path / "b.mrfb"))

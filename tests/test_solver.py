@@ -215,6 +215,21 @@ class TestSolve:
         assert len(trace) - 1 < 200
         assert trace[-1].rel_change < 1e-3
 
+    def test_fortran_ordered_basis(self, problem):
+        # a SubspaceBasis may hold any memory layout: the kernel and an lr
+        # solve on a Fortran-ordered v equal those on the row-major v bitwise
+        y, basis, coils, pattern, _, _ = problem
+        assert basis.v.flags.c_contiguous
+        fortran = subspace.SubspaceBasis(np.asfortranarray(basis.v), basis.s_values,
+                                         basis.rank_s)
+        np.testing.assert_array_equal(fm.gram_kernel(fortran, pattern),
+                                      fm.gram_kernel(basis, pattern))
+        cfg = SolverConfig(mode="lr", max_outer_iters=5)
+        x, trace = solver.solve(y, basis, coils, pattern, cfg)
+        x_f, trace_f = solver.solve(y, fortran, coils, pattern, cfg)
+        np.testing.assert_array_equal(x_f, x)
+        assert trace_f.to_csv() == trace.to_csv()
+
     def test_auto_step_size(self, problem):
         y, basis, coils, pattern, _, size = problem
         mu = solver.auto_step_size(pattern, coils.n_coils)

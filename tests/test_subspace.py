@@ -36,18 +36,20 @@ class TestLearnSubspace:
         rhs = np.sum(tail**2)
         assert abs(lhs - rhs) / rhs < 1e-8
 
-    def test_gram_path_matches_direct(self, rng):
-        # force the wide-matrix path and compare against the direct SVD
-        atoms = random_complex(rng, (10, 512))
-        direct = subspace.learn_subspace(atoms, 4)
-        old = subspace._GRAM_WIDTH_RATIO
-        subspace._GRAM_WIDTH_RATIO = 2
-        try:
-            gram = subspace.learn_subspace(atoms, 4)
-        finally:
-            subspace._GRAM_WIDTH_RATIO = old
-        np.testing.assert_allclose(gram.v, direct.v, atol=1e-8)
-        np.testing.assert_allclose(gram.s_values, direct.s_values, rtol=1e-8)
+    @pytest.mark.parametrize("shape", [(10, 512), (20, 20), (30, 12)],
+                             ids=["wide", "square", "narrow"])
+    def test_matches_svd(self, rng, shape):
+        atoms = random_complex(rng, shape)
+        rank = 4
+        basis = subspace.learn_subspace(atoms, rank)
+        u, s, _ = np.linalg.svd(atoms, full_matrices=False)
+        np.testing.assert_allclose(basis.v @ basis.v.conj().T,
+                                   u[:, :rank] @ u[:, :rank].conj().T, atol=1e-10)
+        np.testing.assert_allclose(basis.s_values[:rank], s[:rank], rtol=1e-8)
+        assert basis.s_values.shape == (min(shape),)
+        assert np.all(np.diff(basis.s_values) <= 0)
+        assert np.all(basis.s_values >= 0)
+        assert basis.v.flags.c_contiguous
 
     def test_phase_convention(self, rng):
         atoms = random_complex(rng, (16, 40))
