@@ -369,7 +369,14 @@ def save_dictionary(dictionary: Dictionary, path) -> None:
 @bundle.loader
 def load_dictionary(path) -> Dictionary:
     arrays, meta = bundle.read_bundle(path, kind="dictionary")
-    n_frames, n_atoms = arrays.array("atoms", (None, None)).shape
+    atoms = arrays.array("atoms", (None, None))
+    # no stored entry can overflow a complex128 sum, so the sum is finite
+    # exactly when every entry is, and it takes no atom-sized temporary
+    with np.errstate(invalid="ignore"):  # inf + -inf is NaN, rejected below
+        total = atoms.sum(dtype=np.complex128)
+    if not np.isfinite(total):
+        raise arrays.fault("atoms", "has non-finite entries (NaN or inf)")
+    n_frames, n_atoms = atoms.shape
     schedule = SequenceSchedule(
         arrays.array("flip_angles_deg", (n_frames,)).astype(np.float64),
         tr_ms=float(meta.typed("tr_ms", float)),
@@ -379,7 +386,7 @@ def load_dictionary(path) -> Dictionary:
     )
     grid = meta.typed("grid", dict)
     return Dictionary(
-        atoms=arrays["atoms"],
+        atoms=atoms,
         t1_ms=arrays.array("t1", (n_atoms,)),
         t2_ms=arrays.array("t2", (n_atoms,)),
         schedule=schedule,

@@ -22,11 +22,10 @@ MOMENTUM = 0.9
 # loss improvement of PLATEAU_REL_IMPROVEMENT
 PLATEAU_PATIENCE = 10
 PLATEAU_REL_IMPROVEMENT = 1e-5
-# atoms per block in make_training_set, voxels per block in dictionary_match;
-# they bound memory and do not affect values beyond BLAS rounding. 64 rows of
-# scores against the default 4661-atom dictionary (2.4 MB) stay near one
-# core's L2 cache; 2048 rows took twice as long and 76 MB.
-TRAINING_CHUNK = 256
+# voxels per block in dictionary_match; it bounds memory and does not affect
+# values beyond BLAS rounding. 64 rows of scores against the default 4661-atom
+# dictionary (2.4 MB) stay near one core's L2 cache; 2048 rows took twice as
+# long and 76 MB.
 MATCH_CHUNK = 64
 
 
@@ -175,44 +174,28 @@ def make_training_set(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Noise-augmented training pairs from the dictionary.
 
-    Per atom: unit-normalize, draw augment_factor complex white-noise
-    corruptions (noise_sigma per real/imaginary component), project onto the
-    basis, phase-align, unit-normalize the coefficient row. Targets are the
-    (T1, T2) labels in milliseconds. N = d * augment_factor rows.
+    Per atom: unit-normalize, project onto the basis, repeat augment_factor
+    times, add complex white noise to each copy's coefficients (noise_sigma
+    per real/imaginary component), phase-align and unit-normalize the row.
+    On an orthonormal basis, noise white in the L frames is white in the S
+    coefficients with the same sigma, so the rows are distributed as if each
+    atom had been corrupted frame by frame. Row r's noise is the r-th (S, 2)
+    block of the random stream. Targets are the (T1, T2) labels in
+    milliseconds. N = d * augment_factor rows.
     """
     if dictionary.n_atoms == 0:
         raise ValueError("empty dictionary")
     rng = np.random.default_rng(cfg.seed)
     aug = cfg.augment_factor
-    d = dictionary.n_atoms
-    n_frames = dictionary.n_frames
-
-    atoms = dictionary.normalized_atoms().T  # (d, L)
-    inputs = np.empty((d * aug, basis.rank_s), dtype=np.float32)
-    targets = np.empty((d * aug, 2), dtype=np.float32)
-    targets[:, 0] = np.repeat(dictionary.t1_ms, aug)
-    targets[:, 1] = np.repeat(dictionary.t2_ms, aug)
-
-    # one block and one noise buffer for every chunk; the noise is added in
-    # place, drawing the same stream as rng.normal(0, sigma, (2, n, L)) would
-    rows = min(TRAINING_CHUNK, d) * aug
-    block_buf = np.empty((rows, n_frames), dtype=np.complex128)
-    noise_buf = np.empty(2 * rows * n_frames) if cfg.noise_sigma > 0 else None
-    for lo in range(0, d, TRAINING_CHUNK):
-        hi = min(lo + TRAINING_CHUNK, d)
-        n = (hi - lo) * aug
-        block = block_buf[:n]
-        block.reshape(hi - lo, aug, n_frames)[...] = atoms[lo:hi, None, :]
-        if noise_buf is not None:
-            noise = rng.standard_normal(out=noise_buf[: 2 * n * n_frames].reshape(2, n, n_frames))
-            noise *= cfg.noise_sigma
-            block.real += noise[0]
-            block.imag += noise[1]
-        coeffs = phase_align(project(block, basis))
-        norms = np.linalg.norm(coeffs, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        inputs[lo * aug : hi * aug] = coeffs / norms
-
+    coeffs = np.repeat(project(dictionary.normalized_atoms().T, basis), aug, axis=0)
+    if cfg.noise_sigma > 0:
+        noise = rng.standard_normal((coeffs.shape[0], basis.rank_s, 2))
+        noise *= cfg.noise_sigma
+        coeffs += noise.view(np.complex128)[..., 0]
+        del noise
+    inputs = _unit_aligned(coeffs)[0].astype(np.float32)
+    labels = np.stack([dictionary.t1_ms, dictionary.t2_ms], axis=1)
+    targets = np.repeat(labels, aug, axis=0).astype(np.float32)
     return inputs, targets
 
 
@@ -287,6 +270,15 @@ def train(
     return net, history
 
 
+def _unit_aligned(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phase-aligned rows scaled to unit norm, and the norms they were divided
+    by; a zero row keeps norm 1 and stays zero."""
+    rows = phase_align(coeffs)
+    norms = np.linalg.norm(rows, axis=1)
+    norms[norms == 0] = 1.0
+    return rows / norms[:, None], norms
+
+
 def _foreground(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The background rule of both estimators: rows whose norm is at most
     BACKGROUND_REL_NORM of the largest are background. Returns the foreground
@@ -301,8 +293,8 @@ def infer(net: MrfNet, coeffs: np.ndarray) -> np.ndarray:
     """Per-voxel (T1, T2) maps from aligned real coefficient rows (n, S).
 
     Rows are unit-normalized before the network sees them. Rows whose norm is
-    at most 1e-3 of the stack maximum are treated as background and reported as
-    zero.
+    at most BACKGROUND_REL_NORM of the stack maximum are treated as background
+    and reported as zero.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.ndim != 2 or coeffs.shape[1] != net.rank:
@@ -327,10 +319,7 @@ def dictionary_match(
     Returns (maps (n, 2), pd (n,)).
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    proj = phase_align(project(dictionary.atoms.T.astype(np.complex128), basis))
-    raw_norms = np.linalg.norm(proj, axis=1)
-    raw_norms[raw_norms == 0] = 1.0
-    table = (proj / raw_norms[:, None]).astype(np.float64)  # (d, S)
+    table, raw_norms = _unit_aligned(project(dictionary.atoms.T.astype(np.complex128), basis))
 
     fg, norms, rows = _foreground(coeffs)
     maps = np.zeros((coeffs.shape[0], 2))

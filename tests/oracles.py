@@ -14,7 +14,10 @@ Independent oracles avoid the library's code paths:
 - ``training_set_reference`` and ``train_reference`` build the noisy training
   rows and run the momentum SGD loop out of place, one fresh array per step;
   ``inference.make_training_set`` and ``inference.train`` must reproduce them
-  bit for bit.
+  bit for bit;
+- ``training_set_lspace`` draws the training noise on all L frames and
+  projects it, where ``inference.make_training_set`` draws it in the
+  subspace; the two must agree in distribution.
 
 Reference paths are built on the per-frame k-space operator:
 
@@ -140,27 +143,39 @@ def epg_reference(t1_ms, t2_ms, schedule, k_max=None):
 
 
 def training_set_reference(dictionary, basis, cfg):
-    """``inference.make_training_set`` with fresh arrays per chunk: repeated
-    atoms, out-of-place noise from ``rng.normal`` and per-chunk labels."""
+    """``inference.make_training_set`` out of place: the clean projections
+    repeated, the scaled noise added as a fresh complex array built from the
+    real and imaginary halves of each (S, 2) block, and the aligned rows
+    divided by norms computed here, not by the library's helper."""
     rng = np.random.default_rng(cfg.seed)
     aug = cfg.augment_factor
-    d = dictionary.n_atoms
-    atoms = dictionary.normalized_atoms().T
-    inputs = np.empty((d * aug, basis.rank_s), dtype=np.float32)
-    targets = np.empty((d * aug, 2), dtype=np.float32)
-    for lo in range(0, d, inference.TRAINING_CHUNK):
-        hi = min(lo + inference.TRAINING_CHUNK, d)
-        block = np.repeat(atoms[lo:hi], aug, axis=0)
-        if cfg.noise_sigma > 0:
-            noise = rng.normal(0.0, cfg.noise_sigma, (2, block.shape[0], dictionary.n_frames))
-            block = block + noise[0] + 1j * noise[1]
-        coeffs = phase_align(project(block, basis))
-        norms = np.linalg.norm(coeffs, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        inputs[lo * aug : hi * aug] = coeffs / norms
-        targets[lo * aug : hi * aug, 0] = np.repeat(dictionary.t1_ms[lo:hi], aug)
-        targets[lo * aug : hi * aug, 1] = np.repeat(dictionary.t2_ms[lo:hi], aug)
-    return inputs, targets
+    coeffs = np.repeat(project(dictionary.normalized_atoms().T, basis), aug, axis=0)
+    if cfg.noise_sigma > 0:
+        noise = cfg.noise_sigma * rng.standard_normal((coeffs.shape[0], basis.rank_s, 2))
+        coeffs = coeffs + (noise[..., 0] + 1j * noise[..., 1])
+    rows = phase_align(coeffs)
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    targets = np.empty((coeffs.shape[0], 2), dtype=np.float32)
+    targets[:, 0] = np.repeat(dictionary.t1_ms, aug)
+    targets[:, 1] = np.repeat(dictionary.t2_ms, aug)
+    return (rows / norms).astype(np.float32), targets
+
+
+def training_set_lspace(dictionary, basis, cfg):
+    """Training rows with the noise drawn in frame space: each unit-norm atom
+    repeated augment_factor times, complex white noise on each of its L frames,
+    then projected, phase-aligned and unit-normalized. The rows have the
+    distribution of ``inference.make_training_set``'s, from another random
+    stream; returns float64 (N, S)."""
+    rng = np.random.default_rng(cfg.seed)
+    block = np.repeat(dictionary.normalized_atoms().T.astype(np.complex128),
+                      cfg.augment_factor, axis=0)
+    noise = rng.normal(0.0, cfg.noise_sigma, (2,) + block.shape)
+    block.real += noise[0]
+    block.imag += noise[1]
+    coeffs = phase_align(project(block, basis))
+    return coeffs / np.linalg.norm(coeffs, axis=1, keepdims=True)
 
 
 def train_reference(net, data, cfg):

@@ -281,18 +281,26 @@ class TestExitCodes:
     @pytest.mark.parametrize("frames,t1", [(80, "300:300:2100"), (8, "300:30:2100")],
                              ids=["narrow", "wide"])
     def test_non_finite_atoms_are_usage_error(self, tmp_path, capsys, frames, t1, bad):
-        d, b = tmp_path / "d.mrfb", tmp_path / "b.mrfb"
+        d, b, x = tmp_path / "d.mrfb", tmp_path / "b.mrfb", tmp_path / "x.mrfb"
         assert run_cli("simulate-dict", "--t1", t1, "--t2", "40:60:340",
                        "--frames", str(frames), "--out", str(d)) == 0
+        assert run_cli("learn-subspace", "--dict", str(d), "--rank", "3", "--out", str(b)) == 0
+        basis = subspace.load_basis(b)
+        solver.save_reconstruction(np.ones((64, 3), np.complex64), basis, (8, 8), x)
         dictionary = epg.load_dictionary(d)
-        dictionary.atoms[frames // 2, dictionary.n_atoms // 2] = bad
+        mid = dictionary.n_atoms // 2
+        dictionary.atoms[frames // 2, mid : mid + 2] = bad, -bad  # inf + -inf is NaN
         epg.save_dictionary(dictionary, d)
         capsys.readouterr()
-        assert run_cli("learn-subspace", "--dict", str(d), "--rank", "3", "--out", str(b)) == 1
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error kind=usage")
-        assert "non-finite atoms" in lines[0]
-        assert not b.exists()
+        for args in (("learn-subspace", "--dict", str(d), "--rank", "3"),
+                     ("match", "--dict", str(d), "--in", str(x)),
+                     ("train-net", "--dict", str(d), "--basis", str(b), "--augment", "2")):
+            out = tmp_path / "out.mrfb"
+            assert run_cli(*args, "--out", str(out)) == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error kind=io code=corrupt-header")
+            assert "'atoms' has non-finite entries" in lines[0]
+            assert not out.exists()
 
     def test_machine_readable_stderr(self, tmp_path, capsys):
         run_cli("learn-subspace", "--dict", str(tmp_path / "none.mrfb"),

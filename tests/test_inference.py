@@ -3,14 +3,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mrfkit import epg, inference, subspace
+from mrfkit import epg, experiment, inference, subspace
 from mrfkit.inference import MrfNet, TrainConfig
 
 from oracles import (dictionary_match_reference, match_full_space, train_reference,
-                     training_set_reference)
+                     training_set_lspace, training_set_reference)
 
 # TrainConfig at the shipped training settings
-TRAIN_DEFAULTS = TrainConfig(noise_sigma=0.002, augment_factor=100, epochs=30)
+_TRAIN = experiment.DEFAULT_EXPERIMENT["train"]
+TRAIN_DEFAULTS = TrainConfig(noise_sigma=_TRAIN["sigma"], augment_factor=_TRAIN["augment"],
+                             epochs=_TRAIN["epochs"], batch_size=_TRAIN["batch_size"],
+                             learning_rate=_TRAIN["learning_rate"],
+                             seed=experiment.DEFAULT_EXPERIMENT["seed"])
 
 
 @pytest.fixture(scope="module")
@@ -201,11 +205,9 @@ class TestBitwiseReference:
 
     @pytest.mark.parametrize("sigma,aug", [(0.002, 3), (0.0, 2), (0.01, 1)])
     def test_training_set(self, desk_dictionary, desk_basis, sigma, aug):
-        d = desk_dictionary
-        assert 0 < d.n_atoms % inference.TRAINING_CHUNK  # a short last chunk
         cfg = TrainConfig(noise_sigma=sigma, augment_factor=aug, epochs=0, seed=7)
-        got = inference.make_training_set(d, desk_basis, cfg)
-        ref = training_set_reference(d, desk_basis, cfg)
+        got = inference.make_training_set(desk_dictionary, desk_basis, cfg)
+        ref = training_set_reference(desk_dictionary, desk_basis, cfg)
         for g, r in zip(got, ref):
             assert g.dtype == r.dtype
             np.testing.assert_array_equal(bits(g), bits(r))
@@ -233,6 +235,47 @@ class TestBitwiseReference:
         velocities = assert_trains_like_reference(net, data, cfg)
         tiny = np.finfo(np.float32).tiny
         assert sum(np.count_nonzero((v != 0) & (np.abs(v) < tiny)) for v in velocities) > 0
+
+
+def assert_same_means(a, b, z=5.0):
+    """The column means of two independent samples (rows) differ by less
+    than z standard errors of their difference."""
+    se = np.sqrt(a.var(axis=0) / len(a) + b.var(axis=0) / len(b))
+    np.testing.assert_array_less(np.abs(a.mean(axis=0) - b.mean(axis=0)), z * se)
+
+
+class TestSubspaceNoise:
+    """make_training_set draws its noise in the subspace; the frame-space
+    construction in tests/oracles.py is the distribution it must match."""
+
+    def test_projected_white_noise_is_white(self, desk_basis):
+        sigma, n = 0.01, 20000
+        rng = np.random.default_rng(0)
+        noise = sigma * rng.standard_normal((n, desk_basis.n_frames, 2)).view(np.complex128)
+        c = subspace.project(noise[..., 0], desk_basis)
+        # each entry's standard error is at most sqrt(2) * 2 sigma^2 / sqrt(n)
+        tol = 5.0 * np.sqrt(2.0 / n)
+        rank = desk_basis.rank_s
+        np.testing.assert_allclose(c.conj().T @ c / (n * 2 * sigma**2), np.eye(rank), atol=tol)
+        np.testing.assert_allclose(c.T @ c / (n * 2 * sigma**2), np.zeros((rank, rank)),
+                                   atol=tol)
+
+    def test_rows_match_frame_space_noise(self, desk_dictionary, desk_basis):
+        d = dataclasses.replace(desk_dictionary, atoms=desk_dictionary.atoms[:, ::80],
+                                t1_ms=desk_dictionary.t1_ms[::80],
+                                t2_ms=desk_dictionary.t2_ms[::80])
+        cfg = TrainConfig(noise_sigma=0.01, augment_factor=200, epochs=0, seed=21)
+        clean = np.repeat(clean_projections(d, desk_basis)[0], cfg.augment_factor, axis=0)
+        resid = [np.asarray(rows, dtype=np.float64) - clean
+                 for rows in (inference.make_training_set(d, desk_basis, cfg)[0],
+                              training_set_lspace(d, desk_basis, cfg))]
+        assert_same_means(*resid)
+        # the covariance is the mean of the products of the centered residuals
+        products = []
+        for r in resid:
+            r = r - r.mean(axis=0)
+            products.append((r[:, :, None] * r[:, None, :]).reshape(len(r), -1))
+        assert_same_means(*products)
 
 
 class TestMomentumProduct:
