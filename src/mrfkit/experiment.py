@@ -185,8 +185,8 @@ def acquire(cfg: dict, gt_path, out_path) -> fm.KSpaceData:
     gt = phantom.load_ground_truth(gt_path)
     h, w = gt.shape
     frames, seed = cfg["frames"], cfg["seed"]
-    series = phantom.synthesize_timeseries(gt, _schedule(cfg), k_max=cfg["k_max"])
     pattern = fm.make_vd_cartesian_masks(h, w, frames, cfg["accel"], seed)
+    series = phantom.synthesize_timeseries(gt, _schedule(cfg), k_max=cfg["k_max"])
     coils = fm.make_coil_maps(h, w, cfg["coils"], kind=cfg["coil_kind"])
     data = fm.apply_frames(series.T.reshape(frames, h, w).astype(np.complex128), coils, pattern)
     if cfg["kspace_noise"] > 0:
@@ -317,17 +317,23 @@ def run_experiment(config: dict | None, out_dir) -> dict:
     """Run the full three-method comparison; returns {method: score dict}.
 
     Runs the stage functions in sequence on bundles in out_dir, each stage
-    reading what the one before wrote: phantom, dictionary, basis, network,
-    acquisition, then reconstruction, network maps and scoring per method.
+    reading what the ones before wrote: phantom, acquisition, dictionary,
+    basis, network, then reconstruction, network maps and scoring per method.
     """
     cfg = resolve_config(config)
     # the network normalizes its targets by the grid ranges; check them
     # before any stage runs, not after the dictionary is built
     grid = _grid(cfg)
-    for axis in ("t1", "t2"):
-        if getattr(grid, axis).values().size < 2:
+    sizes = {axis: getattr(grid, axis).values().size for axis in ("t1", "t2")}
+    for axis, size in sizes.items():
+        if size < 2:
             raise ValueError(f"dict.{axis}: the network needs at least two grid values, "
                              f"got {cfg['dict'][axis]!r}")
+    # learn_subspace's bound on the rank, checked before the dictionary is built
+    max_rank = min(cfg["frames"], sizes["t1"] * sizes["t2"])
+    if cfg["rank"] > max_rank:
+        raise ValueError(f"rank: must be at most min(frames, atoms) = {max_rank}, "
+                         f"got {cfg['rank']!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "exp_config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
@@ -336,10 +342,12 @@ def run_experiment(config: dict | None, out_dir) -> dict:
     )
 
     make_phantom(cfg, gt_path)
+    # acquire draws from its own seeds, so running it first, where a bad
+    # accel fails before the expensive stages, changes no file
+    acquire(cfg, gt_path, kspace_path)
     simulate_dict(cfg, dict_path)
     learn_subspace(cfg, dict_path, basis_path)
     net, _history = train_net(cfg, dict_path, basis_path, net_path)
-    acquire(cfg, gt_path, kspace_path)
 
     rows = []
     scores = {}

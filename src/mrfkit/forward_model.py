@@ -319,8 +319,10 @@ def save_kspace(data: KSpaceData, coils: CoilMaps, path, kspace_noise: float) ->
 def load_kspace(path) -> tuple[KSpaceData, CoilMaps, dict]:
     arrays, meta = bundle.read_bundle(path, kind="kspace")
     n_frames, n_coils, h, w = arrays.array("y", (None,) * 4).shape
-    pattern = SamplingPattern(arrays.array("masks", (n_frames, h, w)).astype(bool),
-                              *(meta.get(key) for key in _PATTERN_META))
+    masks = arrays.array("masks", (n_frames, h, w)).astype(bool)
+    if not masks.any():  # the solver's step size divides by the sample count
+        raise arrays.fault("masks", "samples no k-space point")
+    pattern = SamplingPattern(masks, *(meta.get(key) for key in _PATTERN_META))
     data = KSpaceData(y=arrays["y"].astype(np.complex128), pattern=pattern)
     coils = CoilMaps(sens=arrays.array("sens", (n_coils, h, w)).astype(np.complex128))
     return data, coils, meta

@@ -18,10 +18,6 @@ from .subspace import SubspaceBasis, phase_align, project
 
 BACKGROUND_REL_NORM = 1e-3
 MOMENTUM = 0.9
-# the learning rate halves after PLATEAU_PATIENCE epochs without a relative
-# loss improvement of PLATEAU_REL_IMPROVEMENT
-PLATEAU_PATIENCE = 10
-PLATEAU_REL_IMPROVEMENT = 1e-5
 # voxels per block in dictionary_match; it bounds memory and does not affect
 # values beyond BLAS rounding. 64 rows of scores against the default 4661-atom
 # dictionary (2.4 MB) stay near one core's L2 cache; 2048 rows took twice as
@@ -116,25 +112,25 @@ class MrfNet:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Normalized (T1, T2) predictions for a batch of coefficient rows."""
-        return self._forward_cached(x)[1][-1]
+        return self._forward_cached(x)[-1]
 
     def _forward_cached(self, x):
-        pre, post = [], [x]
-        h = x
+        """x and every layer's output, rectified where the layer has a ReLU:
+        a rectified output is positive exactly where its pre-activation is."""
+        post = [x]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
-            pre.append(z)
-            h = np.maximum(z, 0.0) if (i < last or self.output_relu) else z
+            h = post[-1] @ w
+            h += b
+            if i < last or self.output_relu:
+                np.maximum(h, 0.0, out=h)
             post.append(h)
-        return pre, post
+        return post
 
     def loss_and_gradients(self, x: np.ndarray, targets_norm: np.ndarray):
         """Mean-squared-error loss and its gradients for every parameter."""
-        batch = x.shape[0]
-        pre, post = self._forward_cached(x)
-        pred = post[-1]
-        diff = pred - targets_norm
+        post = self._forward_cached(x)
+        diff = post[-1] - targets_norm
         loss = float(np.mean(diff**2))
 
         grad_ws = [None] * len(self.weights)
@@ -142,12 +138,12 @@ class MrfNet:
         delta = (2.0 / diff.size) * diff
         last = len(self.weights) - 1
         if self.output_relu:
-            delta = delta * (pre[last] > 0)
+            delta = delta * (post[-1] > 0)
         for i in range(last, -1, -1):
             grad_ws[i] = post[i].T @ delta
             grad_bs[i] = delta.sum(axis=0)
             if i > 0:
-                delta = (delta @ self.weights[i].T) * (pre[i - 1] > 0)
+                delta = (delta @ self.weights[i].T) * (post[i] > 0)
         return loss, grad_ws, grad_bs
 
     def predict_ms(self, x: np.ndarray) -> np.ndarray:
@@ -210,10 +206,9 @@ def train(
     data: tuple[np.ndarray, np.ndarray],
     cfg: TrainConfig,
 ) -> tuple[MrfNet, list[float]]:
-    """Minibatch SGD with momentum on the MSE of normalized targets.
-
-    The learning rate halves when the epoch loss plateaus. Returns the
-    trained network and the per-epoch loss history (empty for zero epochs).
+    """Minibatch SGD with momentum on the MSE of normalized targets, at the
+    constant learning rate of cfg. Returns the trained network and the
+    per-epoch loss history (empty for zero epochs).
     """
     inputs, targets_ms = data
     if inputs.shape[0] == 0:
@@ -224,7 +219,6 @@ def train(
     ).astype(inputs.dtype)
 
     rng = np.random.default_rng(cfg.seed + 1)
-    lr = cfg.learning_rate
     params = net.weights + net.biases
     vels = [np.zeros_like(p) for p in params]
     # The momentum product is formed in float64 and rounded once to the
@@ -234,8 +228,6 @@ def train(
     momenta = [np.float64(p.dtype.type(MOMENTUM)) for p in params]
     scratch = [np.empty(p.shape) for p in params]
     history: list[float] = []
-    best = math.inf
-    stalled = 0
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(inputs.shape[0])
@@ -250,22 +242,12 @@ def train(
                                                  scratch):
                 np.multiply(vel, m, out=prod)
                 np.copyto(vel, prod, casting="same_kind")
-                grad *= lr
+                grad *= cfg.learning_rate
                 vel -= grad
                 param += vel
             epoch_loss += loss
             n_batches += 1
-        epoch_loss /= n_batches
-        history.append(epoch_loss)
-
-        if epoch_loss < best * (1.0 - PLATEAU_REL_IMPROVEMENT):
-            best = epoch_loss
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= PLATEAU_PATIENCE:
-                lr *= 0.5
-                stalled = 0
+        history.append(epoch_loss / n_batches)
 
     return net, history
 
@@ -358,11 +340,12 @@ def save_net(net: MrfNet, cfg: TrainConfig, path) -> None:
 def load_net(path) -> MrfNet:
     arrays, meta = bundle.read_bundle(path, kind="mrf-net")
     n_layers = meta.typed("layers", int)
-    weights = [arrays[f"w{i}"] for i in range(n_layers)]
-    biases = [arrays[f"b{i}"] for i in range(n_layers)]
+    for name in (f"{kind}{i}" for kind in "wb" for i in range(n_layers)):
+        if not np.isfinite(arrays[name]).all():
+            raise arrays.fault(name, "has non-finite entries (NaN or inf)")
     return MrfNet(
-        weights=weights,
-        biases=biases,
+        weights=[arrays[f"w{i}"] for i in range(n_layers)],
+        biases=[arrays[f"b{i}"] for i in range(n_layers)],
         t1_range=tuple(meta.numbers("t1_range", 2)),
         t2_range=tuple(meta.numbers("t2_range", 2)),
         output_relu=meta.typed("output_relu", bool),

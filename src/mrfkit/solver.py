@@ -21,7 +21,7 @@ from . import bundle
 from . import forward_model as fm
 from .forward_model import CoilMaps, KSpaceData, SamplingPattern
 from .subspace import SubspaceBasis
-from .tvprox import TvConfig, tv_norm, tv_prox_stack
+from .tvprox import TvConfig, tv_prox_stack
 
 MODES = ("bpi", "lr", "lrtv")
 _MU_FLOOR = 1e-30
@@ -140,7 +140,8 @@ def solve(
 
     Each backtracking attempt applies the normal operator G = A^H A once, to
     z; the fidelity is ||y||^2 - 2 Re<A^H(y) v, z> + Re<z, Gz>, and by
-    linearity G x_next = Gz + m (Gz - Gz_prev) gives the next gradient.
+    linearity G x_next = Gz + m (Gz - Gz_prev) gives the next gradient. The
+    trace's TV term is lambda times the TV that the prox measured on z.
     """
     h, w = pattern.shape
     n = h * w
@@ -181,9 +182,9 @@ def solve(
         while True:
             step = x - mu * grad
             if lam > 0:
-                z, new_duals = tv_prox_stack(step, lam * mu, cfg.tv, (h, w), dual_init=duals)
+                z, new_duals, z_tv = tv_prox_stack(step, lam * mu, cfg.tv, (h, w), dual_init=duals)
             else:
-                z, new_duals = step, None
+                z, new_duals, z_tv = step, None, 0.0
             gz = fm.normal(z, kernel, coils)
             fidelity_z = _expanded_fidelity(norm_y_sq, ahyv, z, gz)
             rhs = _majorization_rhs(fidelity_x, grad, z - x, mu)
@@ -205,14 +206,7 @@ def solve(
         norm_x = float(np.linalg.norm(x))
         rel_change = float(np.linalg.norm(x_next - x) / norm_x) if norm_x > 0 else float("inf")
 
-        tv_term = 0.0
-        if lam > 0:
-            for s in range(basis.rank_s):
-                channel = z[:, s].reshape(h, w)
-                tv_term += tv_norm(channel.real, cfg.tv.variant)
-                tv_term += tv_norm(channel.imag, cfg.tv.variant)
-            tv_term *= lam
-
+        tv_term = lam * z_tv
         trace.append(
             TraceRecord(
                 iteration=k,

@@ -72,19 +72,20 @@ def tv_prox(
     tau: float,
     cfg: TvConfig,
     dual_init: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Approximate argmin_u 0.5*||u - img||^2 + tau*TV(u).
 
     Runs fast gradient projection on the dual with step 1/8, stopping when the
     primal-dual gap drops below dual_gap_tol * ||img||^2 or at max_iters. An
-    optional dual field (2, H, W) warm-starts the iteration. Returns the result
-    and the final dual field, for reuse as the next warm start.
+    optional dual field (2, H, W) warm-starts the iteration. Returns the
+    result, the final dual field, for reuse as the next warm start, and the
+    result's TV, which the last gap check already measured.
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
     b = np.asarray(img, dtype=np.float64)
     if tau == 0:
-        return b.copy(), np.zeros((2,) + b.shape)
+        return b.copy(), np.zeros((2,) + b.shape), tv_norm(b, cfg.variant)
 
     if dual_init is not None:
         p = dual_init[0].astype(np.float64, copy=True)
@@ -108,14 +109,16 @@ def tv_prox(
         rq = qn + beta * (qn - q)
         p, q, t = pn, qn, t_next
 
-        # gap at the feasible dual point: tau * (TV(u_p) - <grad(u_p), P>)
+        # gap at the feasible dual point: tau * (TV(u_p) - <grad(u_p), P>);
+        # u_p is the result once the loop ends
         u_p = b - tau * _grad_adj(p, q)
         gy, gx = _grad(u_p)
-        gap = tau * (_tv(gy, gx, cfg.variant) - np.sum(gy * p) - np.sum(gx * q))
+        tv = float(_tv(gy, gx, cfg.variant))
+        gap = tau * (tv - np.sum(gy * p) - np.sum(gx * q))
         if gap <= gap_bound:
             break
 
-    return b - tau * _grad_adj(p, q), np.stack([p, q])
+    return u_p, np.stack([p, q]), tv
 
 
 def tv_prox_stack(
@@ -124,12 +127,14 @@ def tv_prox_stack(
     cfg: TvConfig,
     hw: tuple[int, int],
     dual_init: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Channel-wise prox of a complex coefficient stack (n, S); returns the
-    result and the final dual state, for warm-starting the next call.
+    result, the final dual state, for warm-starting the next call, and the
+    result's TV summed over the 2S images.
 
     Real and imaginary parts of each channel are independent real prox
-    problems (2S calls). The dual state has shape (S, 2, 2, H, W) indexed
+    problems (2S calls); their TVs are summed in channel order, real part
+    first. The dual state has shape (S, 2, 2, H, W) indexed
     [channel, real/imag, p/q].
     """
     h, w = hw
@@ -140,14 +145,16 @@ def tv_prox_stack(
 
     out = np.empty((n, rank), dtype=np.complex128)
     duals = np.zeros((rank, 2, 2, h, w))
+    tv_total = 0.0
     for s in range(rank):
         for part, comp in enumerate(("real", "imag")):
             img = getattr(x[:, s], comp).reshape(h, w)
             init = dual_init[s, part] if dual_init is not None else None
-            res, dual = tv_prox(img, tau, cfg, dual_init=init)
+            res, dual, tv = tv_prox(img, tau, cfg, dual_init=init)
             duals[s, part] = dual
+            tv_total += tv
             if part == 0:
                 out[:, s] = res.ravel()
             else:
                 out[:, s] += 1j * res.ravel()
-    return out, duals
+    return out, duals, tv_total

@@ -12,9 +12,12 @@ Independent oracles avoid the library's code paths:
 - ``epg_reference`` is the straightforward per-frame configuration-state loop
   that the library's blocked kernel must reproduce bit for bit;
 - ``training_set_reference`` and ``train_reference`` build the noisy training
-  rows and run the momentum SGD loop out of place, one fresh array per step;
-  ``inference.make_training_set`` and ``inference.train`` must reproduce them
-  bit for bit;
+  rows and run the momentum SGD loop at a constant learning rate out of
+  place, one fresh array per step; ``inference.make_training_set`` and
+  ``inference.train`` must reproduce them bit for bit;
+- ``loss_and_gradients_reference`` keeps the pre-activations apart from the
+  layer outputs and masks each ReLU by its pre-activation;
+  ``MrfNet.loss_and_gradients`` must reproduce it bit for bit;
 - ``training_set_lspace`` draws the training noise on all L frames and
   projects it, where ``inference.make_training_set`` draws it in the
   subspace; the two must agree in distribution.
@@ -178,10 +181,36 @@ def training_set_lspace(dictionary, basis, cfg):
     return coeffs / np.linalg.norm(coeffs, axis=1, keepdims=True)
 
 
+def loss_and_gradients_reference(net, x, targets_norm):
+    """``MrfNet.loss_and_gradients`` on separate pre- and post-activation
+    lists, out of place, with each ReLU's mask taken from its pre-activation
+    where the library takes it from the rectified output."""
+    pre, post = [], [x]
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = post[-1] @ w + b
+        pre.append(z)
+        post.append(np.maximum(z, 0.0) if (i < last or net.output_relu) else z)
+    diff = post[-1] - targets_norm
+    loss = float(np.mean(diff**2))
+    grad_ws = [None] * len(net.weights)
+    grad_bs = [None] * len(net.biases)
+    delta = (2.0 / diff.size) * diff
+    if net.output_relu:
+        delta = delta * (pre[last] > 0)
+    for i in range(last, -1, -1):
+        grad_ws[i] = post[i].T @ delta
+        grad_bs[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ net.weights[i].T) * (pre[i - 1] > 0)
+    return loss, grad_ws, grad_bs
+
+
 def train_reference(net, data, cfg):
     """``inference.train`` with the momentum update out of place in the
-    parameter dtype. Returns the trained net, the loss history and the final
-    velocities (weights then biases)."""
+    parameter dtype and the gradients from ``loss_and_gradients_reference``.
+    Returns the trained net, the loss history and the final velocities
+    (weights then biases)."""
     inputs, targets_ms = data
     net = net.copy()
     targets = net.normalize_targets(
@@ -192,15 +221,14 @@ def train_reference(net, data, cfg):
     vel_w = [np.zeros_like(w) for w in net.weights]
     vel_b = [np.zeros_like(b) for b in net.biases]
     history = []
-    best = math.inf
-    stalled = 0
     for epoch in range(cfg.epochs):
         order = rng.permutation(inputs.shape[0])
         epoch_loss = 0.0
         n_batches = 0
         for lo in range(0, inputs.shape[0], cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            loss, grad_ws, grad_bs = net.loss_and_gradients(inputs[idx], targets[idx])
+            loss, grad_ws, grad_bs = loss_and_gradients_reference(net, inputs[idx],
+                                                                  targets[idx])
             if not math.isfinite(loss):
                 raise inference.DivergenceError(epoch)
             for i in range(len(net.weights)):
@@ -212,14 +240,6 @@ def train_reference(net, data, cfg):
             n_batches += 1
         epoch_loss /= n_batches
         history.append(epoch_loss)
-        if epoch_loss < best * (1.0 - inference.PLATEAU_REL_IMPROVEMENT):
-            best = epoch_loss
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= inference.PLATEAU_PATIENCE:
-                lr *= 0.5
-                stalled = 0
     return net, history, vel_w + vel_b
 
 

@@ -106,12 +106,12 @@ def test_criterion_03_tv_prox_optimality(rng):
     worst = 0.0
     for tau in (0.01, 0.1, 1.0):
         img = rng.random((8, 8))
-        out, _ = tv_prox(img, tau, TvConfig(max_iters=2000, dual_gap_tol=1e-14))
+        out, *_ = tv_prox(img, tau, TvConfig(max_iters=2000, dual_gap_tol=1e-14))
         f_fgp = tv_objective(out, img, tau, "isotropic")
         _, f_oracle = tv_prox_subgradient(img, tau, "isotropic", iters=100_000)
         worst = max(worst, abs(f_fgp - f_oracle))
-    closed, _ = tv_prox(np.array([[0.0, 2.0]]), 0.5,
-                        TvConfig(variant="anisotropic", max_iters=500, dual_gap_tol=1e-14))
+    closed, *_ = tv_prox(np.array([[0.0, 2.0]]), 0.5,
+                         TvConfig(variant="anisotropic", max_iters=500, dual_gap_tol=1e-14))
     closed_err = np.abs(closed - np.array([[0.5, 1.5]])).max()
     report(3, "tv prox optimality", worst <= 1e-5 and closed_err < 1e-10,
            f"|obj-oracle| max {worst:.2e}; 1x2 closed-form err {closed_err:.2e}")

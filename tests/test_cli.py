@@ -136,6 +136,8 @@ BAD_CONFIGS = [
     ({"kspace_noise": float("inf")}, "kspace_noise"),
     ({"dict": {"t2": "600:10:20"}}, "dict.t2: grid range 600.0:10.0:20.0 must be positive"),
     ({"dict": {"t1": "100:4000"}}, "dict.t1: expected start:step:stop"),
+    ({"rank": 250}, "rank: must be at most min(frames, atoms) = 200, got 250"),
+    ({"accel": 60.0}, "center block (81 samples) alone exceeds the budget"),
 ]
 
 # per kind of bundle: the file of that kind, a command that loads it and
@@ -169,6 +171,15 @@ BAD_FIELDS = [
     ("maps", "estimator", 1),
     ("maps", "t1", np.zeros(32 * 32, np.float32)),
 ]
+
+
+def _one_entry(shape, value):
+    """A float32 array of zeros but for value at its first entry."""
+    out = np.zeros(shape, np.float32)
+    out.flat[0] = value
+    return out
+
+
 # a header value or an array of the right type and shape, but with an
 # impossible value or one that disagrees with another field of the bundle
 IMPOSSIBLE_FIELDS = [
@@ -181,6 +192,9 @@ IMPOSSIBLE_FIELDS = [
     pytest.param("mrf-net", "w1", np.zeros((7, 4), np.float32), id="mrf-net-w1-shape"),
     pytest.param("mrf-net", "t1_range", [1800.0, 300.0], id="mrf-net-t1_range-reversed"),
     pytest.param("maps", "t2", np.zeros((8, 8), np.float32), id="maps-t2-shape"),
+    pytest.param("kspace", "masks", np.zeros((80, 32, 32), np.uint8), id="kspace-masks-empty"),
+    pytest.param("mrf-net", "w1", _one_entry((8, 8), np.nan), id="mrf-net-w1-nan"),
+    pytest.param("mrf-net", "b2", _one_entry(2, -np.inf), id="mrf-net-b2-inf"),
 ]
 
 

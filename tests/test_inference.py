@@ -6,8 +6,8 @@ import pytest
 from mrfkit import epg, experiment, inference, subspace
 from mrfkit.inference import MrfNet, TrainConfig
 
-from oracles import (dictionary_match_reference, match_full_space, train_reference,
-                     training_set_lspace, training_set_reference)
+from oracles import (dictionary_match_reference, loss_and_gradients_reference, match_full_space,
+                     train_reference, training_set_lspace, training_set_reference)
 
 # TrainConfig at the shipped training settings
 _TRAIN = experiment.DEFAULT_EXPERIMENT["train"]
@@ -149,6 +149,32 @@ class TestBackpropGradients:
                 assert np.linalg.norm(grad - num) / denom < 1e-4
 
 
+class TestLossAndGradientsReference:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("output_relu", [False, True])
+    def test_matches_reference_on_zero_preactivations(self, dtype, output_relu):
+        # zero input rows, a dead unit in each hidden layer and a dead output
+        # make pre-activations exactly zero, where the mask must be 0
+        rng = np.random.default_rng(21)
+        net = MrfNet.initialize(4, (100.0, 4000.0), (20.0, 600.0), hidden=(6, 5),
+                                seed=3, output_relu=output_relu, dtype=dtype)
+        net.weights[0][:, 0] = 0.0
+        net.weights[1][:, 2] = 0.0
+        net.weights[2][:, 1] = 0.0
+        x = rng.standard_normal((8, 4)).astype(dtype)
+        x[2] = 0.0
+        x[5] = -0.0
+        y = rng.random((8, 2)).astype(dtype)
+        pre0 = x @ net.weights[0] + net.biases[0]
+        assert np.count_nonzero(pre0 == 0) > 8 and np.count_nonzero(pre0 < 0) > 0
+        loss, grad_ws, grad_bs = net.loss_and_gradients(x, y)
+        ref_loss, ref_ws, ref_bs = loss_and_gradients_reference(net, x, y)
+        assert bits(np.float64(loss)) == bits(np.float64(ref_loss))
+        for got, ref in zip(grad_ws + grad_bs, ref_ws + ref_bs):
+            assert got.dtype == ref.dtype
+            np.testing.assert_array_equal(bits(got), bits(ref))
+
+
 class TestTraining:
     def test_toy_dictionary_convergence(self, toy_setup):
         # 9 atoms, sigma=0: the net should interpolate the labels
@@ -235,6 +261,20 @@ class TestBitwiseReference:
         velocities = assert_trains_like_reference(net, data, cfg)
         tiny = np.finfo(np.float32).tiny
         assert sum(np.count_nonzero((v != 0) & (np.abs(v) < tiny)) for v in velocities) > 0
+
+
+    def test_train_through_a_long_stall(self, toy_setup):
+        # one full batch per epoch at a rate too small to move the loss: every
+        # epoch after the first stalls, and the rate stays constant throughout
+        d, basis = toy_setup
+        cfg = TrainConfig(noise_sigma=0.01, augment_factor=4, epochs=13,
+                          batch_size=64, learning_rate=1e-12, seed=6)
+        data = inference.make_training_set(d, basis, cfg)
+        net = MrfNet.initialize(3, (400.0, 2000.0), (40.0, 200.0), hidden=(8, 8), seed=6,
+                                dtype=np.float64)
+        assert_trains_like_reference(net, data, cfg)
+        _, history = inference.train(net, data, cfg)
+        assert max(history) - min(history) < 1e-6 * history[0]
 
 
 def assert_same_means(a, b, z=5.0):

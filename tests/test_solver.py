@@ -4,7 +4,7 @@ import pytest
 from mrfkit import forward_model as fm
 from mrfkit import solver, subspace
 from mrfkit.solver import SolverConfig
-from mrfkit.tvprox import tv_prox_stack
+from mrfkit.tvprox import TvConfig, tv_norm, tv_prox_stack
 
 from oracles import adjoint_frames, backtrack_ok, forward_frames, gradient
 
@@ -237,24 +237,39 @@ class TestSolve:
         assert mu == pytest.approx(size * size / per_frame)
 
 
+def tv_term_reference(z, cfg, hw):
+    """lambda times the TV of z, measured by tv_norm channel by channel, real
+    part first: the reference for the trace's tv_term, which solve takes
+    from the prox."""
+    tv_term = 0.0
+    if cfg.lam > 0:
+        for s in range(z.shape[1]):
+            channel = z[:, s].reshape(hw)
+            tv_term += tv_norm(channel.real, cfg.tv.variant)
+            tv_term += tv_norm(channel.imag, cfg.tv.variant)
+        tv_term *= cfg.lam
+    return tv_term
+
+
 def reference_solve(y, basis, coils, pattern, cfg, mu):
     """The solve loop on the per-frame k-space operator from the initial step
     size mu: the oracles' gradient and backtrack_ok run forward_frames and
     adjoint_frames at every step. Returns the iterates, the exact fidelities
-    of the accepted z, step sizes and halvings."""
+    and TV terms of the accepted z, step sizes and halvings."""
     h, w = pattern.shape
     ahyv = adjoint_frames(y, basis, coils, pattern)
     x = np.zeros((h * w, basis.rank_s), dtype=complex)
     z_prev = np.zeros_like(x)
     duals = None
-    out = {"x": [], "fidelity": [], "mu": [], "halvings": []}
+    out = {"x": [], "fidelity": [], "tv_term": [], "mu": [], "halvings": []}
     for k in range(1, cfg.max_outer_iters + 1):
         grad = gradient(x, y, basis, coils, pattern, ahyv=ahyv)
         halvings = 0
         while True:
             step = x - mu * grad
             if cfg.lam > 0:
-                z, new_duals = tv_prox_stack(step, cfg.lam * mu, cfg.tv, (h, w), dual_init=duals)
+                z, new_duals, _ = tv_prox_stack(step, cfg.lam * mu, cfg.tv, (h, w),
+                                                dual_init=duals)
             else:
                 z, new_duals = step, None
             if backtrack_ok(z, x, grad, mu, y, basis, coils, pattern):
@@ -266,6 +281,7 @@ def reference_solve(y, basis, coils, pattern, cfg, mu):
         momentum = (k - 1.0) / (k + 2.0)
         x, z_prev = z + momentum * (z - z_prev), z
         for key, value in (("x", x), ("fidelity", np.vdot(resid, resid).real),
+                           ("tv_term", tv_term_reference(z, cfg, (h, w))),
                            ("mu", mu), ("halvings", halvings)):
             out[key].append(value)
     return out
@@ -287,6 +303,7 @@ class TestSolveMatchesReference:
         assert [r.halvings for r in records] == ref["halvings"]
         assert sum(ref["halvings"]) > 0
         assert [r.mu for r in records] == ref["mu"]
+        assert [r.tv_term for r in records] == pytest.approx(ref["tv_term"], rel=1e-9, abs=0)
         # every iterate: stopping after k iterations returns the k-th
         for k, ref_x in enumerate(ref["x"], start=1):
             cfg.max_outer_iters = k
@@ -306,6 +323,32 @@ class TestSolveMatchesReference:
         assert ref["fidelity"][-1] < 1e-2 * norm_y_sq  # the residual is a small difference
         for rec, exact in zip(trace.records[1:], ref["fidelity"]):
             assert rec.fidelity == pytest.approx(exact, rel=1e-9)
+
+
+    @pytest.mark.parametrize("variant", ["isotropic", "anisotropic"])
+    def test_tv_term_is_tv_norm_of_accepted_z(self, problem, monkeypatch, variant):
+        # the trace's TV term comes from the prox; the tv_norm loop over the
+        # accepted z, the last prox output of each iteration, gives equal bits
+        y, basis, coils, pattern, _, size = problem
+        monkeypatch.setattr(solver, "auto_step_size", lambda *_: 16.0)
+        outputs = []
+
+        def recording_prox(*args, **kwargs):
+            result = tv_prox_stack(*args, **kwargs)
+            outputs.append(result[0])
+            return result
+
+        monkeypatch.setattr(solver, "tv_prox_stack", recording_prox)
+        cfg = SolverConfig(mode="lrtv", lam=1e-3, max_outer_iters=8, stop_rel_change=0.0,
+                           tv=TvConfig(variant=variant))
+        _, trace = solver.solve(y, basis, coils, pattern, cfg)
+        records = trace.records[1:]
+        accepted = np.cumsum([r.halvings + 1 for r in records]) - 1
+        assert accepted[-1] == len(outputs) - 1 and sum(r.halvings for r in records) > 0
+        got = np.array([r.tv_term for r in records])
+        ref = np.array([tv_term_reference(outputs[i], cfg, (size, size)) for i in accepted])
+        assert np.all(got > 0)
+        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 class TestTraceCsv:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ TIGHT_ANISO = TvConfig(variant="anisotropic", max_iters=500, dual_gap_tol=1e-12)
 
 
 def _image_prox(rng, tau):
-    """tv_prox of a random 8x8 image: (input, result, dual)."""
+    """tv_prox of a random 8x8 image: (input, result, dual, TV of the result)."""
     x = rng.standard_normal((8, 8))
     return x, *tv_prox(x, tau, TIGHT)
 
@@ -24,6 +26,11 @@ def _stack_prox(rng, tau):
 
 both_proxes = pytest.mark.parametrize("prox", [_image_prox, _stack_prox],
                                       ids=["tv_prox", "tv_prox_stack"])
+
+
+def bits(value):
+    """Unsigned-integer view of a float64, for bitwise comparison."""
+    return np.float64(value).view(np.uint64)
 
 
 class TestTvNorm:
@@ -67,7 +74,7 @@ class TestGradAdjoint:
 class TestTvProx:
     @both_proxes
     def test_tau_zero_identity(self, rng, prox):
-        x, out, dual = prox(rng, 0.0)
+        x, out, dual, _ = prox(rng, 0.0)
         np.testing.assert_array_equal(out, x)
         assert dual.shape[-3:] == (2, 8, 8) and not dual.any()
 
@@ -83,9 +90,9 @@ class TestTvProx:
     def test_1x2_closed_form(self):
         # prox moves each endpoint min(tau, |a-b|/2) toward the mean
         img = np.array([[0.0, 2.0]])
-        out, _ = tv_prox(img, 0.5, TIGHT_ANISO)
+        out, *_ = tv_prox(img, 0.5, TIGHT_ANISO)
         np.testing.assert_allclose(out, [[0.5, 1.5]], atol=1e-10)
-        out, _ = tv_prox(img, 5.0, TIGHT_ANISO)
+        out, *_ = tv_prox(img, 5.0, TIGHT_ANISO)
         np.testing.assert_allclose(out, [[1.0, 1.0]], atol=1e-10)
 
     def test_1x2_brute_force(self):
@@ -96,7 +103,7 @@ class TestTvProx:
         u1, u2 = np.meshgrid(grid, grid, indexing="ij")
         objective = 0.5 * ((u1 - 0.0) ** 2 + (u2 - 2.0) ** 2) + tau * np.abs(u2 - u1)
         best = np.unravel_index(np.argmin(objective), objective.shape)
-        out, _ = tv_prox(img, tau, TIGHT_ANISO)
+        out, *_ = tv_prox(img, tau, TIGHT_ANISO)
         assert abs(grid[best[0]] - out[0, 0]) < 2e-3
         assert abs(grid[best[1]] - out[0, 1]) < 2e-3
 
@@ -105,7 +112,7 @@ class TestTvProx:
     def test_objective_vs_subgradient_oracle(self, rng, variant, tau):
         img = rng.random((8, 8))
         cfg = TvConfig(variant=variant, max_iters=2000, dual_gap_tol=1e-14)
-        out, _ = tv_prox(img, tau, cfg)
+        out, *_ = tv_prox(img, tau, cfg)
         f_fgp = tv_objective(out, img, tau, variant)
         _, f_oracle = tv_prox_subgradient(img, tau, variant, iters=20_000)
         assert f_fgp <= f_oracle + 1e-5
@@ -113,13 +120,13 @@ class TestTvProx:
     def test_mean_preserved(self, rng):
         img = rng.standard_normal((16, 16))
         for tau in (0.05, 0.5, 5.0):
-            out, _ = tv_prox(img, tau, TIGHT)
+            out, *_ = tv_prox(img, tau, TIGHT)
             assert out.mean() == pytest.approx(img.mean(), abs=1e-8)
 
     def test_tv_shrinks(self, rng):
         img = rng.standard_normal((12, 12))
         for variant, cfg in (("isotropic", TIGHT), ("anisotropic", TIGHT_ANISO)):
-            out, _ = tv_prox(img, 0.3, cfg)
+            out, *_ = tv_prox(img, 0.3, cfg)
             assert tv_norm(out, variant) <= tv_norm(img, variant)
 
     def test_nonexpansive(self, rng):
@@ -127,44 +134,85 @@ class TestTvProx:
         for _ in range(5):
             a = rng.standard_normal((10, 10))
             b = rng.standard_normal((10, 10))
-            pa, _ = tv_prox(a, 0.4, cfg)
-            pb, _ = tv_prox(b, 0.4, cfg)
+            pa, *_ = tv_prox(a, 0.4, cfg)
+            pb, *_ = tv_prox(b, 0.4, cfg)
             slack = 2 * np.sqrt(cfg.dual_gap_tol * max(np.sum(a**2), np.sum(b**2)))
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + slack
 
     def test_warm_start_dual_reuse(self, rng):
         img = rng.standard_normal((12, 12))
-        out_cold, dual = tv_prox(img, 0.2, TIGHT)
+        out_cold, dual, _ = tv_prox(img, 0.2, TIGHT)
         # a warm restart from the converged dual should change nothing much
-        out_warm, _ = tv_prox(img, 0.2, TvConfig(max_iters=1, dual_gap_tol=1e-12), dual_init=dual)
+        out_warm, *_ = tv_prox(img, 0.2, TvConfig(max_iters=1, dual_gap_tol=1e-12), dual_init=dual)
         assert np.abs(out_warm - out_cold).max() < 1e-6
 
     def test_deterministic(self, rng):
         img = rng.standard_normal((8, 8))
-        a, dual_a = tv_prox(img, 0.3, TIGHT)
-        b, dual_b = tv_prox(img, 0.3, TIGHT)
+        a, dual_a, _ = tv_prox(img, 0.3, TIGHT)
+        b, dual_b, _ = tv_prox(img, 0.3, TIGHT)
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(dual_a, dual_b)
+
+
+class TestReturnedTv:
+    """The TV tv_prox returns, measured at its last gap check, is tv_norm of
+    its output bit for bit; tv_prox_stack's is the sum of tv_norm over its
+    output's channels, real part first."""
+
+    @pytest.mark.parametrize("variant", ["isotropic", "anisotropic"])
+    @pytest.mark.parametrize("case", ["gap", "max_iters", "warm", "tau_zero"])
+    def test_tv_is_tv_norm_of_output(self, rng, variant, case):
+        img = rng.standard_normal((12, 12))
+        tau = 0.0 if case == "tau_zero" else 0.3
+        cfg = TvConfig(variant=variant, max_iters=500, dual_gap_tol=1e-4)
+        dual = None
+        if case == "max_iters":
+            cfg = TvConfig(variant=variant, max_iters=3, dual_gap_tol=1e-14)
+        elif case == "warm":
+            dual = tv_prox(img + 0.1 * rng.standard_normal(img.shape), tau, cfg)[1]
+        out, _, tv = tv_prox(img, tau, cfg, dual_init=dual)
+        assert bits(tv) == bits(tv_norm(out, variant))
+        if case in ("gap", "warm"):  # the gap rule stopped it: one more iteration allowed
+            longer = dataclasses.replace(cfg, max_iters=cfg.max_iters + 1)
+            np.testing.assert_array_equal(tv_prox(img, tau, longer, dual_init=dual)[0], out)
+        elif case == "max_iters":  # it ran out of iterations: one more changes it
+            longer = dataclasses.replace(cfg, max_iters=cfg.max_iters + 1)
+            assert not np.array_equal(tv_prox(img, tau, longer)[0], out)
+
+    @pytest.mark.parametrize("variant", ["isotropic", "anisotropic"])
+    @pytest.mark.parametrize("tau", [0.0, 0.3])
+    def test_stack_tv_is_channel_loop(self, rng, variant, tau):
+        x = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
+        cfg = TvConfig(variant=variant, max_iters=40, dual_gap_tol=1e-6)
+        _, dual, _ = tv_prox_stack(x, 0.2, cfg, (8, 8))
+        for init in (None, dual):
+            out, _, tv = tv_prox_stack(x, tau, cfg, (8, 8), dual_init=init)
+            loop = 0.0
+            for s in range(3):
+                channel = out[:, s].reshape(8, 8)
+                loop += tv_norm(channel.real, variant)
+                loop += tv_norm(channel.imag, variant)
+            assert bits(tv) == bits(loop)
 
 
 class TestTvProxStack:
     def test_real_stack_stays_real(self, rng):
         x = rng.standard_normal((64, 3)).astype(complex)
-        out, _ = tv_prox_stack(x, 0.4, TIGHT, (8, 8))
+        out, *_ = tv_prox_stack(x, 0.4, TIGHT, (8, 8))
         assert np.all(out.imag == 0)
 
     def test_constant_channel_unchanged(self, rng):
         x = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
         x[:, 1] = 2.0 + 1.0j
-        out, _ = tv_prox_stack(x, 0.4, TIGHT, (8, 8))
+        out, *_ = tv_prox_stack(x, 0.4, TIGHT, (8, 8))
         np.testing.assert_allclose(out[:, 1], x[:, 1], atol=1e-12)
 
     def test_separable_channels(self, rng):
         x = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
-        out, _ = tv_prox_stack(x, 0.3, TIGHT, (8, 8))
+        out, *_ = tv_prox_stack(x, 0.3, TIGHT, (8, 8))
         for s in range(2):
-            re, _ = tv_prox(x[:, s].real.reshape(8, 8), 0.3, TIGHT)
-            im, _ = tv_prox(x[:, s].imag.reshape(8, 8), 0.3, TIGHT)
+            re, *_ = tv_prox(x[:, s].real.reshape(8, 8), 0.3, TIGHT)
+            im, *_ = tv_prox(x[:, s].imag.reshape(8, 8), 0.3, TIGHT)
             np.testing.assert_allclose(out[:, s], (re + 1j * im).ravel(), atol=1e-14)
 
     def test_shape_mismatch(self, rng):
