@@ -92,6 +92,13 @@ class _Fields(dict):
             raise self.fault(name, f"must have shape ({dims}{comma}), got {value.shape}")
         return value
 
+    def finite(self, name, shape):
+        """self.array(name, shape), which must hold no NaN or inf."""
+        value = self.array(name, shape)
+        if not np.isfinite(value).all():
+            raise self.fault(name, "has non-finite entries (NaN or inf)")
+        return value
+
 
 _KINDS = {bool: "true or false", int: "an integer", float: "a finite number",
           str: "a string", dict: "an object"}

@@ -320,7 +320,10 @@ def load_kspace(path) -> tuple[KSpaceData, CoilMaps, dict]:
     arrays, meta = bundle.read_bundle(path, kind="kspace")
     n_frames, n_coils, h, w = arrays.array("y", (None,) * 4).shape
     masks = arrays.array("masks", (n_frames, h, w)).astype(bool)
-    if not masks.any():  # the solver's step size divides by the sample count
+    # the solver's step size divides by the sample count, coils times sampled points
+    if n_coils == 0:
+        raise arrays.fault("y", "has no coils")
+    if not masks.any():
         raise arrays.fault("masks", "samples no k-space point")
     pattern = SamplingPattern(masks, *(meta.get(key) for key in _PATTERN_META))
     data = KSpaceData(y=arrays["y"].astype(np.complex128), pattern=pattern)

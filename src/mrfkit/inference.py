@@ -340,12 +340,9 @@ def save_net(net: MrfNet, cfg: TrainConfig, path) -> None:
 def load_net(path) -> MrfNet:
     arrays, meta = bundle.read_bundle(path, kind="mrf-net")
     n_layers = meta.typed("layers", int)
-    for name in (f"{kind}{i}" for kind in "wb" for i in range(n_layers)):
-        if not np.isfinite(arrays[name]).all():
-            raise arrays.fault(name, "has non-finite entries (NaN or inf)")
     return MrfNet(
-        weights=[arrays[f"w{i}"] for i in range(n_layers)],
-        biases=[arrays[f"b{i}"] for i in range(n_layers)],
+        weights=[arrays.finite(f"w{i}", (None, None)) for i in range(n_layers)],
+        biases=[arrays.finite(f"b{i}", (None,)) for i in range(n_layers)],
         t1_range=tuple(meta.numbers("t1_range", 2)),
         t2_range=tuple(meta.numbers("t2_range", 2)),
         output_relu=meta.typed("output_relu", bool),

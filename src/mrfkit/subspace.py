@@ -1,9 +1,12 @@
 """Temporal subspace learning by Gram eigendecomposition, plus projection helpers.
 
-The basis holds the leading left singular vectors of the atom matrix D, the
-leading eigenvectors of D D^H. Time series are treated as rows: coefficients
-are ``x @ v`` and the reconstruction is ``coeffs @ v.conj().T``, so
-``project(x) @ v.conj().T`` is the orthogonal projection onto the model subspace.
+The basis holds the leading left singular vectors of the real L x 2d matrix
+[Re D | Im D], the leading eigenvectors of the real Gram Re(D D^H). Every
+simulated dictionary has RF phase 0, so its atoms are i times a real signal,
+D D^H is real, and these are the leading left singular vectors of D itself.
+Time series are treated as rows: coefficients are ``x @ v`` and the
+reconstruction is ``coeffs @ v.conj().T``, so ``project(x) @ v.conj().T`` is
+the orthogonal projection onto the model subspace.
 """
 
 from dataclasses import dataclass
@@ -16,10 +19,15 @@ from .epg import Dictionary
 
 @dataclass
 class SubspaceBasis:
-    """Orthonormal temporal basis: v (L, S) with the full singular spectrum."""
+    """Orthonormal temporal basis: v (L, S) with the full singular spectrum.
+
+    A learned basis is real, held as complex128 with an imaginary part of
+    exactly zero; a loaded one is whatever its file holds. s_values are the
+    singular values of [Re D | Im D], min(L, 2d) of them.
+    """
 
     v: np.ndarray  # complex, (L, S), orthonormal columns
-    s_values: np.ndarray  # float, (min(L, d),), non-increasing
+    s_values: np.ndarray  # float, non-increasing
     rank_s: int
 
     @property
@@ -34,21 +42,19 @@ class SubspaceBasis:
         return float(np.sum(self.s_values[: self.rank_s] ** 2)) / total
 
 
-def _fix_column_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    idx = np.argmax(np.abs(v), axis=0)
-    ref = v[idx, np.arange(v.shape[1])]
-    mag = np.abs(ref)
-    phase = np.where(mag > 0, ref / np.where(mag > 0, mag, 1.0), 1.0)
-    return v * phase.conj()[None, :]
+def _fix_column_signs(v: np.ndarray) -> np.ndarray:
+    """Flip each column so its largest-magnitude entry is positive."""
+    ref = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    return v * np.where(ref < 0, -1.0, 1.0)
 
 
 def learn_subspace(dictionary, rank: int) -> SubspaceBasis:
-    """Learn the rank-S temporal subspace from the eigenvectors of G = D D^H.
+    """Learn the rank-S temporal subspace from the eigenvectors of G = Re(D D^H).
 
-    They are the left singular vectors of D, and the eigenvalues of G its
-    squared singular values: values under about 1e-8 of the largest are not
-    resolved, but the leading vectors and the captured energy are.
+    G = W W^T for the real L x 2d matrix W = [Re D | Im D]: its eigenvectors
+    are the left singular vectors of W, and its eigenvalues their squares.
+    Squared values under about 1e-8 of the largest are not resolved, but the
+    leading vectors and the captured energy are.
 
     Parameters
     ----------
@@ -64,18 +70,20 @@ def learn_subspace(dictionary, rank: int) -> SubspaceBasis:
     if not 1 <= rank <= min(n_frames, n_atoms):
         raise ValueError(f"rank must be in [1, {min(n_frames, n_atoms)}]")
 
-    # G accumulates over 2048-atom complex128 blocks, 33 MB each at 1000 frames
-    gram = np.zeros((n_frames, n_frames), dtype=np.complex128)
+    # G accumulates over 2048-atom blocks, 33 MB each at 1000 frames. The
+    # float64 view of a complex128 block interleaves the real and imaginary
+    # parts of each atom, and w @ w.T, a symmetric rank-k update, sums both
+    gram = np.zeros((n_frames, n_frames))
     with np.errstate(invalid="ignore"):  # an inf atom entry makes NaNs, rejected below
         for lo in range(0, n_atoms, 2048):
-            block = atoms[:, lo : lo + 2048].astype(np.complex128)
-            gram += block @ block.conj().T
+            w = atoms[:, lo : lo + 2048].astype(np.complex128).view(np.float64)
+            gram += w @ w.T
     if not np.isfinite(gram).all():  # every non-finite atom entry reaches G
         raise ValueError("dictionary has non-finite atoms (NaN or inf)")
     eigvals, eigvecs = np.linalg.eigh(gram)  # ascending
-    s_values = np.sqrt(np.clip(eigvals[::-1][: min(n_frames, n_atoms)], 0.0, None))
+    s_values = np.sqrt(np.clip(eigvals[::-1][: min(n_frames, 2 * n_atoms)], 0.0, None))
     # eigh's vectors are Fortran-ordered; v is row-major, as a loaded basis is
-    v = np.ascontiguousarray(_fix_column_phases(eigvecs[:, ::-1][:, :rank]))
+    v = np.ascontiguousarray(_fix_column_signs(eigvecs[:, ::-1][:, :rank]), dtype=np.complex128)
     return SubspaceBasis(v=v, s_values=s_values, rank_s=int(rank))
 
 
@@ -120,13 +128,13 @@ def save_basis(basis: SubspaceBasis, path) -> None:
 
 def load_basis(path) -> SubspaceBasis:
     arrays, meta = bundle.read_bundle(path, kind="basis")
-    v = arrays.array("v", (None, None)).astype(np.complex128)
+    v = arrays.finite("v", (None, None)).astype(np.complex128)
     rank = meta.typed("rank", int)
     if not 1 <= rank == v.shape[1]:
         raise meta.fault("rank", f"must equal the {v.shape[1]} columns of 'v' and be "
                                  f"at least 1, got {rank}")
     return SubspaceBasis(
         v=v,
-        s_values=arrays.array("singular_values", (None,)).astype(np.float64),
+        s_values=arrays.finite("singular_values", (None,)).astype(np.float64),
         rank_s=rank,
     )

@@ -32,6 +32,12 @@ Reference paths are built on the per-frame k-space operator:
   majorization test in k-space on that pair, where ``solver.solve`` uses the
   subspace normal operator instead;
 - ``simulate_fingerprint`` is one atom of ``epg.simulate_fingerprints``.
+
+``learn_subspace_complex`` is the complex-arithmetic subspace: the leading
+eigenvectors of the complex Gram D D^H, each column rotated so its
+largest-magnitude entry is real positive. ``subspace.learn_subspace`` takes
+them from the real Gram Re(D D^H); on a dictionary of atoms that are i times a
+real signal, the two agree to roundoff.
 """
 
 import math
@@ -335,6 +341,18 @@ def simulate_fingerprint(t1_ms, t2_ms, schedule, k_max=None):
     return epg.simulate_fingerprints(
         np.array([t1_ms]), np.array([t2_ms]), schedule, k_max=k_max
     )[:, 0]
+
+
+def learn_subspace_complex(atoms, rank):
+    """v (L, rank) from a blocked complex Gram D D^H and a complex eigh."""
+    n_frames, n_atoms = atoms.shape
+    gram = np.zeros((n_frames, n_frames), dtype=np.complex128)
+    for lo in range(0, n_atoms, 2048):
+        block = atoms[:, lo : lo + 2048].astype(np.complex128)
+        gram += block @ block.conj().T
+    v = np.linalg.eigh(gram)[1][:, ::-1][:, :rank]
+    ref = v[np.argmax(np.abs(v), axis=0), np.arange(rank)]
+    return v * (np.abs(ref) / ref)[None, :]
 
 
 def expand(coeffs, basis):

@@ -195,6 +195,36 @@ IMPOSSIBLE_FIELDS = [
     pytest.param("kspace", "masks", np.zeros((80, 32, 32), np.uint8), id="kspace-masks-empty"),
     pytest.param("mrf-net", "w1", _one_entry((8, 8), np.nan), id="mrf-net-w1-nan"),
     pytest.param("mrf-net", "b2", _one_entry(2, -np.inf), id="mrf-net-b2-inf"),
+    pytest.param("reconstruction", "x_subspace", _one_entry((4, 32, 32), np.nan) + 0j,
+                 id="reconstruction-x_subspace-nan"),
+    pytest.param("reconstruction", "basis_v", _one_entry((80, 4), np.inf) + 0j,
+                 id="reconstruction-basis_v-inf"),
+    pytest.param("basis", "singular_values", _one_entry(80, -np.inf),
+                 id="basis-singular_values-inf"),
+]
+
+
+def _drop_coils(arrays):
+    arrays["y"], arrays["sens"] = arrays["y"][:, :0], arrays["sens"][:0]
+
+
+def _nan_at(key, index):
+    def edit(arrays):
+        arrays[key][index] = np.nan
+    return edit
+
+
+_RECONSTRUCT = ("reconstruct", "--in", "{kspace}", "--basis", "{basis}", "--mode")
+# impossible bundles that replacing one field cannot make, or read by a command
+# other than LOADERS': (file, kind, key the error names, edit, command)
+IMPOSSIBLE_BUNDLES = [
+    *(pytest.param("kspace", "kspace", "y", _drop_coils, (*_RECONSTRUCT, mode),
+                   id=f"kspace-no-coils-{mode}") for mode in ("bpi", "lr")),
+    *(pytest.param("basis", "basis", "v", _nan_at("v", (3, 1)), (*_RECONSTRUCT, mode),
+                   id=f"basis-v-nan-{mode}") for mode in ("bpi", "lr")),
+    pytest.param("recon", "reconstruction", "x_subspace", _nan_at("x_subspace", (0, 5, 5)),
+                 ("infer", "--net", "{net}", "--in", "{recon}"),
+                 id="reconstruction-x_subspace-nan-infer"),
 ]
 
 
@@ -434,6 +464,18 @@ class TestExitCodes:
         capsys.readouterr()
         code = run_cli(*command, "--out", str(out))
         assert_corrupt_header(capsys, code, path, leaf, out)
+
+    @pytest.mark.parametrize("source,kind,key,edit,args", IMPOSSIBLE_BUNDLES)
+    def test_impossible_bundle_is_io_error(self, loader_files, tmp_path, capsys, source, kind,
+                                           key, edit, args):
+        arrays, meta = bundle.read_bundle(loader_files[source], kind=kind)
+        edit(arrays)
+        path, out = tmp_path / "bad.mrfb", tmp_path / "out.mrfb"
+        bundle.write_bundle(path, arrays, meta)
+        command = [arg.format(**{**loader_files, source: path}) for arg in args]
+        capsys.readouterr()
+        code = run_cli(*command, "--out", str(out))
+        assert_corrupt_header(capsys, code, path, key, out)
 
     def test_nonfinite_lambda_flag_is_usage_error(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "x.mrfb"

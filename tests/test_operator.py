@@ -12,7 +12,10 @@ def random_complex(rng, shape):
 
 
 def random_basis(rng, n_frames, rank):
-    return subspace.learn_subspace(random_complex(rng, (n_frames, 3 * n_frames)), rank)
+    """An orthonormal basis with complex entries, unlike a learned one, so the
+    operators' conjugations of v are exercised."""
+    v = np.linalg.qr(random_complex(rng, (n_frames, rank)))[0]
+    return subspace.SubspaceBasis(v=v, s_values=np.ones(rank), rank_s=rank)
 
 
 def rel_err(fast, reference):

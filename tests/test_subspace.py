@@ -3,11 +3,17 @@ import pytest
 
 from mrfkit import epg, subspace
 
-from oracles import expand
+from oracles import expand, learn_subspace_complex
 
 
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def stacked(atoms):
+    """The real L x 2d matrix [Re D | Im D] whose left singular vectors the
+    basis holds."""
+    return np.hstack([atoms.real, atoms.imag])
 
 
 class TestLearnSubspace:
@@ -18,20 +24,23 @@ class TestLearnSubspace:
         assert np.abs(gram - np.eye(7)).max() < 1e-10
 
     def test_rank_one_dictionary(self, rng):
-        signal = random_complex(rng, (30,))
+        # one real signal under a common phase: [Re D | Im D] has rank one
+        signal = np.exp(0.7j) * rng.standard_normal(30)
         scales = rng.uniform(0.5, 2.0, 25)
         atoms = signal[:, None] * scales[None, :]
         basis = subspace.learn_subspace(atoms, 1)
         # v spans the signal: the column projection v v^H removes nothing
         recon = basis.v @ (basis.v.conj().T @ signal)
         np.testing.assert_allclose(recon, signal, atol=1e-10)
+        u = np.linalg.svd(stacked(atoms), full_matrices=False)[0][:, :1]
+        np.testing.assert_allclose(basis.v @ basis.v.conj().T, u @ u.T, atol=1e-10)
         assert basis.captured_energy() == pytest.approx(1.0, abs=1e-12)
 
     def test_residual_matches_svd_tail(self, rng):
         atoms = random_complex(rng, (20, 50))
         basis = subspace.learn_subspace(atoms, 5)
         residual = atoms - basis.v @ (basis.v.conj().T @ atoms)
-        tail = np.linalg.svd(atoms, compute_uv=False)[5:]
+        tail = np.linalg.svd(stacked(atoms), compute_uv=False)[5:]
         lhs = np.linalg.norm(residual) ** 2
         rhs = np.sum(tail**2)
         assert abs(lhs - rhs) / rhs < 1e-8
@@ -42,23 +51,49 @@ class TestLearnSubspace:
         atoms = random_complex(rng, shape)
         rank = 4
         basis = subspace.learn_subspace(atoms, rank)
-        u, s, _ = np.linalg.svd(atoms, full_matrices=False)
+        u, s, _ = np.linalg.svd(stacked(atoms), full_matrices=False)
         np.testing.assert_allclose(basis.v @ basis.v.conj().T,
-                                   u[:, :rank] @ u[:, :rank].conj().T, atol=1e-10)
+                                   u[:, :rank] @ u[:, :rank].T, atol=1e-10)
         np.testing.assert_allclose(basis.s_values[:rank], s[:rank], rtol=1e-8)
-        assert basis.s_values.shape == (min(shape),)
+        assert basis.s_values.shape == (min(shape[0], 2 * shape[1]),)
         assert np.all(np.diff(basis.s_values) <= 0)
         assert np.all(basis.s_values >= 0)
         assert basis.v.flags.c_contiguous
+        assert basis.v.dtype == np.complex128 and np.all(basis.v.imag == 0)
+
+    def test_imaginary_atoms_match_complex_svd(self, rng):
+        # atoms i times a real signal, as every simulated dictionary's are:
+        # the subspace is that of the complex SVD of D itself
+        atoms = 1j * rng.standard_normal((24, 90))
+        rank = 5
+        basis = subspace.learn_subspace(atoms, rank)
+        u, s, _ = np.linalg.svd(atoms, full_matrices=False)
+        np.testing.assert_allclose(basis.v @ basis.v.conj().T,
+                                   u[:, :rank] @ u[:, :rank].conj().T, atol=1e-10)
+        np.testing.assert_allclose(basis.s_values[:24], s, rtol=1e-8)
 
     def test_phase_convention(self, rng):
         atoms = random_complex(rng, (16, 40))
         basis = subspace.learn_subspace(atoms, 3)
+        assert np.all(basis.v.imag == 0)
         for j in range(3):
-            col = basis.v[:, j]
-            k = np.argmax(np.abs(col))
-            assert col[k].imag == pytest.approx(0.0, abs=1e-12)
-            assert col[k].real > 0
+            col = basis.v[:, j].real
+            assert col[np.argmax(np.abs(col))] > 0
+
+    def test_captured_energy_is_energy_inside(self, rng):
+        # narrow: min(L, 2d) singular values, more than min(L, d)
+        atoms = random_complex(rng, (30, 12))
+        basis = subspace.learn_subspace(atoms, 4)
+        inside = np.linalg.norm(basis.v.conj().T @ atoms) ** 2
+        assert basis.captured_energy() == pytest.approx(
+            inside / np.linalg.norm(atoms) ** 2, rel=1e-12)
+
+    def test_epg_dictionary_matches_complex_gram(self, desk_dictionary):
+        # the real Gram against the complex Gram and complex eigh it replaces,
+        # at the default rank
+        basis = subspace.learn_subspace(desk_dictionary, 5)
+        reference = learn_subspace_complex(desk_dictionary.atoms, 5)
+        assert np.abs(basis.v - reference).max() < 1e-10
 
     def test_rank_bounds(self, rng):
         atoms = random_complex(rng, (10, 20))
@@ -70,7 +105,8 @@ class TestLearnSubspace:
     def test_on_dictionary(self, small_dictionary):
         basis = subspace.learn_subspace(small_dictionary, 3)
         assert basis.v.shape == (small_dictionary.n_frames, 3)
-        assert basis.s_values.shape == (min(small_dictionary.atoms.shape),)
+        n_frames, n_atoms = small_dictionary.atoms.shape
+        assert basis.s_values.shape == (min(n_frames, 2 * n_atoms),)
         assert np.all(np.diff(basis.s_values) <= 1e-9)
         assert np.all(basis.s_values >= 0)
 
