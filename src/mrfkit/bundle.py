@@ -53,7 +53,8 @@ class _Fields(dict):
     """A bundle's arrays, or an object of its header, whose lookup of a
     missing key, and typed lookup of a value of the wrong type or shape, raise
     HeaderError naming the file and the key: a loader given a bundle without a
-    field it needs, or with a malformed one, fails as a corrupt header."""
+    field it needs, or with a malformed one, fails as a corrupt header. An
+    array of another dtype than its saver writes raises DtypeError."""
 
     def __init__(self, path: str, what: str, items=()):
         super().__init__(items)
@@ -82,19 +83,25 @@ class _Fields(dict):
             raise self.fault(key, f"must be a list of {count} finite numbers, got {value!r}")
         return value
 
-    def array(self, name, shape):
-        """self[name], which must be an array of the given shape, in which a
-        length of None matches any length."""
+    def array(self, name, shape, dtype, rerun=None):
+        """self[name], which must be an array of the given on-disk dtype, such
+        as "float32", and of the given shape, in which a length of None
+        matches any length. A wrong dtype raises DtypeError, which names the
+        command to rerun, if given, to write the file again."""
         value = self[name]
+        if value.dtype != _DTYPES[dtype]:
+            remedy = f"; rerun {rerun} to write it again" if rerun else ""
+            raise DtypeError(f"{self.path} {self.what} {name!r} must be {dtype}, "
+                             f"got {value.dtype.name}{remedy}")
         if value.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, value.shape)):
             dims = ", ".join("*" if n is None else str(n) for n in shape)
             comma = "," if len(shape) == 1 else ""
             raise self.fault(name, f"must have shape ({dims}{comma}), got {value.shape}")
         return value
 
-    def finite(self, name, shape):
-        """self.array(name, shape), which must hold no NaN or inf."""
-        value = self.array(name, shape)
+    def finite(self, name, shape, dtype, rerun=None):
+        """self.array(name, shape, dtype, rerun), which must hold no NaN or inf."""
+        value = self.array(name, shape, dtype, rerun)
         if not np.isfinite(value).all():
             raise self.fault(name, "has non-finite entries (NaN or inf)")
         return value

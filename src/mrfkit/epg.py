@@ -369,7 +369,7 @@ def save_dictionary(dictionary: Dictionary, path) -> None:
 @bundle.loader
 def load_dictionary(path) -> Dictionary:
     arrays, meta = bundle.read_bundle(path, kind="dictionary")
-    atoms = arrays.array("atoms", (None, None))
+    atoms = arrays.array("atoms", (None, None), "complex64")
     # no stored entry can overflow a complex128 sum, so the sum is finite
     # exactly when every entry is, and it takes no atom-sized temporary
     with np.errstate(invalid="ignore"):  # inf + -inf is NaN, rejected below
@@ -378,7 +378,7 @@ def load_dictionary(path) -> Dictionary:
         raise arrays.fault("atoms", "has non-finite entries (NaN or inf)")
     n_frames, n_atoms = atoms.shape
     schedule = SequenceSchedule(
-        arrays.array("flip_angles_deg", (n_frames,)).astype(np.float64),
+        arrays.array("flip_angles_deg", (n_frames,), "float32").astype(np.float64),
         tr_ms=float(meta.typed("tr_ms", float)),
         te_ms=float(meta.typed("te_ms", float)),
         tinv_ms=float(meta.typed("tinv_ms", float)),
@@ -387,8 +387,8 @@ def load_dictionary(path) -> Dictionary:
     grid = meta.typed("grid", dict)
     return Dictionary(
         atoms=atoms,
-        t1_ms=arrays.array("t1", (n_atoms,)),
-        t2_ms=arrays.array("t2", (n_atoms,)),
+        t1_ms=arrays.array("t1", (n_atoms,), "float32"),
+        t2_ms=arrays.array("t2", (n_atoms,), "float32"),
         schedule=schedule,
         grid_spec=GridSpec(t1=GridRange(*grid.numbers("t1", 3)),
                            t2=GridRange(*grid.numbers("t2", 3))),

@@ -277,8 +277,8 @@ def score(maps_path, gt_path) -> tuple[dict, dict, str]:
     estimator that made them."""
     arrays, meta = bundle.read_bundle(maps_path, kind="maps")
     gt = phantom.load_ground_truth(gt_path)
-    t1 = arrays.array("t1", (None, None)).astype(np.float64)
-    maps = {"t1": t1, "t2": arrays.array("t2", t1.shape).astype(np.float64)}
+    t1 = arrays.array("t1", (None, None), "float32").astype(np.float64)
+    maps = {"t1": t1, "t2": arrays.array("t2", t1.shape, "float32").astype(np.float64)}
     return phantom.score_maps(maps["t1"], maps["t2"], gt), maps, meta.typed("estimator", str)
 
 

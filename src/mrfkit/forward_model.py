@@ -1,5 +1,5 @@
 """Forward operator: masked multi-coil unitary 2-D Fourier transforms of the
-frames x v^H of a subspace coefficient stack, plus the mask and coil-map
+frames x v^T of a subspace coefficient stack, plus the mask and coil-map
 generators.
 
 With Cartesian masks the temporal basis commutes with the coil weighting and
@@ -230,15 +230,15 @@ def _coil_combine(coeffs: np.ndarray, sens: np.ndarray) -> np.ndarray:
 def forward(
     x: np.ndarray, basis: SubspaceBasis, coils: CoilMaps, pattern: SamplingPattern
 ) -> KSpaceData:
-    """A(x v^H): coil weighting and S*C unitary 2-D FFTs of the coefficient
-    images, then frame t of coil c is sum_s conj(v[t, s]) FFT(sens_c x_s),
-    masked. x has shape (n, S) with n = H*W."""
+    """A(x v^T): coil weighting and S*C unitary 2-D FFTs of the coefficient
+    images, then frame t of coil c is sum_s v[t, s] FFT(sens_c x_s), masked.
+    x has shape (n, S) with n = H*W."""
     h, w = _check_geometry(basis, coils, pattern)
     rank = basis.rank_s
     if x.shape != (h * w, rank):
         raise ValueError(f"x must have shape {(h * w, rank)}")
     coeffs = _coil_fft(x, coils.sens, h, w).transpose(1, 0, 2, 3).reshape(rank, -1)
-    y = (basis.v.conj() @ coeffs).reshape(pattern.n_frames, coils.n_coils, h, w)
+    y = (basis.v @ coeffs).reshape(pattern.n_frames, coils.n_coils, h, w)
     y *= pattern.masks[:, None, :, :]
     return KSpaceData(y=y, pattern=pattern)
 
@@ -265,7 +265,7 @@ def adjoint(
 
 def gram_kernel(basis: SubspaceBasis, pattern: SamplingPattern) -> np.ndarray:
     """Per-k-space-point kernel of the subspace normal operator,
-    K[k] = sum_t M_t[k] v_t v_t^H with v_t row t of the basis, shape (H, W, S, S).
+    K[k] = sum_t M_t[k] v_t v_t^T with v_t row t of the basis, real, shape (H, W, S, S).
 
     With Cartesian masks, A^H A restricted to the subspace is the coil
     weighting and FFT of each coefficient image, this S x S product at each
@@ -276,20 +276,17 @@ def gram_kernel(basis: SubspaceBasis, pattern: SamplingPattern) -> np.ndarray:
     n_frames, rank = pattern.n_frames, basis.rank_s
     if basis.n_frames != n_frames:
         raise ValueError("basis frames and sampling pattern frames disagree")
-    v = np.ascontiguousarray(basis.v, dtype=np.complex128)  # row-major for the float64 view
-    # real and imaginary parts side by side, so the masks enter a real GEMM
-    outer = (v[:, :, None] * v.conj()[:, None, :]).reshape(n_frames, rank * rank)
-    outer = outer.view(np.float64)
+    outer = (basis.v[:, :, None] * basis.v[:, None, :]).reshape(n_frames, rank * rank)
     masks = pattern.masks.reshape(n_frames, h * w)
-    kernel = np.zeros((h * w, 2 * rank * rank))
+    kernel = np.zeros((h * w, rank * rank))
     for lo in range(0, n_frames, _FRAME_BLOCK):
         hi = min(lo + _FRAME_BLOCK, n_frames)
         kernel += masks[lo:hi].T.astype(np.float64) @ outer[lo:hi]
-    return kernel.view(np.complex128).reshape(h, w, rank, rank)
+    return kernel.reshape(h, w, rank, rank)
 
 
 def normal(x: np.ndarray, kernel: np.ndarray, coils: CoilMaps) -> np.ndarray:
-    """A^H(A(x v^H)) v through the kernel from :func:`gram_kernel`: coil
+    """A^H(A(x v^T)) v through the kernel from :func:`gram_kernel`: coil
     weighting, S*C forward FFTs, the S x S product at each k-space point,
     S*C inverse FFTs and the conjugate coil combine. No frame is formed."""
     h, w, rank, _ = kernel.shape
@@ -318,8 +315,8 @@ def save_kspace(data: KSpaceData, coils: CoilMaps, path, kspace_noise: float) ->
 
 def load_kspace(path) -> tuple[KSpaceData, CoilMaps, dict]:
     arrays, meta = bundle.read_bundle(path, kind="kspace")
-    n_frames, n_coils, h, w = arrays.array("y", (None,) * 4).shape
-    masks = arrays.array("masks", (n_frames, h, w)).astype(bool)
+    n_frames, n_coils, h, w = arrays.array("y", (None,) * 4, "complex64").shape
+    masks = arrays.array("masks", (n_frames, h, w), "uint8").astype(bool)
     # the solver's step size divides by the sample count, coils times sampled points
     if n_coils == 0:
         raise arrays.fault("y", "has no coils")
@@ -327,5 +324,5 @@ def load_kspace(path) -> tuple[KSpaceData, CoilMaps, dict]:
         raise arrays.fault("masks", "samples no k-space point")
     pattern = SamplingPattern(masks, *(meta.get(key) for key in _PATTERN_META))
     data = KSpaceData(y=arrays["y"].astype(np.complex128), pattern=pattern)
-    coils = CoilMaps(sens=arrays.array("sens", (n_coils, h, w)).astype(np.complex128))
+    coils = CoilMaps(sens=arrays.array("sens", (n_coils, h, w), "complex64").astype(np.complex128))
     return data, coils, meta

@@ -188,10 +188,10 @@ def save_ground_truth(gt: GroundTruth, path) -> None:
 
 def load_ground_truth(path) -> GroundTruth:
     arrays, _ = bundle.read_bundle(path, kind="ground-truth")
-    shape = arrays.array("t1", (None, None)).shape
+    shape = arrays.array("t1", (None, None), "float32").shape
     return GroundTruth(
         t1_map=arrays["t1"].astype(np.float64),
-        t2_map=arrays.array("t2", shape).astype(np.float64),
-        pd_map=arrays.array("pd", shape).astype(np.float64),
-        region_labels=arrays.array("labels", shape),
+        t2_map=arrays.array("t2", shape, "float32").astype(np.float64),
+        pd_map=arrays.array("pd", shape, "float32").astype(np.float64),
+        region_labels=arrays.array("labels", shape, "int32"),
     )

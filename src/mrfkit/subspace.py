@@ -5,8 +5,8 @@ The basis holds the leading left singular vectors of the real L x 2d matrix
 simulated dictionary has RF phase 0, so its atoms are i times a real signal,
 D D^H is real, and these are the leading left singular vectors of D itself.
 Time series are treated as rows: coefficients are ``x @ v`` and the
-reconstruction is ``coeffs @ v.conj().T``, so ``project(x) @ v.conj().T`` is
-the orthogonal projection onto the model subspace.
+reconstruction is ``coeffs @ v.T``, so ``project(x) @ v.T`` is the orthogonal
+projection onto the model subspace.
 """
 
 from dataclasses import dataclass
@@ -21,14 +21,17 @@ from .epg import Dictionary
 class SubspaceBasis:
     """Orthonormal temporal basis: v (L, S) with the full singular spectrum.
 
-    A learned basis is real, held as complex128 with an imaginary part of
-    exactly zero; a loaded one is whatever its file holds. s_values are the
+    v is real, float64 in memory and float32 on disk. s_values are the
     singular values of [Re D | Im D], min(L, 2d) of them.
     """
 
-    v: np.ndarray  # complex, (L, S), orthonormal columns
+    v: np.ndarray  # float64, (L, S), orthonormal columns
     s_values: np.ndarray  # float, non-increasing
     rank_s: int
+
+    def __post_init__(self):
+        if np.iscomplexobj(self.v):
+            raise ValueError("basis v must be real")
 
     @property
     def n_frames(self) -> int:
@@ -70,20 +73,19 @@ def learn_subspace(dictionary, rank: int) -> SubspaceBasis:
     if not 1 <= rank <= min(n_frames, n_atoms):
         raise ValueError(f"rank must be in [1, {min(n_frames, n_atoms)}]")
 
-    # G accumulates over 2048-atom blocks, 33 MB each at 1000 frames. The
-    # float64 view of a complex128 block interleaves the real and imaginary
-    # parts of each atom, and w @ w.T, a symmetric rank-k update, sums both
+    # G sums 2048-atom blocks, w 33 MB each at 1000 frames; w @ w.T is one
+    # symmetric rank-k update over each atom's real and imaginary parts
     gram = np.zeros((n_frames, n_frames))
     with np.errstate(invalid="ignore"):  # an inf atom entry makes NaNs, rejected below
-        for lo in range(0, n_atoms, 2048):
-            w = atoms[:, lo : lo + 2048].astype(np.complex128).view(np.float64)
+        for block in np.split(atoms, range(2048, n_atoms, 2048), axis=1):
+            w = np.stack([block.real, block.imag], axis=2, dtype=np.float64).reshape(n_frames, -1)
             gram += w @ w.T
     if not np.isfinite(gram).all():  # every non-finite atom entry reaches G
         raise ValueError("dictionary has non-finite atoms (NaN or inf)")
     eigvals, eigvecs = np.linalg.eigh(gram)  # ascending
     s_values = np.sqrt(np.clip(eigvals[::-1][: min(n_frames, 2 * n_atoms)], 0.0, None))
     # eigh's vectors are Fortran-ordered; v is row-major, as a loaded basis is
-    v = np.ascontiguousarray(_fix_column_signs(eigvecs[:, ::-1][:, :rank]), dtype=np.complex128)
+    v = np.ascontiguousarray(_fix_column_signs(eigvecs[:, ::-1][:, :rank]))
     return SubspaceBasis(v=v, s_values=s_values, rank_s=int(rank))
 
 
@@ -119,7 +121,7 @@ def save_basis(basis: SubspaceBasis, path) -> None:
     bundle.write_bundle(
         path,
         {
-            "v": basis.v.astype(np.complex64),
+            "v": basis.v.astype(np.float32),
             "singular_values": basis.s_values.astype(np.float32),
         },
         meta={"kind": "basis", "rank": basis.rank_s},
@@ -128,13 +130,13 @@ def save_basis(basis: SubspaceBasis, path) -> None:
 
 def load_basis(path) -> SubspaceBasis:
     arrays, meta = bundle.read_bundle(path, kind="basis")
-    v = arrays.finite("v", (None, None)).astype(np.complex128)
+    v = arrays.finite("v", (None, None), "float32", rerun="learn-subspace").astype(np.float64)
     rank = meta.typed("rank", int)
     if not 1 <= rank == v.shape[1]:
         raise meta.fault("rank", f"must equal the {v.shape[1]} columns of 'v' and be "
                                  f"at least 1, got {rank}")
     return SubspaceBasis(
         v=v,
-        s_values=arrays.finite("singular_values", (None,)).astype(np.float64),
+        s_values=arrays.finite("singular_values", (None,), "float32").astype(np.float64),
         rank_s=rank,
     )

@@ -132,29 +132,24 @@ def tv_prox_stack(
     result, the final dual state, for warm-starting the next call, and the
     result's TV summed over the 2S images.
 
-    Real and imaginary parts of each channel are independent real prox
-    problems (2S calls); their TVs are summed in channel order, real part
-    first. The dual state has shape (S, 2, 2, H, W) indexed
-    [channel, real/imag, p/q].
+    The real and imaginary parts of each channel are the 2S columns of the
+    stack's float64 view, independent real prox problems (2S calls), taken
+    in column order, real part first; their TVs are summed in that order.
+    The dual state has shape (2S, 2, H, W) indexed [column, p/q].
     """
     h, w = hw
-    x = np.asarray(x)
+    x = np.ascontiguousarray(x, dtype=np.complex128)
     n, rank = x.shape
     if n != h * w:
         raise ValueError(f"stack rows {n} do not match image size {h}x{w}")
 
-    out = np.empty((n, rank), dtype=np.complex128)
-    duals = np.zeros((rank, 2, 2, h, w))
+    out = np.empty_like(x)
+    parts, out_parts = x.view(np.float64), out.view(np.float64)
+    duals = np.zeros((2 * rank, 2, h, w))
     tv_total = 0.0
-    for s in range(rank):
-        for part, comp in enumerate(("real", "imag")):
-            img = getattr(x[:, s], comp).reshape(h, w)
-            init = dual_init[s, part] if dual_init is not None else None
-            res, dual, tv = tv_prox(img, tau, cfg, dual_init=init)
-            duals[s, part] = dual
-            tv_total += tv
-            if part == 0:
-                out[:, s] = res.ravel()
-            else:
-                out[:, s] += 1j * res.ravel()
+    for j in range(2 * rank):
+        init = dual_init[j] if dual_init is not None else None
+        res, duals[j], tv = tv_prox(parts[:, j].reshape(h, w), tau, cfg, dual_init=init)
+        out_parts[:, j] = res.ravel()
+        tv_total += tv
     return out, duals, tv_total

@@ -197,7 +197,7 @@ IMPOSSIBLE_FIELDS = [
     pytest.param("mrf-net", "b2", _one_entry(2, -np.inf), id="mrf-net-b2-inf"),
     pytest.param("reconstruction", "x_subspace", _one_entry((4, 32, 32), np.nan) + 0j,
                  id="reconstruction-x_subspace-nan"),
-    pytest.param("reconstruction", "basis_v", _one_entry((80, 4), np.inf) + 0j,
+    pytest.param("reconstruction", "basis_v", _one_entry((80, 4), np.inf),
                  id="reconstruction-basis_v-inf"),
     pytest.param("basis", "singular_values", _one_entry(80, -np.inf),
                  id="basis-singular_values-inf"),
@@ -225,6 +225,27 @@ IMPOSSIBLE_BUNDLES = [
     pytest.param("recon", "reconstruction", "x_subspace", _nan_at("x_subspace", (0, 5, 5)),
                  ("infer", "--net", "{net}", "--in", "{recon}"),
                  id="reconstruction-x_subspace-nan-infer"),
+]
+
+
+_MATCH = ("match", "--dict", "{dict}", "--in", "{recon}")
+# an array stored as complex64 where its saver writes another dtype: (file,
+# kind, key, command, the command the error says to rerun); the first two
+# are the complex64 v and basis_v of bundles from before the basis was real
+DTYPE_MISMATCHES = [
+    pytest.param("basis", "basis", "v", (*_RECONSTRUCT, "lr"), "learn-subspace", id="basis-v"),
+    pytest.param("recon", "reconstruction", "basis_v", _MATCH, "reconstruct",
+                 id="reconstruction-basis_v"),
+    pytest.param("net", "mrf-net", "w0", ("infer", "--net", "{net}", "--in", "{recon}"), None,
+                 id="mrf-net-w0-infer"),
+    pytest.param("gt", "ground-truth", "t1", ("score", "--est", "{maps}", "--gt", "{gt}"), None,
+                 id="ground-truth-t1-score"),
+    pytest.param("dict", "dictionary", "t1", _MATCH, None, id="dictionary-t1-match"),
+    pytest.param("dict", "dictionary", "t1",
+                 ("train-net", "--dict", "{dict}", "--basis", "{basis}", "--augment", "2"), None,
+                 id="dictionary-t1-train-net"),
+    pytest.param("basis", "basis", "singular_values", (*_RECONSTRUCT, "bpi"), None,
+                 id="basis-singular_values-reconstruct"),
 ]
 
 
@@ -476,6 +497,24 @@ class TestExitCodes:
         capsys.readouterr()
         code = run_cli(*command, "--out", str(out))
         assert_corrupt_header(capsys, code, path, key, out)
+
+    @pytest.mark.parametrize("source,kind,key,args,rerun", DTYPE_MISMATCHES)
+    def test_complex_array_is_dtype_mismatch(self, loader_files, tmp_path, capsys, source, kind,
+                                             key, args, rerun):
+        arrays, meta = bundle.read_bundle(loader_files[source], kind=kind)
+        expected = arrays[key].dtype.name
+        arrays[key] = arrays[key].astype(np.complex64)
+        path, out = tmp_path / "bad.mrfb", tmp_path / "out.mrfb"
+        bundle.write_bundle(path, arrays, meta)
+        command = [arg.format(**{**loader_files, source: path}) for arg in args]
+        capsys.readouterr()
+        assert run_cli(*command, "--out", str(out)) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error kind=io code=dtype-mismatch")
+        assert str(path) in lines[0] and repr(key) in lines[0]
+        assert f"must be {expected}, got complex64" in lines[0]
+        assert (f"rerun {rerun}" in lines[0]) if rerun else ("rerun" not in lines[0])
+        assert not out.exists()
 
     def test_nonfinite_lambda_flag_is_usage_error(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "x.mrfb"

@@ -12,9 +12,9 @@ def random_complex(rng, shape):
 
 
 def random_basis(rng, n_frames, rank):
-    """An orthonormal basis with complex entries, unlike a learned one, so the
-    operators' conjugations of v are exercised."""
-    v = np.linalg.qr(random_complex(rng, (n_frames, rank)))[0]
+    """A real orthonormal basis, as a learned one is, but with no structure
+    of a dictionary."""
+    v = np.linalg.qr(rng.standard_normal((n_frames, rank)))[0]
     return subspace.SubspaceBasis(v=v, s_values=np.ones(rank), rank_s=rank)
 
 
@@ -144,7 +144,7 @@ class TestForwardAdjoint:
         # S = L with V = I: forward is the per-frame unitary FFT of the series
         n_frames, size = 6, 16
         eye_basis = subspace.SubspaceBasis(
-            v=np.eye(n_frames, dtype=complex), s_values=np.ones(n_frames), rank_s=n_frames
+            v=np.eye(n_frames), s_values=np.ones(n_frames), rank_s=n_frames
         )
         pattern = fm.make_vd_cartesian_masks(size, size, n_frames, accel=1.0, seed=0)
         coils = fm.make_coil_maps(size, size, 1, kind="uniform")
@@ -221,7 +221,7 @@ class TestNormalOperator:
     @pytest.mark.parametrize("h,w,n_coils,kind,rank,n_frames", OPERATOR_SHAPES)
     def test_matches_adjoint_of_forward(self, rng, h, w, n_coils, kind, rank, n_frames):
         basis, pattern, coils, kernel = self.problem(rng, h, w, n_coils, kind, rank, n_frames)
-        assert kernel.shape == (h, w, rank, rank)
+        assert kernel.shape == (h, w, rank, rank) and kernel.dtype == np.float64
         x = random_complex(rng, (h * w, rank))
         reference = adjoint_frames(forward_frames(x, basis, coils, pattern), basis, coils, pattern)
         assert rel_err(fm.normal(x, kernel, coils), reference) < 1e-12

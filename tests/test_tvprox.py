@@ -209,11 +209,14 @@ class TestTvProxStack:
 
     def test_separable_channels(self, rng):
         x = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
-        out, *_ = tv_prox_stack(x, 0.3, TIGHT, (8, 8))
+        out, duals, _ = tv_prox_stack(x, 0.3, TIGHT, (8, 8))
+        assert duals.shape == (4, 2, 8, 8)  # [column of the float64 view, p/q]
         for s in range(2):
-            re, *_ = tv_prox(x[:, s].real.reshape(8, 8), 0.3, TIGHT)
-            im, *_ = tv_prox(x[:, s].imag.reshape(8, 8), 0.3, TIGHT)
+            re, dual_re, _ = tv_prox(x[:, s].real.reshape(8, 8), 0.3, TIGHT)
+            im, dual_im, _ = tv_prox(x[:, s].imag.reshape(8, 8), 0.3, TIGHT)
             np.testing.assert_allclose(out[:, s], (re + 1j * im).ravel(), atol=1e-14)
+            np.testing.assert_array_equal(duals[2 * s], dual_re)
+            np.testing.assert_array_equal(duals[2 * s + 1], dual_im)
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
