@@ -3,7 +3,9 @@
 Layout: a uint64 little-endian length prefix, a UTF-8 JSON header, then raw
 little-endian row-major array payloads at 64-byte-aligned absolute offsets.
 The header carries the magic string "MRFB1", one entry per array (name,
-dtype, shape, offset) and an optional free-form metadata object.
+dtype, shape, offset) and an optional free-form metadata object. Each array
+is stored in the dtype its saver gives it; loaders read each through
+`_Fields.array`, which checks its dtype, its shape and that it is finite.
 """
 
 import functools
@@ -51,10 +53,11 @@ class DtypeError(BundleError):
 
 class _Fields(dict):
     """A bundle's arrays, or an object of its header, whose lookup of a
-    missing key, and typed lookup of a value of the wrong type or shape, raise
-    HeaderError naming the file and the key: a loader given a bundle without a
-    field it needs, or with a malformed one, fails as a corrupt header. An
-    array of another dtype than its saver writes raises DtypeError."""
+    missing key, and typed lookup of a value of the wrong type or shape or
+    not finite, raise HeaderError naming the file and the key: a loader given
+    a bundle without a field it needs, or with a malformed one, fails as a
+    corrupt header. An array of another dtype than its saver writes raises
+    DtypeError."""
 
     def __init__(self, path: str, what: str, items=()):
         super().__init__(items)
@@ -86,8 +89,9 @@ class _Fields(dict):
     def array(self, name, shape, dtype, rerun=None):
         """self[name], which must be an array of the given on-disk dtype, such
         as "float32", and of the given shape, in which a length of None
-        matches any length. A wrong dtype raises DtypeError, which names the
-        command to rerun, if given, to write the file again."""
+        matches any length, and which, if floating, must hold no NaN or inf.
+        A wrong dtype raises DtypeError, which names the command to rerun, if
+        given, to write the file again."""
         value = self[name]
         if value.dtype != _DTYPES[dtype]:
             remedy = f"; rerun {rerun} to write it again" if rerun else ""
@@ -97,13 +101,13 @@ class _Fields(dict):
             dims = ", ".join("*" if n is None else str(n) for n in shape)
             comma = "," if len(shape) == 1 else ""
             raise self.fault(name, f"must have shape ({dims}{comma}), got {value.shape}")
-        return value
-
-    def finite(self, name, shape, dtype, rerun=None):
-        """self.array(name, shape, dtype, rerun), which must hold no NaN or inf."""
-        value = self.array(name, shape, dtype, rerun)
-        if not np.isfinite(value).all():
-            raise self.fault(name, "has non-finite entries (NaN or inf)")
+        if value.dtype.kind in "fc":
+            # no stored entry can overflow this sum, so it is finite exactly
+            # when every entry is, and it takes no array-sized temporary
+            with np.errstate(invalid="ignore"):  # inf + -inf is NaN, rejected below
+                total = value.sum(dtype=np.complex128 if value.dtype.kind == "c" else np.float64)
+            if not np.isfinite(total):
+                raise self.fault(name, "has non-finite entries (NaN or inf)")
         return value
 
 
@@ -117,19 +121,6 @@ def _is_kind(value, kind) -> bool:
     if kind is float:  # finite, and an integer within float range
         return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, kind)
-
-
-def _canonical_dtype(arr: np.ndarray) -> str:
-    kind = arr.dtype.kind
-    if kind == "f":
-        return "float32"
-    if kind == "c":
-        return "complex64"
-    if kind == "b" or (kind == "u" and arr.dtype.itemsize == 1):
-        return "uint8"
-    if kind in ("i", "u"):
-        return "int32"
-    raise DtypeError(f"cannot store dtype {arr.dtype}")
 
 
 def _align(offset: int) -> int:
@@ -164,16 +155,16 @@ def loader(load):
 def write_bundle(path, arrays: dict, meta: dict | None = None) -> None:
     """Write named arrays plus metadata; round-trips bitwise through read_bundle.
 
-    Floating arrays are stored as float32/complex64, boolean as uint8 and
-    integer as int32; pass arrays already in a canonical dtype for exact
-    element round-trips.
+    Each array is stored in the dtype it has, which must be float32,
+    complex64, uint8 or int32 (little-endian); any other raises DtypeError.
     """
     converted = {}
     for name, arr in arrays.items():
         if not isinstance(name, str) or not name:
             raise ValueError("array names must be non-empty strings")
-        a = np.asarray(arr)
-        a = np.ascontiguousarray(a.astype(_DTYPES[_canonical_dtype(a)], copy=False))
+        a = np.ascontiguousarray(arr)
+        if a.dtype not in _DTYPES.values():
+            raise DtypeError(f"cannot store array {name!r} of dtype {a.dtype}")
         converted[name] = a
 
     # offsets depend on the header length, which depends on the offset digits;
@@ -187,7 +178,7 @@ def write_bundle(path, arrays: dict, meta: dict | None = None) -> None:
             entries.append(
                 {
                     "name": name,
-                    "dtype": _canonical_dtype(a),
+                    "dtype": a.dtype.name,
                     "shape": list(a.shape),
                     "offset": offset,
                 }

@@ -7,8 +7,9 @@ configuration and are checked like a config file's keys; every other setting
 takes its default from `experiment.DEFAULT_EXPERIMENT`, so the commands run by
 hand reproduce `run-experiment` byte for byte.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 file I/O error,
-3 numerical failure. Errors print one machine-readable line on stderr.
+Exit codes: 0 success, 1 usage or configuration error or a request too large
+to allocate, 2 file I/O error, 3 numerical failure. Errors print one
+machine-readable line on stderr.
 """
 
 import json
@@ -249,6 +250,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error kind=usage msg={str(exc)!r}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # e.g. a grid with more points than memory holds
+        print(f"error kind=memory msg={str(exc)!r}", file=sys.stderr)
         return EXIT_USAGE
     except bundle.BundleError as exc:
         print(f"error kind=io code={exc.code} msg={str(exc)!r}", file=sys.stderr)

@@ -201,7 +201,7 @@ def reconstruct(cfg: dict, mode: str, kspace_path, basis_path, out_path,
                 trace_path=None) -> solver.SolveTrace:
     """Reconstruct subspace images with one method; the TV weight applies to
     lrtv only. Writes the per-iteration trace CSV when trace_path is given."""
-    data, coils, _meta = fm.load_kspace(kspace_path)
+    data, coils = fm.load_kspace(kspace_path)
     basis = subspace.load_basis(basis_path)
     rc = cfg["recon"]
     solver_cfg = solver.SolverConfig(

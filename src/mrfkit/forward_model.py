@@ -313,7 +313,7 @@ def save_kspace(data: KSpaceData, coils: CoilMaps, path, kspace_noise: float) ->
     )
 
 
-def load_kspace(path) -> tuple[KSpaceData, CoilMaps, dict]:
+def load_kspace(path) -> tuple[KSpaceData, CoilMaps]:
     arrays, meta = bundle.read_bundle(path, kind="kspace")
     n_frames, n_coils, h, w = arrays.array("y", (None,) * 4, "complex64").shape
     masks = arrays.array("masks", (n_frames, h, w), "uint8").astype(bool)
@@ -325,4 +325,4 @@ def load_kspace(path) -> tuple[KSpaceData, CoilMaps, dict]:
     pattern = SamplingPattern(masks, *(meta.get(key) for key in _PATTERN_META))
     data = KSpaceData(y=arrays["y"].astype(np.complex128), pattern=pattern)
     coils = CoilMaps(sens=arrays.array("sens", (n_coils, h, w), "complex64").astype(np.complex128))
-    return data, coils, meta
+    return data, coils

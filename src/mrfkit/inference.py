@@ -341,8 +341,8 @@ def load_net(path) -> MrfNet:
     arrays, meta = bundle.read_bundle(path, kind="mrf-net")
     n_layers = meta.typed("layers", int)
     return MrfNet(
-        weights=[arrays.finite(f"w{i}", (None, None), "float32") for i in range(n_layers)],
-        biases=[arrays.finite(f"b{i}", (None,), "float32") for i in range(n_layers)],
+        weights=[arrays.array(f"w{i}", (None, None), "float32") for i in range(n_layers)],
+        biases=[arrays.array(f"b{i}", (None,), "float32") for i in range(n_layers)],
         t1_range=tuple(meta.numbers("t1_range", 2)),
         t2_range=tuple(meta.numbers("t2_range", 2)),
         output_relu=meta.typed("output_relu", bool),

@@ -23,10 +23,11 @@ _GEOMETRY_KEYS = {"ellipse": ("cx", "cy", "a", "b"), "rectangle": ("x0", "y0", "
 
 @dataclass
 class GroundTruth:
+    """Tissue maps of a phantom; the background is where pd is zero."""
+
     t1_map: np.ndarray  # (H, W), ms
     t2_map: np.ndarray  # (H, W), ms
     pd_map: np.ndarray  # (H, W), arbitrary units
-    region_labels: np.ndarray  # (H, W), int32; 0 is background
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -108,19 +109,17 @@ def make_phantom(h: int, w: int, spec: list[dict] | None = None) -> GroundTruth:
     t1 = np.zeros((h, w))
     t2 = np.zeros((h, w))
     pd = np.zeros((h, w))
-    labels = np.zeros((h, w), dtype=np.int32)
     for index, entry in enumerate(spec, start=1):
         try:
             _check_entry(entry, index)
         except KeyError as exc:
             raise ValueError(f"phantom entry {index} is missing key {exc}") from None
-    for index, entry in enumerate(spec, start=1):
+    for entry in spec:
         inside = _rasterize(entry, h, w)
         t1[inside] = entry["t1"]
         t2[inside] = entry["t2"]
         pd[inside] = entry["pd"]
-        labels[inside] = index
-    return GroundTruth(t1_map=t1, t2_map=t2, pd_map=pd, region_labels=labels)
+    return GroundTruth(t1_map=t1, t2_map=t2, pd_map=pd)
 
 
 def synthesize_timeseries(
@@ -180,7 +179,6 @@ def save_ground_truth(gt: GroundTruth, path) -> None:
             "t1": gt.t1_map.astype(np.float32),
             "t2": gt.t2_map.astype(np.float32),
             "pd": gt.pd_map.astype(np.float32),
-            "labels": gt.region_labels.astype(np.int32),
         },
         meta={"kind": "ground-truth"},
     )
@@ -188,10 +186,9 @@ def save_ground_truth(gt: GroundTruth, path) -> None:
 
 def load_ground_truth(path) -> GroundTruth:
     arrays, _ = bundle.read_bundle(path, kind="ground-truth")
-    shape = arrays.array("t1", (None, None), "float32").shape
+    t1 = arrays.array("t1", (None, None), "float32")
     return GroundTruth(
-        t1_map=arrays["t1"].astype(np.float64),
-        t2_map=arrays.array("t2", shape, "float32").astype(np.float64),
-        pd_map=arrays.array("pd", shape, "float32").astype(np.float64),
-        region_labels=arrays.array("labels", shape, "int32"),
+        t1_map=t1.astype(np.float64),
+        t2_map=arrays.array("t2", t1.shape, "float32").astype(np.float64),
+        pd_map=arrays.array("pd", t1.shape, "float32").astype(np.float64),
     )

@@ -242,16 +242,18 @@ def save_reconstruction(x: np.ndarray, basis: SubspaceBasis, hw: tuple[int, int]
             "x_subspace": x.T.reshape(basis.rank_s, h, w).astype(np.complex64),
             "basis_v": basis.v.astype(np.float32),
         },
-        meta={"kind": "reconstruction", "rank": basis.rank_s},
+        meta={"kind": "reconstruction"},
     )
 
 
 def load_reconstruction(path) -> tuple[np.ndarray, SubspaceBasis, tuple[int, int]]:
     arrays, _ = bundle.read_bundle(path, kind="reconstruction")
     # a NaN coefficient would make every voxel count as background
-    stack = arrays.finite("x_subspace", (None, None, None), "complex64").astype(np.complex128)
+    stack = arrays.array("x_subspace", (None, None, None), "complex64").astype(np.complex128)
     rank, h, w = stack.shape
+    if rank == 0:
+        raise arrays.fault("x_subspace", "has no coefficient images")
     x = stack.reshape(rank, h * w).T
-    v = arrays.finite("basis_v", (None, rank), "float32", rerun="reconstruct").astype(np.float64)
-    basis = SubspaceBasis(v=v, s_values=np.zeros(min(v.shape)), rank_s=rank)
+    v = arrays.array("basis_v", (None, rank), "float32", rerun="reconstruct").astype(np.float64)
+    basis = SubspaceBasis(v=v, s_values=np.zeros(min(v.shape)))
     return x, basis, (h, w)

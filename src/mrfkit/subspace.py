@@ -21,13 +21,12 @@ from .epg import Dictionary
 class SubspaceBasis:
     """Orthonormal temporal basis: v (L, S) with the full singular spectrum.
 
-    v is real, float64 in memory and float32 on disk. s_values are the
-    singular values of [Re D | Im D], min(L, 2d) of them.
+    v is real, float64 in memory and float32 on disk; its width is the rank
+    S. s_values are the singular values of [Re D | Im D], min(L, 2d) of them.
     """
 
     v: np.ndarray  # float64, (L, S), orthonormal columns
     s_values: np.ndarray  # float, non-increasing
-    rank_s: int
 
     def __post_init__(self):
         if np.iscomplexobj(self.v):
@@ -36,6 +35,10 @@ class SubspaceBasis:
     @property
     def n_frames(self) -> int:
         return self.v.shape[0]
+
+    @property
+    def rank_s(self) -> int:
+        return self.v.shape[1]
 
     def captured_energy(self) -> float:
         """Fraction of the dictionary's Frobenius energy inside the subspace."""
@@ -86,7 +89,7 @@ def learn_subspace(dictionary, rank: int) -> SubspaceBasis:
     s_values = np.sqrt(np.clip(eigvals[::-1][: min(n_frames, 2 * n_atoms)], 0.0, None))
     # eigh's vectors are Fortran-ordered; v is row-major, as a loaded basis is
     v = np.ascontiguousarray(_fix_column_signs(eigvecs[:, ::-1][:, :rank]))
-    return SubspaceBasis(v=v, s_values=s_values, rank_s=int(rank))
+    return SubspaceBasis(v=v, s_values=s_values)
 
 
 def project(series: np.ndarray, basis: SubspaceBasis) -> np.ndarray:
@@ -124,19 +127,16 @@ def save_basis(basis: SubspaceBasis, path) -> None:
             "v": basis.v.astype(np.float32),
             "singular_values": basis.s_values.astype(np.float32),
         },
-        meta={"kind": "basis", "rank": basis.rank_s},
+        meta={"kind": "basis"},
     )
 
 
 def load_basis(path) -> SubspaceBasis:
-    arrays, meta = bundle.read_bundle(path, kind="basis")
-    v = arrays.finite("v", (None, None), "float32", rerun="learn-subspace").astype(np.float64)
-    rank = meta.typed("rank", int)
-    if not 1 <= rank == v.shape[1]:
-        raise meta.fault("rank", f"must equal the {v.shape[1]} columns of 'v' and be "
-                                 f"at least 1, got {rank}")
+    arrays, _ = bundle.read_bundle(path, kind="basis")
+    v = arrays.array("v", (None, None), "float32", rerun="learn-subspace")
+    if v.shape[1] == 0:
+        raise arrays.fault("v", "has no columns")
     return SubspaceBasis(
-        v=v,
-        s_values=arrays.finite("singular_values", (None,), "float32").astype(np.float64),
-        rank_s=rank,
+        v=v.astype(np.float64),
+        s_values=arrays.array("singular_values", (None,), "float32").astype(np.float64),
     )

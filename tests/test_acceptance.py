@@ -174,7 +174,7 @@ def test_criterion_06_bpi_is_first_lr_iterate(rng):
 
 def test_criterion_07_objective_converged_by_iteration_12(default_experiment):
     out, _, _ = default_experiment
-    data, coils, _ = fm.load_kspace(out / "kspace.mrfb")
+    data, coils = fm.load_kspace(out / "kspace.mrfb")
     basis = subspace.load_basis(out / "basis.mrfb")
     cfg_json = json.loads((out / "exp_config.json").read_text())
     cfg = SolverConfig(

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mrfkit import bundle
+from mrfkit import bundle, phantom, solver, subspace
 
 
 def write_read(tmp_path, arrays, meta=None):
@@ -64,17 +64,13 @@ class TestRoundTrip:
         bundle.write_bundle(p2, {"a": a}, meta={"k": 1})
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_dtype_coercion(self, tmp_path):
-        path = tmp_path / "c.mrfb"
-        bundle.write_bundle(path, {
-            "f": np.zeros(3, dtype=np.float64),
-            "b": np.array([True, False]),
-            "i": np.arange(3, dtype=np.int64),
-        })
-        arrays, _ = bundle.read_bundle(path)
-        assert arrays["f"].dtype == np.float32
-        assert arrays["b"].dtype == np.uint8
-        assert arrays["i"].dtype == np.int32
+    @pytest.mark.parametrize("a", [np.zeros(3), np.array([True, False]), np.arange(3),
+                                   np.zeros(3, ">f4")], ids=["float64", "bool", "int64", "big"])
+    def test_no_implicit_cast(self, tmp_path, a):
+        # the saver decides each array's dtype; the container casts nothing
+        with pytest.raises(bundle.DtypeError, match=f"'a' of dtype {a.dtype}"):
+            bundle.write_bundle(tmp_path / "c.mrfb", {"ok": np.zeros(2, np.float32), "a": a})
+        assert list(tmp_path.iterdir()) == []
 
     def test_alignment(self, tmp_path, rng):
         path = tmp_path / "a.mrfb"
@@ -87,6 +83,59 @@ class TestRoundTrip:
         header = json.loads(raw[8 : 8 + header_len])
         for entry in header["arrays"]:
             assert entry["offset"] % 64 == 0
+
+
+class TestFiniteArrays:
+    """_Fields.array rejects a floating array with a NaN or inf entry."""
+
+    @pytest.mark.parametrize("dtype,bad", [
+        *(("float32", bad) for bad in ([np.nan], [np.inf], [-np.inf], [np.inf, -np.inf])),
+        *(("complex64", bad) for bad in ([np.nan], [np.inf, -np.inf], [complex(0, np.nan)],
+                                         [complex(0, np.inf), complex(0, -np.inf)])),
+    ])
+    def test_nonfinite_rejected(self, tmp_path, dtype, bad):
+        a = np.zeros(6, dtype)
+        a[: len(bad)] = bad
+        path, arrays, _ = write_read(tmp_path, {"a": a})
+        with pytest.raises(bundle.HeaderError,
+                           match=f"{path} array 'a' has non-finite entries"):
+            arrays.array("a", (6,), dtype)
+
+    def test_extremes_accepted(self, tmp_path):
+        # entries of the largest magnitude do not overflow the check's sum
+        big = np.finfo(np.float32).max
+        a = np.full((4, 1000), big, np.float32)
+        _, arrays, _ = write_read(tmp_path, {"a": a, "c": (a - 1j * a).astype(np.complex64),
+                                             "i": np.full(3, -1, np.int32)})
+        assert arrays.array("a", (4, None), "float32") is arrays["a"]
+        arrays.array("c", (4, 1000), "complex64")
+        arrays.array("i", (3,), "int32")
+
+
+def test_parent_layout_still_loads(tmp_path):
+    """Bundles with a basis or reconstruction 'rank' field, or a ground-truth
+    'labels' array, load with the extra field ignored."""
+    rng = np.random.default_rng(3)
+    v = np.linalg.qr(rng.standard_normal((12, 3)))[0].astype(np.float32)
+    s = np.array([3.0, 2.0, 1.0], np.float32)
+    bundle.write_bundle(tmp_path / "basis.mrfb", {"v": v, "singular_values": s},
+                        meta={"kind": "basis", "rank": 3})
+    basis = subspace.load_basis(tmp_path / "basis.mrfb")
+    assert basis.rank_s == 3 and np.array_equal(basis.v, v) and np.array_equal(basis.s_values, s)
+
+    x = (rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))).astype(np.complex64)
+    bundle.write_bundle(tmp_path / "x.mrfb", {"x_subspace": x, "basis_v": v},
+                        meta={"kind": "reconstruction", "rank": 3})
+    loaded_x, loaded_basis, hw = solver.load_reconstruction(tmp_path / "x.mrfb")
+    assert hw == (4, 5) and loaded_basis.rank_s == 3
+    assert np.array_equal(loaded_x, x.reshape(3, 20).T)
+
+    maps = {name: rng.uniform(1, 2, (4, 5)).astype(np.float32) for name in ("t1", "t2", "pd")}
+    bundle.write_bundle(tmp_path / "gt.mrfb", {**maps, "labels": np.ones((4, 5), np.int32)},
+                        meta={"kind": "ground-truth"})
+    gt = phantom.load_ground_truth(tmp_path / "gt.mrfb")
+    for name, a in maps.items():
+        assert np.array_equal(getattr(gt, f"{name}_map"), a)
 
 
 class TestErrors:

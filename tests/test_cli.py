@@ -147,7 +147,7 @@ LOADERS = {
     "dictionary": ("dict", ("learn-subspace", "--dict", "{dict}"),
                    ("tr_ms", "te_ms", "tinv_ms", "inversion", "grid")),
     "basis": ("basis", ("reconstruct", "--mode", "lr", "--in", "{kspace}",
-                        "--basis", "{basis}"), ("rank",)),
+                        "--basis", "{basis}"), ()),
     "kspace": ("kspace", ("reconstruct", "--mode", "lr", "--in", "{kspace}",
                           "--basis", "{basis}"), ()),
     "reconstruction": ("recon", ("match", "--dict", "{dict}", "--in", "{recon}"), ()),
@@ -163,7 +163,6 @@ BAD_FIELDS = [
     ("dictionary", "te_ms", float("nan")),
     ("dictionary", "tinv_ms", 10**400),
     ("dictionary", "inversion", "no"),
-    ("basis", "rank", "x"),
     ("reconstruction", "x_subspace", np.zeros((4, 32 * 32), np.complex64)),
     ("mrf-net", "layers", "x"),
     ("mrf-net", "t1_range", 5),
@@ -184,8 +183,7 @@ def _one_entry(shape, value):
 # impossible value or one that disagrees with another field of the bundle
 IMPOSSIBLE_FIELDS = [
     pytest.param("dictionary", "tr_ms", 1.0, id="dictionary-tr_ms-below-te_ms"),
-    pytest.param("basis", "rank", 9, id="basis-rank-above-columns"),
-    pytest.param("basis", "rank", 0, id="basis-rank-zero"),
+    pytest.param("basis", "v", np.zeros((80, 0), np.float32), id="basis-v-no-columns"),
     pytest.param("kspace", "masks", np.zeros((10, 32, 32), np.uint8), id="kspace-masks-frames"),
     pytest.param("ground-truth", "t2", np.zeros((8, 8), np.float32), id="ground-truth-t2-shape"),
     pytest.param("mrf-net", "layers", 0, id="mrf-net-layers-zero"),
@@ -208,27 +206,49 @@ def _drop_coils(arrays):
     arrays["y"], arrays["sens"] = arrays["y"][:, :0], arrays["sens"][:0]
 
 
-def _nan_at(key, index):
+def _drop_rank(arrays):
+    arrays["x_subspace"], arrays["basis_v"] = arrays["x_subspace"][:0], arrays["basis_v"][:, :0]
+
+
+def _nan_at(key):
+    """An edit that sets the middle entry of array key to NaN."""
     def edit(arrays):
-        arrays[key][index] = np.nan
+        arrays[key].flat[arrays[key].size // 2] = np.nan
     return edit
 
 
 _RECONSTRUCT = ("reconstruct", "--in", "{kspace}", "--basis", "{basis}", "--mode")
+_MATCH = ("match", "--dict", "{dict}", "--in", "{recon}")
+_TRAIN = ("train-net", "--dict", "{dict}", "--basis", "{basis}", "--augment", "2")
+_SCORE = ("score", "--est", "{maps}", "--gt", "{gt}")
+_LEARN = ("learn-subspace", "--dict", "{dict}")
+# (file, kind, arrays): by name, each command that must refuse a NaN in one of them
+NAN_READERS = {
+    ("kspace", "kspace", ("y", "sens")): {mode: (*_RECONSTRUCT, mode) for mode in ("bpi", "lr")},
+    ("dict", "dictionary", ("t1", "t2", "flip_angles_deg")): {
+        "match": _MATCH, "train-net": _TRAIN, "learn-subspace": _LEARN},
+    ("gt", "ground-truth", ("t1", "pd")): {"acquire": ("acquire", "--gt", "{gt}"), "score": _SCORE},
+    ("maps", "maps", ("t1",)): {"score": _SCORE},
+}
 # impossible bundles that replacing one field cannot make, or read by a command
 # other than LOADERS': (file, kind, key the error names, edit, command)
 IMPOSSIBLE_BUNDLES = [
     *(pytest.param("kspace", "kspace", "y", _drop_coils, (*_RECONSTRUCT, mode),
                    id=f"kspace-no-coils-{mode}") for mode in ("bpi", "lr")),
-    *(pytest.param("basis", "basis", "v", _nan_at("v", (3, 1)), (*_RECONSTRUCT, mode),
+    *(pytest.param("basis", "basis", "v", _nan_at("v"), (*_RECONSTRUCT, mode),
                    id=f"basis-v-nan-{mode}") for mode in ("bpi", "lr")),
-    pytest.param("recon", "reconstruction", "x_subspace", _nan_at("x_subspace", (0, 5, 5)),
+    pytest.param("recon", "reconstruction", "x_subspace", _nan_at("x_subspace"),
                  ("infer", "--net", "{net}", "--in", "{recon}"),
                  id="reconstruction-x_subspace-nan-infer"),
+    *(pytest.param("recon", "reconstruction", "x_subspace", _drop_rank, args,
+                   id=f"reconstruction-rank-zero-{args[0]}")
+      for args in (_MATCH, ("infer", "--net", "{net}", "--in", "{recon}"))),
+    *(pytest.param(source, kind, key, _nan_at(key), args, id=f"{kind}-{key}-nan-{name}")
+      for (source, kind, keys), commands in NAN_READERS.items()
+      for key in keys for name, args in commands.items()),
 ]
 
 
-_MATCH = ("match", "--dict", "{dict}", "--in", "{recon}")
 # an array stored as complex64 where its saver writes another dtype: (file,
 # kind, key, command, the command the error says to rerun); the first two
 # are the complex64 v and basis_v of bundles from before the basis was real
@@ -238,12 +258,9 @@ DTYPE_MISMATCHES = [
                  id="reconstruction-basis_v"),
     pytest.param("net", "mrf-net", "w0", ("infer", "--net", "{net}", "--in", "{recon}"), None,
                  id="mrf-net-w0-infer"),
-    pytest.param("gt", "ground-truth", "t1", ("score", "--est", "{maps}", "--gt", "{gt}"), None,
-                 id="ground-truth-t1-score"),
+    pytest.param("gt", "ground-truth", "t1", _SCORE, None, id="ground-truth-t1-score"),
     pytest.param("dict", "dictionary", "t1", _MATCH, None, id="dictionary-t1-match"),
-    pytest.param("dict", "dictionary", "t1",
-                 ("train-net", "--dict", "{dict}", "--basis", "{basis}", "--augment", "2"), None,
-                 id="dictionary-t1-train-net"),
+    pytest.param("dict", "dictionary", "t1", _TRAIN, None, id="dictionary-t1-train-net"),
     pytest.param("basis", "basis", "singular_values", (*_RECONSTRUCT, "bpi"), None,
                  id="basis-singular_values-reconstruct"),
 ]
@@ -292,6 +309,15 @@ class TestExitCodes:
         bad.write_bytes(b"\x10\x00\x00\x00\x00\x00\x00\x00" + b"junkjunkjunkjunk")
         assert run_cli("learn-subspace", "--dict", str(bad),
                        "--rank", "3", "--out", str(tmp_path / "b.mrfb")) == 2
+
+    def test_grid_too_large_to_allocate_is_memory_error(self, tmp_path, capsys):
+        # 3.9e15 T1 values: more bytes than any address space, so it fails at once
+        out = tmp_path / "d.mrfb"
+        capsys.readouterr()
+        assert run_cli("simulate-dict", "--t1", "100:0.000000000001:4000", "--out", str(out)) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error kind=memory msg=")
+        assert not out.exists()
 
     def test_bad_grid_is_usage_error(self, tmp_path):
         assert run_cli("simulate-dict", "--t1", "nope", "--t2", "20:2:600",

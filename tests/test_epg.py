@@ -46,6 +46,11 @@ class TestSchedule:
         with pytest.raises(ValueError):
             epg.SequenceSchedule(np.array([10.0]), **{**TIMINGS, "tr_ms": 1.0, "te_ms": 2.0})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, 180.5])
+    def test_rejects_flip_angle_outside_range(self, bad):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 180\] degrees"):
+            epg.SequenceSchedule(np.array([10.0, bad]), **TIMINGS)
+
 
 class TestTissueParams:
     """simulate_fingerprints rejects a bad T1 or T2 anywhere in its inputs."""

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from mrfkit import forward_model as fm
-from mrfkit import subspace
+from mrfkit import bundle, forward_model as fm, subspace
 
 from oracles import adjoint_frames, forward_frames
 
@@ -15,7 +14,7 @@ def random_basis(rng, n_frames, rank):
     """A real orthonormal basis, as a learned one is, but with no structure
     of a dictionary."""
     v = np.linalg.qr(rng.standard_normal((n_frames, rank)))[0]
-    return subspace.SubspaceBasis(v=v, s_values=np.ones(rank), rank_s=rank)
+    return subspace.SubspaceBasis(v=v, s_values=np.ones(rank))
 
 
 def rel_err(fast, reference):
@@ -143,9 +142,7 @@ class TestForwardAdjoint:
     def test_full_sampling_identity_basis(self, rng):
         # S = L with V = I: forward is the per-frame unitary FFT of the series
         n_frames, size = 6, 16
-        eye_basis = subspace.SubspaceBasis(
-            v=np.eye(n_frames), s_values=np.ones(n_frames), rank_s=n_frames
-        )
+        eye_basis = subspace.SubspaceBasis(v=np.eye(n_frames), s_values=np.ones(n_frames))
         pattern = fm.make_vd_cartesian_masks(size, size, n_frames, accel=1.0, seed=0)
         coils = fm.make_coil_maps(size, size, 1, kind="uniform")
         x = random_complex(rng, (size * size, n_frames))
@@ -256,11 +253,11 @@ class TestKspaceRoundTrip:
         data = fm.KSpaceData(y=y, pattern=pattern)
         path = tmp_path / "kspace.mrfb"
         fm.save_kspace(data, coils, path, 0.5)
-        loaded, loaded_coils, meta = fm.load_kspace(path)
+        loaded, loaded_coils = fm.load_kspace(path)
         np.testing.assert_array_equal(loaded.y, y)
         np.testing.assert_array_equal(loaded.pattern.masks, pattern.masks)
         np.testing.assert_array_equal(
             loaded_coils.sens, coils.sens.astype(np.complex64)
         )
-        assert meta["seed"] == 5
-        assert meta["kspace_noise"] == 0.5
+        assert loaded.pattern.seed == 5
+        assert bundle.read_bundle(path)[1]["kspace_noise"] == 0.5

@@ -13,7 +13,7 @@ class TestMakePhantom:
         gt = phantom.make_phantom(16, 16, spec)
         assert np.all(gt.t1_map == 900.0)
         assert np.all(gt.pd_map == 1.0)
-        assert np.all(gt.region_labels == 1)
+        assert gt.foreground().all()
 
     def test_painters_rule(self):
         spec = [
@@ -25,22 +25,24 @@ class TestMakePhantom:
         gt = phantom.make_phantom(16, 16, spec)
         assert np.all(gt.t1_map[:, :8] == 1500.0)
         assert np.all(gt.t1_map[:, 8:] == 900.0)
-        assert np.all(gt.region_labels[:, :8] == 2)
+        assert np.all(gt.t2_map[:, :8] == 150.0) and np.all(gt.t2_map[:, 8:] == 90.0)
+        assert np.all(gt.pd_map[:, :8] == 0.5) and np.all(gt.pd_map[:, 8:] == 1.0)
 
     def test_default_region_areas(self):
         gt = phantom.make_phantom(64, 64)
         spec = phantom.default_head_spec()
-        areas = {
-            label: float(np.sum(gt.region_labels == label))
-            for label in range(1, len(spec) + 1)
-        }
         # later shapes are fully contained in earlier ones, so the visible
-        # analytic area of a shape subtracts its successors' full areas
+        # analytic area of a shape subtracts its successors' full areas; the
+        # last two shapes share a tissue, so their areas add up
         full = [np.pi * e["a"] * e["b"] * 64 * 64 for e in spec]
-        expected = {1: full[0] - full[1], 2: full[1] - full[2] - full[3],
-                    3: full[2], 4: full[3]}
-        for label, exp in expected.items():
-            assert areas[label] == pytest.approx(exp, rel=0.05), f"region {label}"
+        expected = {phantom.TISSUE_A: full[0] - full[1],
+                    phantom.TISSUE_B: full[1] - full[2] - full[3],
+                    phantom.TISSUE_C: full[2] + full[3]}
+        tissues = np.stack([gt.t1_map, gt.t2_map, gt.pd_map], axis=-1)
+        for tissue, exp in expected.items():
+            area = float(np.sum(np.all(tissues == tissue, axis=-1)))
+            assert area == pytest.approx(exp, rel=0.05), f"tissue {tissue}"
+        assert float(np.sum(gt.foreground())) == pytest.approx(full[0], rel=0.05)
 
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -61,8 +63,8 @@ class TestMakePhantom:
     def test_deterministic(self):
         a = phantom.make_phantom(32, 32)
         b = phantom.make_phantom(32, 32)
-        np.testing.assert_array_equal(a.t1_map, b.t1_map)
-        np.testing.assert_array_equal(a.region_labels, b.region_labels)
+        for name in ("t1_map", "t2_map", "pd_map"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_offgrid_values(self):
         gt = phantom.make_phantom(32, 32, phantom.offgrid_head_spec())
@@ -159,5 +161,6 @@ class TestGroundTruthRoundTrip:
         path = tmp_path / "gt.mrfb"
         phantom.save_ground_truth(gt, path)
         loaded = phantom.load_ground_truth(path)
-        np.testing.assert_array_equal(loaded.t1_map, gt.t1_map)
-        np.testing.assert_array_equal(loaded.region_labels, gt.region_labels)
+        for name in ("t1_map", "t2_map", "pd_map"):  # float32 on disk
+            np.testing.assert_array_equal(getattr(loaded, name),
+                                          getattr(gt, name).astype(np.float32))

@@ -232,8 +232,7 @@ class TestSolve:
         # solve on a Fortran-ordered v equal those on the row-major v bitwise
         y, basis, coils, pattern, _, _ = problem
         assert basis.v.flags.c_contiguous
-        fortran = subspace.SubspaceBasis(np.asfortranarray(basis.v), basis.s_values,
-                                         basis.rank_s)
+        fortran = subspace.SubspaceBasis(np.asfortranarray(basis.v), basis.s_values)
         np.testing.assert_array_equal(fm.gram_kernel(fortran, pattern),
                                       fm.gram_kernel(basis, pattern))
         cfg = SolverConfig(mode="lr", max_outer_iters=5)

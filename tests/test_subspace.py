@@ -97,7 +97,7 @@ class TestLearnSubspace:
     def test_complex_v_refused(self, rng):
         v = np.linalg.qr(rng.standard_normal((10, 3)))[0]
         with pytest.raises(ValueError, match="must be real"):
-            subspace.SubspaceBasis(v=v + 0j, s_values=np.ones(3), rank_s=3)
+            subspace.SubspaceBasis(v=v + 0j, s_values=np.ones(3))
 
     def test_rank_bounds(self, rng):
         atoms = random_complex(rng, (10, 20))
