@@ -7,15 +7,17 @@ configuration and are checked like a config file's keys; every other setting
 takes its default from `experiment.DEFAULT_EXPERIMENT`, so the commands run by
 hand reproduce `run-experiment` byte for byte.
 
-Exit codes: 0 success, 1 usage or configuration error or a request too large
-to allocate, 2 file I/O error, 3 numerical failure. Errors print one
-machine-readable line on stderr.
+Exit codes: 0 success, 1 usage or configuration error, two input files that
+do not fit together, or a request too large to allocate, 2 file I/O error,
+3 numerical failure, an overflow, NaN or division by zero included. Errors
+print one machine-readable line on stderr.
 """
 
 import json
 import sys
 
 import click
+import numpy as np
 
 from . import bundle, epg, experiment, inference, solver
 
@@ -135,11 +137,12 @@ def make_phantom_cmd(spec_path, offgrid, out_path, **settings):
 @_out_option
 def acquire(gt_path, out_path, **settings):
     """Synthesize the time series and acquire masked multi-coil k-space."""
-    data = experiment.acquire(_resolve(settings), gt_path, out_path)
+    cfg = _resolve(settings)
+    data = experiment.acquire(cfg, gt_path, out_path)
     counts = data.pattern.per_frame_counts
     click.echo(
         f"acquired {data.pattern.n_frames} frames x {data.n_coils} coils, "
-        f"{counts.mean():.0f} samples/frame (accel {data.pattern.accel}) to {out_path}"
+        f"{counts.mean():.0f} samples/frame (accel {cfg['accel']}) to {out_path}"
     )
 
 
@@ -241,7 +244,9 @@ def run_experiment_cmd(config_path, out_dir):
 
 def main(argv=None) -> int:
     try:
-        cli.main(args=argv, standalone_mode=False)
+        # an overflow, NaN or division by zero fails the stage before it writes
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            cli.main(args=argv, standalone_mode=False)
         return 0
     except click.exceptions.Exit as exc:
         return exc.exit_code
@@ -260,7 +265,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error kind=io msg={str(exc)!r}", file=sys.stderr)
         return EXIT_IO
-    except (solver.NumericalError, inference.DivergenceError) as exc:
+    except (solver.NumericalError, inference.DivergenceError, FloatingPointError) as exc:
         print(f"error kind=numeric msg={str(exc)!r}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -29,13 +29,12 @@ CHUNK_SIZE = 512
 
 @dataclass(frozen=True)
 class SequenceSchedule:
-    """Flip-angle train and fixed timings of a FISP acquisition."""
+    """Flip-angle train and fixed timings of an inversion-prepared FISP acquisition."""
 
     flip_angles_deg: np.ndarray
     tr_ms: float
     te_ms: float
     tinv_ms: float
-    inversion: bool
 
     def __post_init__(self):
         flips = np.asarray(self.flip_angles_deg, dtype=np.float64)
@@ -139,7 +138,7 @@ def default_schedule(
         raise ValueError("n_frames must be >= 1")
     t = np.arange(n_frames, dtype=np.float64)
     flips = alpha_max_deg * np.abs(np.sin(np.pi * t / period))
-    return SequenceSchedule(flips, tr_ms=tr_ms, te_ms=te_ms, tinv_ms=tinv_ms, inversion=True)
+    return SequenceSchedule(flips, tr_ms=tr_ms, te_ms=te_ms, tinv_ms=tinv_ms)
 
 
 def _flip_coefficients(flip_angles_deg: np.ndarray) -> list[tuple]:
@@ -258,11 +257,7 @@ def simulate_fingerprints(
     e2 = np.exp(-tr / t2).astype(np.float32)
     recovery = (1.0 - e1).astype(np.float32)
     echo = np.exp(-te / t2).astype(np.float32)
-
-    if schedule.inversion:
-        z0 = (1.0 - 2.0 * np.exp(-tinv / t1)).astype(np.float32)
-    else:
-        z0 = np.ones(t1.shape, dtype=np.float32)
+    z0 = (1.0 - 2.0 * np.exp(-tinv / t1)).astype(np.float32)
 
     coefficients = _flip_coefficients(schedule.flip_angles_deg)
     n_blocks = -(-t1.size // CHUNK_SIZE)
@@ -348,7 +343,6 @@ def save_dictionary(dictionary: Dictionary, path) -> None:
         "tr_ms": s.tr_ms,
         "te_ms": s.te_ms,
         "tinv_ms": s.tinv_ms,
-        "inversion": s.inversion,
         "grid": {
             "t1": [g.t1.start, g.t1.step, g.t1.stop],
             "t2": [g.t2.start, g.t2.step, g.t2.stop],
@@ -376,7 +370,6 @@ def load_dictionary(path) -> Dictionary:
         tr_ms=float(meta.typed("tr_ms", float)),
         te_ms=float(meta.typed("te_ms", float)),
         tinv_ms=float(meta.typed("tinv_ms", float)),
-        inversion=meta.typed("inversion", bool),
     )
     grid = meta.typed("grid", dict)
     return Dictionary(

@@ -193,7 +193,8 @@ def acquire(cfg: dict, gt_path, out_path) -> fm.KSpaceData:
         rng = np.random.default_rng(seed + 1)
         noise = rng.normal(0.0, cfg["kspace_noise"], (2,) + data.y.shape)
         data.y += (noise[0] + 1j * noise[1]) * pattern.masks[:, None, :, :]
-    fm.save_kspace(data, coils, out_path, cfg["kspace_noise"])
+    fm.save_kspace(data, coils, out_path, seed=seed, accel=float(cfg["accel"]),
+                   kspace_noise=cfg["kspace_noise"])
     return data
 
 

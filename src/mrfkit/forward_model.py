@@ -23,20 +23,14 @@ DEFAULT_CENTER_RADIUS = 4
 DEFAULT_DENSITY_GAMMA = 2.0
 
 _FRAME_BLOCK = 32  # frames per block, bounds the materialized image stack
-# provenance fields of a SamplingPattern, recorded in the k-space bundle's meta
-_PATTERN_META = ("seed", "accel", "center_radius", "gamma", "k0")
 
 
 @dataclass
 class SamplingPattern:
-    """Per-frame boolean k-space masks on the dense grid."""
+    """Per-frame boolean k-space masks on the dense grid. The masks are the
+    whole pattern: how they were drawn is not kept."""
 
     masks: np.ndarray  # bool, (L, H, W), natural FFT layout
-    seed: int | None = None
-    accel: float | None = None
-    center_radius: int | None = None
-    gamma: float | None = None
-    k0: float | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -49,9 +43,6 @@ class SamplingPattern:
     @property
     def per_frame_counts(self) -> np.ndarray:
         return self.masks.sum(axis=(1, 2)).astype(np.int64)
-
-    def total_samples(self, n_coils: int) -> int:
-        return int(self.per_frame_counts.sum()) * n_coils
 
 
 @dataclass
@@ -145,7 +136,7 @@ def make_vd_cartesian_masks(
     rng = np.random.default_rng(seed)
     masks = rng.random((n_frames, h, w)) < prob[None, :, :]
     masks[:, center] = True
-    return SamplingPattern(masks, seed, float(accel), center_radius, DEFAULT_DENSITY_GAMMA, k0)
+    return SamplingPattern(masks)
 
 
 def make_coil_maps(h: int, w: int, n_coils: int, kind: str = "gaussian-ring") -> CoilMaps:
@@ -298,23 +289,23 @@ def normal(x: np.ndarray, kernel: np.ndarray, coils: CoilMaps) -> np.ndarray:
     return _coil_combine(mixed, coils.sens)
 
 
-def save_kspace(data: KSpaceData, coils: CoilMaps, path, kspace_noise: float) -> None:
-    p = data.pattern
-    meta = {"kind": "kspace", "kspace_noise": kspace_noise,
-            **{key: getattr(p, key) for key in _PATTERN_META}}
+def save_kspace(data: KSpaceData, coils: CoilMaps, path, *, seed: int, accel: float,
+                kspace_noise: float) -> None:
+    """Write the k-space, masks and coil maps; the header records the mask
+    seed, the acceleration and the noise sigma they were acquired with."""
     bundle.write_bundle(
         path,
         {
             "y": data.y.astype(np.complex64),
-            "masks": p.masks.astype(np.uint8),
+            "masks": data.pattern.masks.astype(np.uint8),
             "sens": coils.sens.astype(np.complex64),
         },
-        meta=meta,
+        meta={"kind": "kspace", "seed": seed, "accel": accel, "kspace_noise": kspace_noise},
     )
 
 
 def load_kspace(path) -> tuple[KSpaceData, CoilMaps]:
-    arrays, meta = bundle.read_bundle(path, kind="kspace")
+    arrays, _ = bundle.read_bundle(path, kind="kspace")
     n_frames, n_coils, h, w = arrays.array("y", (None,) * 4, "complex64").shape
     masks = arrays.array("masks", (n_frames, h, w), "uint8").astype(bool)
     # the solver's step size divides by the sample count, coils times sampled points
@@ -322,7 +313,6 @@ def load_kspace(path) -> tuple[KSpaceData, CoilMaps]:
         raise arrays.fault("y", "has no coils")
     if not masks.any():
         raise arrays.fault("masks", "samples no k-space point")
-    pattern = SamplingPattern(masks, *(meta.get(key) for key in _PATTERN_META))
-    data = KSpaceData(y=arrays["y"].astype(np.complex128), pattern=pattern)
+    data = KSpaceData(y=arrays["y"].astype(np.complex128), pattern=SamplingPattern(masks))
     coils = CoilMaps(sens=arrays.array("sens", (n_coils, h, w), "complex64").astype(np.complex128))
     return data, coils

@@ -187,8 +187,12 @@ def save_ground_truth(gt: GroundTruth, path) -> None:
 def load_ground_truth(path) -> GroundTruth:
     arrays, _ = bundle.read_bundle(path, kind="ground-truth")
     t1 = arrays.array("t1", (None, None), "float32")
-    return GroundTruth(
-        t1_map=t1.astype(np.float64),
-        t2_map=arrays.array("t2", t1.shape, "float32").astype(np.float64),
-        pd_map=arrays.array("pd", t1.shape, "float32").astype(np.float64),
-    )
+    t2 = arrays.array("t2", t1.shape, "float32")
+    pd = arrays.array("pd", t1.shape, "float32")
+    if (pd < 0).any():
+        raise arrays.fault("pd", "has negative entries")
+    for name, values in (("t1", t1), ("t2", t2)):
+        if (values[pd > 0] <= 0).any():
+            raise arrays.fault(name, "must be > 0 wherever pd > 0")
+    return GroundTruth(t1_map=t1.astype(np.float64), t2_map=t2.astype(np.float64),
+                       pd_map=pd.astype(np.float64))

@@ -12,7 +12,6 @@ k-space reference loop it is checked against lives in ``tests/oracles.py``.
 """
 
 import csv
-import io
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -82,19 +81,14 @@ class SolveTrace:
     def __getitem__(self, idx):
         return self.records[idx]
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self._CSV_FIELDS)
-        for rec in self.records:
-            row = asdict(rec)
-            writer.writerow([repr(row[f]) if isinstance(row[f], float) else row[f]
-                             for f in self._CSV_FIELDS])
-        return buf.getvalue()
-
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv())
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(self._CSV_FIELDS)
+            for rec in self.records:
+                row = asdict(rec)
+                writer.writerow([repr(row[f]) if isinstance(row[f], float) else row[f]
+                                 for f in self._CSV_FIELDS])
 
 
 def _fidelity(y: np.ndarray, ks: np.ndarray) -> float:
@@ -118,7 +112,7 @@ def _majorization_rhs(fidelity_x: float, grad: np.ndarray, diff: np.ndarray, mu:
 def auto_step_size(pattern: SamplingPattern, n_coils: int) -> float:
     """Compression-factor step size: image pixels over mean per-frame samples
     counted across coils."""
-    per_frame = pattern.total_samples(n_coils) / pattern.n_frames
+    per_frame = int(pattern.masks.sum()) * n_coils / pattern.n_frames
     h, w = pattern.shape
     return h * w / per_frame
 

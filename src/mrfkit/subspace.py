@@ -103,21 +103,18 @@ def project(series: np.ndarray, basis: SubspaceBasis) -> np.ndarray:
 
 
 def phase_align(coeffs: np.ndarray) -> np.ndarray:
-    """Remove the global phase of coefficient vectors and keep the real part.
+    """Remove the global phase of coefficient rows (n, S) and keep the real part.
 
     Each row is rotated by the conjugate phase of its largest-magnitude entry
     (ties broken by lowest index), making that entry real positive. Zero rows
     map to zero.
     """
     c = np.asarray(coeffs)
-    single = c.ndim == 1
-    c2 = c[None, :] if single else c
-    idx = np.argmax(np.abs(c2), axis=1)
-    ref = c2[np.arange(c2.shape[0]), idx]
+    idx = np.argmax(np.abs(c), axis=1)
+    ref = c[np.arange(c.shape[0]), idx]
     mag = np.abs(ref)
     rot = np.where(mag > 0, np.conj(ref) / np.where(mag > 0, mag, 1.0), 1.0)
-    out = (c2 * rot[:, None]).real
-    return out[0] if single else out
+    return (c * rot[:, None]).real
 
 
 def save_basis(basis: SubspaceBasis, path) -> None:

@@ -60,7 +60,7 @@ def rotation_z(angle_rad: float) -> np.ndarray:
 
 
 def bloch_fingerprint(t1_ms, t2_ms, schedule, n_spins=2048):
-    """Isochromat-ensemble FISP simulation.
+    """Isochromat-ensemble FISP simulation after an ideal inversion.
 
     Spins are evenly dephased over 2*pi per repetition (the ideal-crusher
     assumption); excitation is a right-handed rotation about +x applied as a
@@ -73,10 +73,7 @@ def bloch_fingerprint(t1_ms, t2_ms, schedule, n_spins=2048):
     echo = np.exp(-te / t2_ms)
 
     m = np.zeros((n_spins, 3))
-    if schedule.inversion:
-        m[:, 2] = 1.0 - 2.0 * np.exp(-tinv / t1_ms)
-    else:
-        m[:, 2] = 1.0
+    m[:, 2] = 1.0 - 2.0 * np.exp(-tinv / t1_ms)
 
     crush = 2.0 * np.pi * np.arange(n_spins) / n_spins
     cos_c, sin_c = np.cos(crush), np.sin(crush)
@@ -113,10 +110,7 @@ def epg_reference(t1_ms, t2_ms, schedule, k_max=None):
     e2 = np.exp(-tr / t2).astype(np.float32)
     recovery = (1.0 - e1).astype(np.float32)
     echo = np.exp(-te / t2).astype(np.float32)
-    if schedule.inversion:
-        z0 = (1.0 - 2.0 * np.exp(-tinv / t1)).astype(np.float32)
-    else:
-        z0 = np.ones(t1.shape, dtype=np.float32)
+    z0 = (1.0 - 2.0 * np.exp(-tinv / t1)).astype(np.float32)
 
     p = np.zeros((n_orders, t1.size), dtype=np.float32)
     m = np.zeros((n_orders, t1.size), dtype=np.float32)

@@ -145,7 +145,7 @@ BAD_CONFIGS = [
 LOADERS = {
     "ground-truth": ("gt", ("acquire", "--gt", "{gt}"), ()),
     "dictionary": ("dict", ("learn-subspace", "--dict", "{dict}"),
-                   ("tr_ms", "te_ms", "tinv_ms", "inversion", "grid")),
+                   ("tr_ms", "te_ms", "tinv_ms", "grid")),
     "basis": ("basis", ("reconstruct", "--mode", "lr", "--in", "{kspace}",
                         "--basis", "{basis}"), ()),
     "kspace": ("kspace", ("reconstruct", "--mode", "lr", "--in", "{kspace}",
@@ -162,7 +162,6 @@ BAD_FIELDS = [
     ("dictionary", "tr_ms", "ten"),
     ("dictionary", "te_ms", float("nan")),
     ("dictionary", "tinv_ms", 10**400),
-    ("dictionary", "inversion", "no"),
     ("reconstruction", "x_subspace", np.zeros((4, 32 * 32), np.complex64)),
     ("mrf-net", "layers", "x"),
     ("mrf-net", "t1_range", 5),
@@ -199,6 +198,10 @@ IMPOSSIBLE_FIELDS = [
                  id="reconstruction-basis_v-inf"),
     pytest.param("basis", "singular_values", _one_entry(80, -np.inf),
                  id="basis-singular_values-inf"),
+    pytest.param("ground-truth", "t1", np.full((32, 32), -800.0, np.float32),
+                 id="ground-truth-t1-negative"),
+    pytest.param("ground-truth", "pd", np.full((32, 32), -1.0, np.float32),
+                 id="ground-truth-pd-negative"),
 ]
 
 
@@ -208,6 +211,13 @@ def _drop_coils(arrays):
 
 def _drop_rank(arrays):
     arrays["x_subspace"], arrays["basis_v"] = arrays["x_subspace"][:0], arrays["basis_v"][:, :0]
+
+
+def _negate(key):
+    """An edit that negates array key."""
+    def edit(arrays):
+        arrays[key] = -arrays[key]
+    return edit
 
 
 def _nan_at(key):
@@ -246,6 +256,30 @@ IMPOSSIBLE_BUNDLES = [
     *(pytest.param(source, kind, key, _nan_at(key), args, id=f"{kind}-{key}-nan-{name}")
       for (source, kind, keys), commands in NAN_READERS.items()
       for key in keys for name, args in commands.items()),
+    pytest.param("gt", "ground-truth", "pd", _negate("pd"), _SCORE,
+                 id="ground-truth-pd-negated-score"),
+]
+# finite bundles on which a stage overflows or makes a NaN: (file, kind, the
+# array every entry of which is set to value, command)
+_FLOAT32_MAX = np.finfo(np.float32).max
+NUMERIC_FAULTS = [
+    pytest.param("net", "mrf-net", "w0", _FLOAT32_MAX,
+                 ("infer", "--net", "{net}", "--in", "{recon}"), id="infer-w0-max"),
+    pytest.param("dict", "dictionary", "atoms", _FLOAT32_MAX, _LEARN,
+                 id="learn-subspace-atoms-max"),
+    pytest.param("dict", "dictionary", "atoms", 1e-40, _MATCH, id="match-atoms-subnormal"),
+]
+# two files that each load but do not fit together: (file replaced, by the
+# MISMATCHED file, command, its error); a usage error, as the user paired them
+DISAGREEING_FILES = [
+    pytest.param("basis", "basis30", (*_RECONSTRUCT, "bpi"),
+                 "basis frames and sampling pattern frames disagree", id="reconstruct"),
+    pytest.param("dict", "dict30", _MATCH, "series length 30 does not match basis frames 80",
+                 id="match"),
+    pytest.param("dict", "dict30", _TRAIN, "series length 30 does not match basis frames 80",
+                 id="train-net"),
+    pytest.param("net", "net3", ("infer", "--net", "{net}", "--in", "{recon}"),
+                 "expected (n, 3) coefficients", id="infer"),
 ]
 
 
@@ -283,6 +317,22 @@ def loader_files(pipeline_dir, tmp_path_factory):
     files["maps"] = str(root / "maps.mrfb")
     assert run_cli("infer", "--net", files["net"], "--in", files["recon"],
                    "--out", files["maps"]) == 0
+    return files
+
+
+@pytest.fixture(scope="module")
+def mismatched_files(tmp_path_factory):
+    """A 30-frame dictionary and basis, and a rank-3 net, none of which fits
+    the 80-frame, rank-4 bundles of loader_files."""
+    root = tmp_path_factory.mktemp("mismatched")
+    files = {name: str(root / f"{name}.mrfb") for name in ("dict30", "basis30", "net3")}
+    assert run_cli("simulate-dict", "--t1", "300:300:2100", "--t2", "40:60:340",
+                   "--frames", "30", "--out", files["dict30"]) == 0
+    assert run_cli("learn-subspace", "--dict", files["dict30"], "--rank", "4",
+                   "--out", files["basis30"]) == 0
+    net = inference.MrfNet.initialize(3, (300.0, 2100.0), (40.0, 340.0), hidden=(8, 8), seed=0)
+    inference.save_net(net, inference.TrainConfig(noise_sigma=0.002, augment_factor=100,
+                                                   epochs=30), files["net3"])
     return files
 
 
@@ -541,6 +591,48 @@ class TestExitCodes:
         assert f"must be {expected}, got complex64" in lines[0]
         assert (f"rerun {rerun}" in lines[0]) if rerun else ("rerun" not in lines[0])
         assert not out.exists()
+
+    @pytest.mark.parametrize("source,kind,key,value,args", NUMERIC_FAULTS)
+    def test_stage_overflow_is_numeric_error(self, loader_files, tmp_path, capsys, source, kind,
+                                             key, value, args):
+        arrays, meta = bundle.read_bundle(loader_files[source], kind=kind)
+        arrays[key] = np.full_like(arrays[key], value)
+        path, out = tmp_path / "extreme.mrfb", tmp_path / "out.mrfb"
+        bundle.write_bundle(path, arrays, meta)
+        command = [arg.format(**{**loader_files, source: path}) for arg in args]
+        capsys.readouterr()
+        assert run_cli(*command, "--out", str(out)) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error kind=numeric msg=")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source,other,args,message", DISAGREEING_FILES)
+    def test_disagreeing_files_are_usage_error(self, loader_files, mismatched_files, tmp_path,
+                                               capsys, source, other, args, message):
+        out = tmp_path / "out.mrfb"
+        files = {**loader_files, source: mismatched_files[other]}
+        capsys.readouterr()
+        assert run_cli(*(arg.format(**files) for arg in args), "--out", str(out)) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error kind=usage msg={message!r}"]
+        assert not out.exists()
+
+    def test_dropped_header_fields_are_ignored(self, loader_files, tmp_path):
+        # a dictionary with the inversion flag and a k-space bundle with the
+        # mask-drawing constants, as older versions wrote them, read as the
+        # same bundles without those fields
+        old = {"dict": ("dictionary", {"inversion": True}, _LEARN),
+               "kspace": ("kspace", {"center_radius": 4, "gamma": 2.0, "k0": 4.0},
+                          (*_RECONSTRUCT, "bpi"))}
+        for source, (kind, fields, args) in old.items():
+            arrays, meta = bundle.read_bundle(loader_files[source], kind=kind)
+            path = tmp_path / f"old-{source}.mrfb"
+            bundle.write_bundle(path, arrays, {**meta, **fields})
+            outs = [tmp_path / f"{source}-{name}.mrfb" for name in ("old", "current")]
+            for bundle_path, out in zip((path, loader_files[source]), outs):
+                command = [arg.format(**{**loader_files, source: bundle_path}) for arg in args]
+                assert run_cli(*command, "--out", str(out)) == 0
+            assert filecmp.cmp(*outs, shallow=False)
 
     def test_nonfinite_lambda_flag_is_usage_error(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "x.mrfb"

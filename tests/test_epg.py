@@ -8,7 +8,7 @@ from mrfkit import epg
 from oracles import bloch_fingerprint, epg_reference, simulate_fingerprint
 
 # the timings of epg.default_schedule
-TIMINGS = {"tr_ms": 10.0, "te_ms": 1.908, "tinv_ms": 18.0, "inversion": True}
+TIMINGS = {"tr_ms": 10.0, "te_ms": 1.908, "tinv_ms": 18.0}
 
 
 def assert_same_bits(a, b):
@@ -23,7 +23,6 @@ class TestSchedule:
         assert s.te_ms == 1.908
         assert s.tinv_ms == 18.0
         assert s.n_frames == 1000
-        assert s.inversion
 
     def test_single_frame(self):
         s = epg.default_schedule(1)
@@ -131,12 +130,15 @@ class TestMatchesReference:
         (30, 5), (30, 29), (30, 30), (30, 64), (1, 1), (1, 100), (2, 1), (2, 100), (7, 3),
         (7, 100),
     ])
-    @pytest.mark.parametrize("inversion", [True, False])
-    def test_random_flips(self, rng, monkeypatch, n_frames, k_max, inversion):
+    # inverted: the train starts 18 ms after the inversion; otherwise 1e6 ms
+    # after it, when each tissue has fully recovered (z0 = 1 exactly)
+    @pytest.mark.parametrize("inverted", [True, False])
+    def test_random_flips(self, rng, monkeypatch, n_frames, k_max, inverted):
         flips = rng.uniform(0, 180, n_frames)
         flips[::5] = 180.0
         flips[1::4] = 0.0
-        schedule = epg.SequenceSchedule(flips, **{**TIMINGS, "inversion": inversion})
+        tinv_ms = 18.0 if inverted else 1e6
+        schedule = epg.SequenceSchedule(flips, **{**TIMINGS, "tinv_ms": tinv_ms})
         t1, t2 = self.tissues(rng, 37)
         monkeypatch.setattr(epg, "CHUNK_SIZE", 16)
         assert_same_bits(epg.simulate_fingerprints(t1, t2, schedule, k_max=k_max),

@@ -401,8 +401,8 @@ class TestDictionaryMatch:
         d, basis = toy_setup
         # a voxel that is exactly 0.7x a raw atom projected into the subspace
         atom = d.atoms[:, 4].astype(np.complex128)
-        coeff = subspace.phase_align(subspace.project(0.7 * atom, basis))
-        maps, pd = inference.dictionary_match(coeff[None, :], d, basis)
+        coeff = subspace.phase_align(subspace.project(0.7 * atom[None, :], basis))
+        maps, pd = inference.dictionary_match(coeff, d, basis)
         assert maps[0, 0] == d.t1_ms[4]
         assert pd[0] == pytest.approx(0.7, rel=1e-3)
 

@@ -252,12 +252,12 @@ class TestKspaceRoundTrip:
         y = random_complex(rng, (4, 2, 16, 16)).astype(np.complex64)
         data = fm.KSpaceData(y=y, pattern=pattern)
         path = tmp_path / "kspace.mrfb"
-        fm.save_kspace(data, coils, path, 0.5)
+        fm.save_kspace(data, coils, path, seed=5, accel=2.0, kspace_noise=0.5)
         loaded, loaded_coils = fm.load_kspace(path)
         np.testing.assert_array_equal(loaded.y, y)
         np.testing.assert_array_equal(loaded.pattern.masks, pattern.masks)
         np.testing.assert_array_equal(
             loaded_coils.sens, coils.sens.astype(np.complex64)
         )
-        assert loaded.pattern.seed == 5
-        assert bundle.read_bundle(path)[1]["kspace_noise"] == 0.5
+        meta = bundle.read_bundle(path)[1]
+        assert (meta["seed"], meta["accel"], meta["kspace_noise"]) == (5, 2.0, 0.5)

@@ -218,7 +218,7 @@ class TestSolve:
         x1, t1 = solver.solve(y, basis, coils, pattern, cfg)
         x2, t2 = solver.solve(y, basis, coils, pattern, cfg)
         np.testing.assert_array_equal(x1, x2)
-        assert t1.to_csv() == t2.to_csv()
+        assert t1.records == t2.records
 
     def test_stop_rel_change(self, problem):
         y, basis, coils, pattern, _, _ = problem
@@ -239,7 +239,7 @@ class TestSolve:
         x, trace = solver.solve(y, basis, coils, pattern, cfg)
         x_f, trace_f = solver.solve(y, fortran, coils, pattern, cfg)
         np.testing.assert_array_equal(x_f, x)
-        assert trace_f.to_csv() == trace.to_csv()
+        assert trace_f.records == trace.records
 
     def test_auto_step_size(self, problem):
         y, basis, coils, pattern, _, size = problem

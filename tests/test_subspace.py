@@ -165,19 +165,19 @@ class TestProjectExpand:
 
 class TestPhaseAlign:
     def test_real_nonnegative_unchanged(self):
-        c = np.array([3.0, 1.0, 2.0], dtype=complex)
-        np.testing.assert_allclose(subspace.phase_align(c), [3.0, 1.0, 2.0], atol=1e-15)
+        c = np.array([[3.0, 1.0, 2.0]], dtype=complex)
+        np.testing.assert_allclose(subspace.phase_align(c), [[3.0, 1.0, 2.0]], atol=1e-15)
 
     def test_global_phase_removal(self, rng):
         r = rng.standard_normal(8)
         c = np.exp(1j * 1.234) * r
-        aligned = subspace.phase_align(c)
+        aligned = subspace.phase_align(c[None, :])[0]
         sign = np.sign(aligned[np.argmax(np.abs(r))]) * np.sign(r[np.argmax(np.abs(r))])
         np.testing.assert_allclose(aligned, sign * r, atol=1e-12)
         assert aligned[np.argmax(np.abs(aligned))] > 0
 
     def test_global_phase_invariance(self, rng):
-        c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        c = rng.standard_normal((1, 6)) + 1j * rng.standard_normal((1, 6))
         base = subspace.phase_align(c)
         for theta in rng.uniform(0, 2 * np.pi, 8):
             np.testing.assert_allclose(
@@ -185,10 +185,10 @@ class TestPhaseAlign:
             )
 
     def test_zero_vector(self):
-        assert np.all(subspace.phase_align(np.zeros(5, dtype=complex)) == 0)
+        assert np.all(subspace.phase_align(np.zeros((1, 5), dtype=complex)) == 0)
 
     def test_idempotent_on_output(self, rng):
-        c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        c = rng.standard_normal((1, 9)) + 1j * rng.standard_normal((1, 9))
         once = subspace.phase_align(c)
         twice = subspace.phase_align(once.astype(complex))
         np.testing.assert_allclose(twice, once, atol=1e-12)
@@ -198,7 +198,7 @@ class TestPhaseAlign:
         # at least the best real-part energy of a 10000-point phase sweep
         r = rng.standard_normal(7)
         c = np.exp(1j * 0.789) * r
-        aligned = subspace.phase_align(c)
+        aligned = subspace.phase_align(c[None, :])[0]
         j = np.argmax(np.abs(c))
         assert abs(aligned[j]) == pytest.approx(np.abs(c[j]), abs=1e-12)
         phis = np.linspace(0, 2 * np.pi, 10_000, endpoint=False)
@@ -208,10 +208,11 @@ class TestPhaseAlign:
         assert np.sum(aligned**2) + 1e-9 >= sweep
 
     def test_batched_rows(self, rng):
+        # each row is aligned on its own: the other rows do not change it
         c = rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5))
         batched = subspace.phase_align(c)
         for i in range(12):
-            np.testing.assert_allclose(batched[i], subspace.phase_align(c[i]), atol=1e-14)
+            np.testing.assert_array_equal(batched[i : i + 1], subspace.phase_align(c[i : i + 1]))
 
 
 class TestBasisRoundTrip:
