@@ -164,7 +164,7 @@ def reconstruct(mode, in_path, basis_path, out_path, trace_path, **settings):
         raise click.UsageError(f"--lambda must be 0 in mode {mode!r}")
     trace = experiment.reconstruct(_resolve(settings), mode, in_path, basis_path, out_path,
                                    trace_path)
-    final = trace[-1]
+    final = trace.records[-1]
     click.echo(
         f"{mode}: {final.iteration} iterations, objective {final.objective:.6g} -> {out_path}"
     )

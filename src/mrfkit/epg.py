@@ -15,7 +15,7 @@ arrays; the physical factor i is reattached at readout.
 import math
 import mmap
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from signal import SIGKILL
 
 import numpy as np
@@ -70,9 +70,12 @@ class GridRange:
             raise ValueError(f"grid range {self.start}:{self.step}:{self.stop} must be "
                              "positive with stop >= start")
 
+    @property
+    def count(self) -> int:
+        return int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
+
     def values(self) -> np.ndarray:
-        count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        return self.start + self.step * np.arange(count, dtype=np.float64)
+        return self.start + self.step * np.arange(self.count, dtype=np.float64)
 
     @classmethod
     def parse(cls, text: str) -> "GridRange":
@@ -99,13 +102,21 @@ class GridSpec:
 
 @dataclass
 class Dictionary:
-    """Simulated fingerprints (one column per tissue) with their labels."""
+    """Simulated fingerprints, one column per pair of the grid in its
+    T1-major order; the labels are those pairs."""
 
     atoms: np.ndarray  # complex64, (L, d)
-    t1_ms: np.ndarray  # float32, (d,)
-    t2_ms: np.ndarray  # float32, (d,)
     schedule: SequenceSchedule
     grid_spec: GridSpec
+    t1_ms: np.ndarray = field(init=False)  # float32, (d,)
+    t2_ms: np.ndarray = field(init=False)  # float32, (d,)
+
+    def __post_init__(self):
+        n1, n2 = self.grid_spec.t1.count, self.grid_spec.t2.count
+        if n1 * n2 != self.atoms.shape[1]:  # checked before pairs() allocates them
+            raise ValueError(f"'grid' has {n1} x {n2} (T1, T2) pairs, but 'atoms' has "
+                             f"{self.atoms.shape[1]} columns")
+        self.t1_ms, self.t2_ms = (v.astype(np.float32) for v in self.grid_spec.pairs())
 
     @property
     def n_frames(self) -> int:
@@ -326,14 +337,7 @@ def build_dictionary(
     grid: GridSpec, schedule: SequenceSchedule, k_max: int | None = None
 ) -> Dictionary:
     """Simulate one atom per (T1, T2) grid pair, in the grid's T1-major order."""
-    t1, t2 = grid.pairs()
-    return Dictionary(
-        atoms=simulate_fingerprints(t1, t2, schedule, k_max=k_max),
-        t1_ms=t1.astype(np.float32),
-        t2_ms=t2.astype(np.float32),
-        schedule=schedule,
-        grid_spec=grid,
-    )
+    return Dictionary(simulate_fingerprints(*grid.pairs(), schedule, k_max=k_max), schedule, grid)
 
 
 def save_dictionary(dictionary: Dictionary, path) -> None:
@@ -352,6 +356,8 @@ def save_dictionary(dictionary: Dictionary, path) -> None:
         path,
         {
             "atoms": dictionary.atoms,
+            # the labels follow from the grid, and load_dictionary reads them
+            # from there; these two arrays are kept for readers of the file
             "t1": dictionary.t1_ms,
             "t2": dictionary.t2_ms,
             "flip_angles_deg": dictionary.schedule.flip_angles_deg.astype(np.float32),
@@ -364,19 +370,12 @@ def save_dictionary(dictionary: Dictionary, path) -> None:
 def load_dictionary(path) -> Dictionary:
     arrays, meta = bundle.read_bundle(path, kind="dictionary")
     atoms = arrays.array("atoms", (None, None), "complex64")
-    n_frames, n_atoms = atoms.shape
     schedule = SequenceSchedule(
-        arrays.array("flip_angles_deg", (n_frames,), "float32").astype(np.float64),
+        arrays.array("flip_angles_deg", (atoms.shape[0],), "float32").astype(np.float64),
         tr_ms=float(meta.typed("tr_ms", float)),
         te_ms=float(meta.typed("te_ms", float)),
         tinv_ms=float(meta.typed("tinv_ms", float)),
     )
     grid = meta.typed("grid", dict)
-    return Dictionary(
-        atoms=atoms,
-        t1_ms=arrays.array("t1", (n_atoms,), "float32"),
-        t2_ms=arrays.array("t2", (n_atoms,), "float32"),
-        schedule=schedule,
-        grid_spec=GridSpec(t1=GridRange(*grid.numbers("t1", 3)),
-                           t2=GridRange(*grid.numbers("t2", 3))),
-    )
+    return Dictionary(atoms, schedule, GridSpec(t1=GridRange(*grid.numbers("t1", 3)),
+                                                t2=GridRange(*grid.numbers("t2", 3))))

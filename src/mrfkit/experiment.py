@@ -24,7 +24,7 @@ from . import forward_model as fm
 from . import inference, phantom, solver, subspace
 from .tvprox import VARIANTS, TvConfig
 
-METHODS = ("bpi", "lr", "lrtv")
+METHODS = solver.MODES
 _PHANTOMS = {"default": phantom.default_head_spec, "offgrid": phantom.offgrid_head_spec}
 
 DEFAULT_EXPERIMENT = {
@@ -325,7 +325,7 @@ def run_experiment(config: dict | None, out_dir) -> dict:
     # the network normalizes its targets by the grid ranges; check them
     # before any stage runs, not after the dictionary is built
     grid = _grid(cfg)
-    sizes = {axis: getattr(grid, axis).values().size for axis in ("t1", "t2")}
+    sizes = {axis: getattr(grid, axis).count for axis in ("t1", "t2")}
     for axis, size in sizes.items():
         if size < 2:
             raise ValueError(f"dict.{axis}: the network needs at least two grid values, "

@@ -8,7 +8,7 @@ at inference. Voxels with negligible coefficient energy are masked to zero.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -58,7 +58,7 @@ class MrfNet:
 
     def __post_init__(self):
         if not self.weights:
-            raise ValueError("'layers' must be at least 1")
+            raise ValueError("a network needs at least one layer")
         width = None  # the output width of the layer before
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.ndim != 2 or (i and w.shape[0] != width) or b.shape != w.shape[1:]:
@@ -102,13 +102,8 @@ class MrfNet:
         return self.weights[0].shape[0]
 
     def copy(self) -> "MrfNet":
-        return MrfNet(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.t1_range,
-            self.t2_range,
-            self.output_relu,
-        )
+        return replace(self, weights=[w.copy() for w in self.weights],
+                       biases=[b.copy() for b in self.biases])
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Normalized (T1, T2) predictions for a batch of coefficient rows."""
@@ -146,21 +141,19 @@ class MrfNet:
                 delta = (delta @ self.weights[i].T) * (post[i] > 0)
         return loss, grad_ws, grad_bs
 
+    def _bounds(self) -> np.ndarray:
+        """The (T1, T2) lower bounds and upper bounds: lo, hi = self._bounds()."""
+        return np.array([self.t1_range, self.t2_range], np.float64).T
+
     def predict_ms(self, x: np.ndarray) -> np.ndarray:
         """De-normalized predictions clamped to the training grid ranges."""
-        out = self.forward(x).astype(np.float64)
-        lo1, hi1 = self.t1_range
-        lo2, hi2 = self.t2_range
-        t1 = np.clip(lo1 + out[:, 0] * (hi1 - lo1), lo1, hi1)
-        t2 = np.clip(lo2 + out[:, 1] * (hi2 - lo2), lo2, hi2)
-        return np.stack([t1, t2], axis=1)
+        lo, hi = self._bounds()
+        return np.clip(lo + self.forward(x).astype(np.float64) * (hi - lo), lo, hi)
 
-    def normalize_targets(self, t1_ms: np.ndarray, t2_ms: np.ndarray) -> np.ndarray:
-        lo1, hi1 = self.t1_range
-        lo2, hi2 = self.t2_range
-        return np.stack(
-            [(t1_ms - lo1) / (hi1 - lo1), (t2_ms - lo2) / (hi2 - lo2)], axis=1
-        )
+    def normalize_targets(self, targets_ms: np.ndarray) -> np.ndarray:
+        """(T1, T2) rows in milliseconds mapped to [0, 1] by the grid ranges."""
+        lo, hi = self._bounds()
+        return (targets_ms - lo) / (hi - lo)
 
 
 def make_training_set(
@@ -179,8 +172,6 @@ def make_training_set(
     block of the random stream. Targets are the (T1, T2) labels in
     milliseconds. N = d * augment_factor rows.
     """
-    if dictionary.n_atoms == 0:
-        raise ValueError("empty dictionary")
     rng = np.random.default_rng(cfg.seed)
     aug = cfg.augment_factor
     coeffs = np.repeat(project(dictionary.normalized_atoms().T, basis), aug, axis=0)
@@ -198,7 +189,6 @@ def make_training_set(
 class DivergenceError(RuntimeError):
     def __init__(self, epoch):
         super().__init__(f"training loss became non-finite at epoch {epoch}")
-        self.epoch = epoch
 
 
 def train(
@@ -214,9 +204,7 @@ def train(
     if inputs.shape[0] == 0:
         raise ValueError("empty training set")
     net = net.copy()
-    targets = net.normalize_targets(
-        targets_ms[:, 0].astype(np.float64), targets_ms[:, 1].astype(np.float64)
-    ).astype(inputs.dtype)
+    targets = net.normalize_targets(targets_ms.astype(np.float64)).astype(inputs.dtype)
 
     rng = np.random.default_rng(cfg.seed + 1)
     params = net.weights + net.biases
@@ -330,7 +318,6 @@ def save_net(net: MrfNet, cfg: TrainConfig, path) -> None:
         "t1_range": list(net.t1_range),
         "t2_range": list(net.t2_range),
         "output_relu": net.output_relu,
-        "layers": len(net.weights),
         "train": asdict(cfg),
     }
     bundle.write_bundle(path, arrays, meta=meta)
@@ -339,10 +326,9 @@ def save_net(net: MrfNet, cfg: TrainConfig, path) -> None:
 @bundle.loader
 def load_net(path) -> MrfNet:
     arrays, meta = bundle.read_bundle(path, kind="mrf-net")
-    n_layers = meta.typed("layers", int)
-    return MrfNet(
-        weights=[arrays.array(f"w{i}", (None, None), "float32") for i in range(n_layers)],
-        biases=[arrays.array(f"b{i}", (None,), "float32") for i in range(n_layers)],
+    return MrfNet(  # the three layers MrfNet.initialize builds
+        weights=[arrays.array(f"w{i}", (None, None), "float32") for i in range(3)],
+        biases=[arrays.array(f"b{i}", (None,), "float32") for i in range(3)],
         t1_range=tuple(meta.numbers("t1_range", 2)),
         t2_range=tuple(meta.numbers("t2_range", 2)),
         output_relu=meta.typed("output_relu", bool),

@@ -12,7 +12,7 @@ k-space reference loop it is checked against lives in ``tests/oracles.py``.
 """
 
 import csv
-from dataclasses import dataclass, field, asdict
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -28,10 +28,6 @@ _MU_FLOOR = 1e-30
 
 class NumericalError(RuntimeError):
     """Non-finite values or a collapsed step size during a solve."""
-
-    def __init__(self, message, iteration=None):
-        super().__init__(message)
-        self.iteration = iteration
 
 
 @dataclass
@@ -70,31 +66,16 @@ class TraceRecord:
 class SolveTrace:
     records: list[TraceRecord] = field(default_factory=list)
 
-    _CSV_FIELDS = ("iteration", "objective", "fidelity", "tv_term", "mu", "halvings", "rel_change")
-
-    def append(self, record: TraceRecord):
-        self.records.append(record)
-
     def __len__(self):
         return len(self.records)
 
-    def __getitem__(self, idx):
-        return self.records[idx]
-
     def write_csv(self, path):
+        """One column per TraceRecord field, floats written by repr."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(self._CSV_FIELDS)
+            writer.writerow(f.name for f in fields(TraceRecord))
             for rec in self.records:
-                row = asdict(rec)
-                writer.writerow([repr(row[f]) if isinstance(row[f], float) else row[f]
-                                 for f in self._CSV_FIELDS])
-
-
-def _fidelity(y: np.ndarray, ks: np.ndarray) -> float:
-    """||y - ks||^2; overwrites ks with the residual."""
-    np.subtract(y, ks, out=ks)
-    return float(np.vdot(ks, ks).real)
+                writer.writerow(repr(v) if isinstance(v, float) else v for v in astuple(rec))
 
 
 def _expanded_fidelity(norm_y_sq: float, ahyv: np.ndarray, x: np.ndarray, gx: np.ndarray) -> float:
@@ -149,18 +130,8 @@ def solve(
     duals = None
 
     norm_y_sq = float(np.vdot(y.y, y.y).real)
-    trace = SolveTrace()
-    trace.append(
-        TraceRecord(
-            iteration=0,
-            objective=norm_y_sq,
-            fidelity=norm_y_sq,
-            tv_term=0.0,
-            mu=mu,
-            halvings=0,
-            rel_change=float("inf"),
-        )
-    )
+    trace = SolveTrace([TraceRecord(iteration=0, objective=norm_y_sq, fidelity=norm_y_sq,
+                                    tv_term=0.0, mu=mu, halvings=0, rel_change=float("inf"))])
 
     if cfg.mode == "bpi":
         return ahyv, trace
@@ -186,7 +157,8 @@ def solve(
                 mu *= 0.5
                 halvings += 1
                 if mu < _MU_FLOOR:
-                    raise NumericalError("step size collapsed during backtracking", iteration=k)
+                    raise NumericalError("step size collapsed during backtracking at "
+                                         f"iteration {k}")
                 continue
             break
         duals = new_duals
@@ -195,13 +167,13 @@ def solve(
         x_next = z + momentum * (z - z_prev)
 
         if not np.all(np.isfinite(x_next)):
-            raise NumericalError("non-finite iterate", iteration=k)
+            raise NumericalError(f"non-finite iterate at iteration {k}")
 
         norm_x = float(np.linalg.norm(x))
         rel_change = float(np.linalg.norm(x_next - x) / norm_x) if norm_x > 0 else float("inf")
 
         tv_term = lam * z_tv
-        trace.append(
+        trace.records.append(
             TraceRecord(
                 iteration=k,
                 objective=fidelity_z + tv_term,
@@ -223,7 +195,9 @@ def solve(
     # the final fidelity from the k-space residual y - A(z v^H): the objective
     # a solve reports carries no cancellation error from the expanded form
     last = trace.records[-1]
-    last.fidelity = _fidelity(y.y, fm.forward(z_prev, basis, coils, pattern).y)
+    residual = fm.forward(z_prev, basis, coils, pattern).y
+    np.subtract(y.y, residual, out=residual)
+    last.fidelity = float(np.vdot(residual, residual).real)
     last.objective = last.fidelity + last.tv_term
     return x, trace
 

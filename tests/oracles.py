@@ -213,9 +213,7 @@ def train_reference(net, data, cfg):
     (weights then biases)."""
     inputs, targets_ms = data
     net = net.copy()
-    targets = net.normalize_targets(
-        targets_ms[:, 0].astype(np.float64), targets_ms[:, 1].astype(np.float64)
-    ).astype(inputs.dtype)
+    targets = net.normalize_targets(targets_ms.astype(np.float64)).astype(inputs.dtype)
     rng = np.random.default_rng(cfg.seed + 1)
     lr = cfg.learning_rate
     vel_w = [np.zeros_like(w) for w in net.weights]

@@ -146,7 +146,7 @@ def test_criterion_05_solver_majorization(rng):
         cfg = SolverConfig(mode=mode, lam=lam, max_outer_iters=15, stop_rel_change=0.0)
         _, trace = solver.solve(y, basis, coils, pattern, cfg)
         norm_y_sq = float(np.vdot(y.y, y.y).real)
-        assert trace[-1].objective <= norm_y_sq
+        assert trace.records[-1].objective <= norm_y_sq
         for rec in trace.records[1:]:
             checked += 1
             if rec.fidelity > rec.majorization_rhs * (1 + 1e-12) + 1e-12:
@@ -166,7 +166,7 @@ def test_criterion_06_bpi_is_first_lr_iterate(rng):
     x1, trace = solver.solve(y, basis, coils, pattern,
                              SolverConfig(mode="lr", max_outer_iters=1))
     b, _ = solver.solve(y, basis, coils, pattern, SolverConfig(mode="bpi", max_outer_iters=50))
-    mu1 = trace[-1].mu
+    mu1 = trace.records[-1].mu
     err = np.linalg.norm(x1 - mu1 * b) / np.linalg.norm(x1)
     report(6, "first LR iterate = mu1 * BPI", err < 1e-12,
            f"rel err {err:.2e} (mu1 = {mu1:.4g})")

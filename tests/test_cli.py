@@ -1,3 +1,4 @@
+import csv
 import filecmp
 import inspect
 import json
@@ -49,8 +50,15 @@ class TestPipelineCommands:
             assert code == 0
             arrays, meta = bundle.read_bundle(out)
             assert arrays["x_subspace"].shape == (4, 32, 32)
-            header = (pipeline_dir / f"trace_{mode}.csv").read_text().splitlines()[0]
-            assert header == "iteration,objective,fidelity,tv_term,mu,halvings,rel_change"
+            with open(trace, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert header == ["iteration", "objective", "fidelity", "tv_term", "mu", "halvings",
+                              "rel_change", "momentum", "majorization_rhs"]
+            # every accepted step satisfies the majorization, read from the file
+            for row in rows[1:]:
+                fidelity, rhs = float(row[2]), float(row[8])
+                assert fidelity <= rhs * (1 + 1e-12)
+            assert len(rows) == (1 if mode == "bpi" else 9)
 
     def test_train_infer_match_score(self, pipeline_dir):
         net = str(pipeline_dir / "net.mrfb")
@@ -141,7 +149,8 @@ BAD_CONFIGS = [
 ]
 
 # per kind of bundle: the file of that kind, a command that loads it and
-# the header fields its loader needs (kind itself aside)
+# the header fields its loader needs (kind itself aside); the loader needs
+# every array of the file except those UNREAD_ARRAYS names
 LOADERS = {
     "ground-truth": ("gt", ("acquire", "--gt", "{gt}"), ()),
     "dictionary": ("dict", ("learn-subspace", "--dict", "{dict}"),
@@ -152,9 +161,12 @@ LOADERS = {
                           "--basis", "{basis}"), ()),
     "reconstruction": ("recon", ("match", "--dict", "{dict}", "--in", "{recon}"), ()),
     "mrf-net": ("net", ("infer", "--net", "{net}", "--in", "{recon}"),
-                ("layers", "t1_range", "t2_range", "output_relu")),
+                ("t1_range", "t2_range", "output_relu")),
     "maps": ("maps", ("score", "--est", "{maps}", "--gt", "{gt}"), ("estimator",)),
 }
+# a dictionary's labels are its grid's pairs: its saver writes them as arrays
+# for readers outside mrfkit, and its loader reads neither
+UNREAD_ARRAYS = {"dictionary": ("t1", "t2")}
 # per kind of bundle: a header value or an array, by its dotted key, replaced
 # by one of the wrong type or shape, which the kind's loader must reject
 BAD_FIELDS = [
@@ -163,7 +175,6 @@ BAD_FIELDS = [
     ("dictionary", "te_ms", float("nan")),
     ("dictionary", "tinv_ms", 10**400),
     ("reconstruction", "x_subspace", np.zeros((4, 32 * 32), np.complex64)),
-    ("mrf-net", "layers", "x"),
     ("mrf-net", "t1_range", 5),
     ("mrf-net", "output_relu", "no"),
     ("maps", "estimator", 1),
@@ -185,7 +196,6 @@ IMPOSSIBLE_FIELDS = [
     pytest.param("basis", "v", np.zeros((80, 0), np.float32), id="basis-v-no-columns"),
     pytest.param("kspace", "masks", np.zeros((10, 32, 32), np.uint8), id="kspace-masks-frames"),
     pytest.param("ground-truth", "t2", np.zeros((8, 8), np.float32), id="ground-truth-t2-shape"),
-    pytest.param("mrf-net", "layers", 0, id="mrf-net-layers-zero"),
     pytest.param("mrf-net", "w1", np.zeros((7, 4), np.float32), id="mrf-net-w1-shape"),
     pytest.param("mrf-net", "t1_range", [1800.0, 300.0], id="mrf-net-t1_range-reversed"),
     pytest.param("maps", "t2", np.zeros((8, 8), np.float32), id="maps-t2-shape"),
@@ -213,6 +223,10 @@ def _drop_rank(arrays):
     arrays["x_subspace"], arrays["basis_v"] = arrays["x_subspace"][:0], arrays["basis_v"][:, :0]
 
 
+def _drop_last_atom(arrays):
+    arrays["atoms"] = arrays["atoms"][:, :-1]
+
+
 def _negate(key):
     """An edit that negates array key."""
     def edit(arrays):
@@ -232,11 +246,11 @@ _MATCH = ("match", "--dict", "{dict}", "--in", "{recon}")
 _TRAIN = ("train-net", "--dict", "{dict}", "--basis", "{basis}", "--augment", "2")
 _SCORE = ("score", "--est", "{maps}", "--gt", "{gt}")
 _LEARN = ("learn-subspace", "--dict", "{dict}")
+_DICT_READERS = {"match": _MATCH, "train-net": _TRAIN, "learn-subspace": _LEARN}
 # (file, kind, arrays): by name, each command that must refuse a NaN in one of them
 NAN_READERS = {
     ("kspace", "kspace", ("y", "sens")): {mode: (*_RECONSTRUCT, mode) for mode in ("bpi", "lr")},
-    ("dict", "dictionary", ("t1", "t2", "flip_angles_deg")): {
-        "match": _MATCH, "train-net": _TRAIN, "learn-subspace": _LEARN},
+    ("dict", "dictionary", ("flip_angles_deg",)): _DICT_READERS,
     ("gt", "ground-truth", ("t1", "pd")): {"acquire": ("acquire", "--gt", "{gt}"), "score": _SCORE},
     ("maps", "maps", ("t1",)): {"score": _SCORE},
 }
@@ -258,6 +272,21 @@ IMPOSSIBLE_BUNDLES = [
       for key in keys for name, args in commands.items()),
     pytest.param("gt", "ground-truth", "pd", _negate("pd"), _SCORE,
                  id="ground-truth-pd-negated-score"),
+    *(pytest.param("dict", "dictionary", "grid", _drop_last_atom, args,
+                   id=f"dictionary-grid-pairs-{args[0]}") for args in (_MATCH, _TRAIN, _LEARN)),
+]
+# edits of the label arrays of a dictionary bundle (UNREAD_ARRAYS), after which
+# each command gives the clean file's output: (array, edit name, edit)
+_LABEL_EDITS = [
+    ("t1", "reversed", lambda a: a[::-1]),
+    ("t1", "zero", np.zeros_like),
+    ("t1", "nan", lambda a: np.full_like(a, np.nan)),
+    ("t2", "nan", lambda a: np.full_like(a, np.nan)),
+]
+UNREAD_LABELS = [
+    pytest.param(key, edit, _DICT_READERS[name], id=f"{key}-{edit_name}-{name}")
+    for key, edit_name, edit in _LABEL_EDITS
+    for name in (_DICT_READERS if edit_name == "nan" else ("match", "train-net"))
 ]
 # finite bundles on which a stage overflows or makes a NaN: (file, kind, the
 # array every entry of which is set to value, command)
@@ -293,8 +322,10 @@ DTYPE_MISMATCHES = [
     pytest.param("net", "mrf-net", "w0", ("infer", "--net", "{net}", "--in", "{recon}"), None,
                  id="mrf-net-w0-infer"),
     pytest.param("gt", "ground-truth", "t1", _SCORE, None, id="ground-truth-t1-score"),
-    pytest.param("dict", "dictionary", "t1", _MATCH, None, id="dictionary-t1-match"),
-    pytest.param("dict", "dictionary", "t1", _TRAIN, None, id="dictionary-t1-train-net"),
+    pytest.param("dict", "dictionary", "flip_angles_deg", _MATCH, None,
+                 id="dictionary-flips-match"),
+    pytest.param("dict", "dictionary", "flip_angles_deg", _TRAIN, None,
+                 id="dictionary-flips-train-net"),
     pytest.param("basis", "basis", "singular_values", (*_RECONSTRUCT, "bpi"), None,
                  id="basis-singular_values-reconstruct"),
 ]
@@ -536,7 +567,8 @@ class TestExitCodes:
         source, args, meta_keys = LOADERS[kind]
         arrays, meta = bundle.read_bundle(loader_files[source], kind=kind)
         path, out = tmp_path / "partial.mrfb", tmp_path / "out.mrfb"
-        cases = [({k: a for k, a in arrays.items() if k != name}, meta, name) for name in arrays]
+        cases = [({k: a for k, a in arrays.items() if k != name}, meta, name) for name in arrays
+                 if name not in UNREAD_ARRAYS.get(kind, ())]
         cases += [(arrays, {k: v for k, v in meta.items() if k != key}, key) for key in meta_keys]
         capsys.readouterr()
         for partial_arrays, partial_meta, missing in cases:
@@ -618,12 +650,13 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_dropped_header_fields_are_ignored(self, loader_files, tmp_path):
-        # a dictionary with the inversion flag and a k-space bundle with the
-        # mask-drawing constants, as older versions wrote them, read as the
-        # same bundles without those fields
+        # a dictionary with the inversion flag, a k-space bundle with the
+        # mask-drawing constants and a network with its layer count, as older
+        # versions wrote them, read as the same bundles without those fields
         old = {"dict": ("dictionary", {"inversion": True}, _LEARN),
                "kspace": ("kspace", {"center_radius": 4, "gamma": 2.0, "k0": 4.0},
-                          (*_RECONSTRUCT, "bpi"))}
+                          (*_RECONSTRUCT, "bpi")),
+               "net": ("mrf-net", {"layers": 3}, ("infer", "--net", "{net}", "--in", "{recon}"))}
         for source, (kind, fields, args) in old.items():
             arrays, meta = bundle.read_bundle(loader_files[source], kind=kind)
             path = tmp_path / f"old-{source}.mrfb"
@@ -633,6 +666,18 @@ class TestExitCodes:
                 command = [arg.format(**{**loader_files, source: bundle_path}) for arg in args]
                 assert run_cli(*command, "--out", str(out)) == 0
             assert filecmp.cmp(*outs, shallow=False)
+
+    @pytest.mark.parametrize("key,edit,args", UNREAD_LABELS)
+    def test_labels_from_grid(self, loader_files, tmp_path, key, edit, args):
+        arrays, meta = bundle.read_bundle(loader_files["dict"], kind="dictionary")
+        arrays[key] = edit(arrays[key])
+        path = tmp_path / "labels.mrfb"
+        bundle.write_bundle(path, arrays, meta)
+        outs = [tmp_path / f"{name}.mrfb" for name in ("edited", "clean")]
+        for dict_path, out in zip((path, loader_files["dict"]), outs):
+            command = [arg.format(**{**loader_files, "dict": dict_path}) for arg in args]
+            assert run_cli(*command, "--out", str(out)) == 0
+        assert filecmp.cmp(*outs, shallow=False)
 
     def test_nonfinite_lambda_flag_is_usage_error(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "x.mrfb"

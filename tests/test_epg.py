@@ -274,6 +274,19 @@ class TestBuildDictionary:
         b = epg.build_dictionary(grid, short_schedule)
         np.testing.assert_array_equal(a.atoms, b.atoms)
 
+    def test_labels_are_grid_pairs(self, small_dictionary):
+        t1, t2 = small_dictionary.grid_spec.pairs()
+        for labels, pairs in ((small_dictionary.t1_ms, t1), (small_dictionary.t2_ms, t2)):
+            assert labels.dtype == np.float32
+            np.testing.assert_array_equal(labels, pairs.astype(np.float32))
+
+    def test_grid_pair_count_must_match_atoms(self, short_schedule):
+        # about 3.9e15 T1 values: refused before pairs() would allocate them
+        grid = epg.GridSpec(t1=epg.GridRange(100, 1e-12, 4000), t2=epg.GridRange(20, 1, 20))
+        with pytest.raises(ValueError,
+                           match=r"'grid' has \d+ x 1 \(T1, T2\) pairs, but 'atoms' has 2 columns"):
+            epg.Dictionary(np.zeros((100, 2), np.complex64), short_schedule, grid)
+
     def test_normalized_atoms(self, small_dictionary):
         normed = small_dictionary.normalized_atoms()
         np.testing.assert_allclose(np.linalg.norm(normed, axis=0), 1.0, rtol=1e-5)

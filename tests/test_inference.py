@@ -67,16 +67,10 @@ class TestMakeTrainingSet:
         np.testing.assert_array_equal(a, b)
 
     def test_empty_dictionary_rejected(self, toy_setup, short_schedule):
-        d, basis = toy_setup
-        empty = epg.Dictionary(
-            atoms=np.zeros((100, 0), np.complex64),
-            t1_ms=np.zeros(0, np.float32),
-            t2_ms=np.zeros(0, np.float32),
-            schedule=short_schedule,
-            grid_spec=d.grid_spec,
-        )
-        with pytest.raises(ValueError):
-            inference.make_training_set(empty, basis, TRAIN_DEFAULTS)
+        # every grid has a pair, so a dictionary without atoms cannot be made
+        d, _ = toy_setup
+        with pytest.raises(ValueError, match="'grid' has 3 x 3 .* but 'atoms' has 0 columns"):
+            epg.Dictionary(np.zeros((100, 0), np.complex64), short_schedule, d.grid_spec)
 
 
 class TestTrainConfig:
@@ -301,9 +295,12 @@ class TestSubspaceNoise:
                                    atol=tol)
 
     def test_rows_match_frame_space_noise(self, desk_dictionary, desk_basis):
-        d = dataclasses.replace(desk_dictionary, atoms=desk_dictionary.atoms[:, ::80],
-                                t1_ms=desk_dictionary.t1_ms[::80],
-                                t2_ms=desk_dictionary.t2_ms[::80])
+        # every 8th T1 and every 10th T2 value of the desk grid: 10 x 6 atoms
+        grid = epg.GridSpec(t1=epg.GridRange(100, 400, 3700), t2=epg.GridRange(20, 100, 520))
+        atoms = desk_dictionary.atoms.reshape(-1, 79, 59)[:, ::8, ::10].reshape(-1, 60)
+        d = dataclasses.replace(desk_dictionary, atoms=atoms, grid_spec=grid)
+        for sub, full in ((d.t1_ms, desk_dictionary.t1_ms), (d.t2_ms, desk_dictionary.t2_ms)):
+            np.testing.assert_array_equal(sub, full.reshape(79, 59)[::8, ::10].ravel())
         cfg = TrainConfig(noise_sigma=0.01, augment_factor=200, epochs=0, seed=21)
         clean = np.repeat(clean_projections(d, desk_basis)[0], cfg.augment_factor, axis=0)
         resid = [np.asarray(rows, dtype=np.float64) - clean

@@ -1,9 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 
 from mrfkit import forward_model as fm
 from mrfkit import solver, subspace
-from mrfkit.solver import SolverConfig
+from mrfkit.solver import SolverConfig, TraceRecord
 from mrfkit.tvprox import TvConfig, tv_norm, tv_prox_stack
 
 from oracles import adjoint_frames, backtrack_ok, forward_frames, gradient
@@ -164,7 +166,7 @@ class TestSolve:
         x1, trace = solver.solve(y, basis, coils, pattern,
                                  SolverConfig(mode="lr", max_outer_iters=1))
         b = bpi(y, basis, coils, pattern)
-        mu1 = trace[-1].mu
+        mu1 = trace.records[-1].mu
         err = np.linalg.norm(x1 - mu1 * b) / np.linalg.norm(x1)
         assert err < 1e-12
 
@@ -210,7 +212,7 @@ class TestSolve:
         y, basis, coils, pattern, _, _ = problem
         cfg = SolverConfig(mode="lr", max_outer_iters=30, stop_rel_change=0.0)
         _, trace = solver.solve(y, basis, coils, pattern, cfg)
-        assert trace[-1].fidelity < 0.1 * trace[0].fidelity
+        assert trace.records[-1].fidelity < 0.1 * trace.records[0].fidelity
 
     def test_deterministic(self, problem):
         y, basis, coils, pattern, _, _ = problem
@@ -225,7 +227,7 @@ class TestSolve:
         cfg = SolverConfig(mode="lr", max_outer_iters=200, stop_rel_change=1e-3)
         _, trace = solver.solve(y, basis, coils, pattern, cfg)
         assert len(trace) - 1 < 200
-        assert trace[-1].rel_change < 1e-3
+        assert trace.records[-1].rel_change < 1e-3
 
     def test_fortran_ordered_basis(self, problem):
         # a SubspaceBasis may hold any memory layout: the kernel and an lr
@@ -364,14 +366,34 @@ class TestSolveMatchesReference:
 
 class TestTraceCsv:
     def test_csv_round_shape(self, problem, tmp_path):
+        # one column per TraceRecord field; every row reads back as its record
         y, basis, coils, pattern, _, _ = problem
         _, trace = solver.solve(y, basis, coils, pattern,
-                                SolverConfig(mode="lr", max_outer_iters=3))
+                                SolverConfig(mode="lrtv", lam=1e-3, max_outer_iters=3))
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "iteration,objective,fidelity,tv_term,mu,halvings,rel_change"
-        assert len(lines) == len(trace) + 1
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["iteration", "objective", "fidelity", "tv_term", "mu", "halvings",
+                          "rel_change", "momentum", "majorization_rhs"]
+        kinds = [int, float, float, float, float, int, float, float, float]
+        assert [TraceRecord(*(kind(v) for kind, v in zip(kinds, row)))
+                for row in rows] == trace.records
+
+
+class TestNumericalError:
+    @pytest.mark.parametrize("owner,name,replacement,iteration", [
+        # no step is ever accepted, so the step size halves below its floor
+        (solver, "_majorization_rhs", lambda *_: -np.inf, 1),
+        # a NaN normal operator is accepted once and poisons the next iterate
+        (fm, "normal", lambda z, *_: np.full_like(z, np.nan), 2),
+    ], ids=["step-collapse", "non-finite-iterate"])
+    def test_message_names_iteration(self, problem, monkeypatch, owner, name, replacement,
+                                     iteration):
+        y, basis, coils, pattern, _, _ = problem
+        monkeypatch.setattr(owner, name, replacement)
+        with pytest.raises(solver.NumericalError, match=f" at iteration {iteration}$"):
+            solver.solve(y, basis, coils, pattern, SolverConfig(mode="lr", max_outer_iters=5))
 
 
 class TestReconstructionRoundTrip:
