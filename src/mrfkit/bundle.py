@@ -116,10 +116,13 @@ _KINDS = {bool: "true or false", int: "an integer", float: "a finite number",
 
 
 def _is_kind(value, kind) -> bool:
+    """Whether a JSON value is of the kind _KINDS describes. JSON numbers are
+    doubles, so an int or float must lie within double range."""
     if kind is bool or isinstance(value, bool):  # a bool is no number, a number no bool
         return type(value) is kind
-    if kind is float:  # finite, and an integer within float range
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if kind in (int, float):
+        return (isinstance(value, int if kind is int else (int, float))
+                and abs(value) <= sys.float_info.max)
     return isinstance(value, kind)
 
 

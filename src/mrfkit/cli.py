@@ -8,9 +8,9 @@ takes its default from `experiment.DEFAULT_EXPERIMENT`, so the commands run by
 hand reproduce `run-experiment` byte for byte.
 
 Exit codes: 0 success, 1 usage or configuration error, two input files that
-do not fit together, or a request too large to allocate, 2 file I/O error,
-3 numerical failure, an overflow, NaN or division by zero included. Errors
-print one machine-readable line on stderr.
+do not fit together, or a request too large to allocate or to index, 2 file
+I/O error, 3 numerical failure, an overflow, NaN or division by zero included.
+Errors print one machine-readable line on stderr.
 """
 
 import json
@@ -19,7 +19,7 @@ import sys
 import click
 import numpy as np
 
-from . import bundle, epg, experiment, inference, solver
+from . import bundle, epg, experiment, solver
 
 EXIT_USAGE = 1
 EXIT_IO = 2
@@ -256,7 +256,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error kind=usage msg={str(exc)!r}", file=sys.stderr)
         return EXIT_USAGE
-    except MemoryError as exc:  # e.g. a grid with more points than memory holds
+    except (MemoryError, OverflowError) as exc:  # a request too large to allocate or to index
         print(f"error kind=memory msg={str(exc)!r}", file=sys.stderr)
         return EXIT_USAGE
     except bundle.BundleError as exc:
@@ -265,7 +265,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error kind=io msg={str(exc)!r}", file=sys.stderr)
         return EXIT_IO
-    except (solver.NumericalError, inference.DivergenceError, FloatingPointError) as exc:
+    except FloatingPointError as exc:
         print(f"error kind=numeric msg={str(exc)!r}", file=sys.stderr)
         return EXIT_NUMERIC
 

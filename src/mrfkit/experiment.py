@@ -14,7 +14,6 @@ type. A bad key or value raises ValueError("<dotted.key>: <reason>").
 
 import csv
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +71,7 @@ _MINIMUM = {
     "recon.lambda": 0, "recon.stop_rel_change": 0, "train.sigma": 0, "train.epochs": 0,
 }
 _CHOICES = {
-    "coil_kind": ("uniform", "gaussian-ring"),
+    "coil_kind": fm.COIL_KINDS,
     "recon.tv_variant": VARIANTS,
     "phantom": tuple(_PHANTOMS),
 }
@@ -93,29 +92,22 @@ def _check(key: str, value, default) -> None:
         for index, entry in enumerate(value, 1):
             if not isinstance(entry, dict):
                 raise ValueError(f"phantom: entry {index} must be an object")
-    elif isinstance(default, dict):
-        if not isinstance(value, dict):
-            fail("must be an object")
-        for name, item in value.items():
-            path = f"{key}.{name}" if key else name
-            if name not in default:
-                raise ValueError(f"{path}: unknown key")
-            _check(path, item, default[name])
     elif isinstance(default, list):
         if not isinstance(value, list) or len(value) != len(default):
             fail(f"must be a list of {len(default)}")
         for item, item_default in zip(value, default):
             _check(key, item, item_default)
-    elif isinstance(default, (bool, str)):
-        if type(value) is not type(default):
-            fail("must be true or false" if isinstance(default, bool) else "must be a string")
-        if key in _CHOICES and value not in _CHOICES[key]:
-            fail(f"must be one of {', '.join(_CHOICES[key])}")
-    else:
-        kinds = int if isinstance(default, int) else (int, float)
-        if (isinstance(value, bool) or not isinstance(value, kinds)
-                or isinstance(value, float) and not math.isfinite(value)):
-            fail("must be an integer" if kinds is int else "must be a finite number")
+    elif not bundle._is_kind(value, type(default)):
+        fail(f"must be {bundle._KINDS[type(default)]}")
+    elif isinstance(default, dict):
+        for name, item in value.items():
+            path = f"{key}.{name}" if key else name
+            if name not in default:
+                raise ValueError(f"{path}: unknown key")
+            _check(path, item, default[name])
+    elif key in _CHOICES and value not in _CHOICES[key]:
+        fail(f"must be one of {', '.join(_CHOICES[key])}")
+    elif type(default) in (int, float):
         if key in _MINIMUM and value < _MINIMUM[key]:
             fail(f"must be >= {_MINIMUM[key]}")
         if key not in _MINIMUM and value <= 0:

@@ -21,6 +21,7 @@ from .subspace import SubspaceBasis
 
 DEFAULT_CENTER_RADIUS = 4
 DEFAULT_DENSITY_GAMMA = 2.0
+COIL_KINDS = ("uniform", "gaussian-ring")  # make_coil_maps' kinds
 
 _FRAME_BLOCK = 32  # frames per block, bounds the materialized image stack
 
@@ -149,11 +150,11 @@ def make_coil_maps(h: int, w: int, n_coils: int, kind: str = "gaussian-ring") ->
     """
     if n_coils < 1:
         raise ValueError("n_coils must be >= 1")
+    if kind not in COIL_KINDS:
+        raise ValueError(f"unknown coil map kind {kind!r}")
     if kind == "uniform":
         sens = np.full((n_coils, h, w), 1.0 / np.sqrt(n_coils), dtype=np.complex128)
         return CoilMaps(sens=sens)
-    if kind != "gaussian-ring":
-        raise ValueError(f"unknown coil map kind {kind!r}")
 
     # pixel coordinates centered on the array so antipodal coil placement is
     # an exact grid symmetry for even C

@@ -186,11 +186,6 @@ def make_training_set(
     return inputs, targets
 
 
-class DivergenceError(RuntimeError):
-    def __init__(self, epoch):
-        super().__init__(f"training loss became non-finite at epoch {epoch}")
-
-
 def train(
     net: MrfNet,
     data: tuple[np.ndarray, np.ndarray],
@@ -225,7 +220,7 @@ def train(
             idx = order[lo : lo + cfg.batch_size]
             loss, grad_ws, grad_bs = net.loss_and_gradients(inputs[idx], targets[idx])
             if not math.isfinite(loss):
-                raise DivergenceError(epoch)
+                raise FloatingPointError(f"training loss became non-finite at epoch {epoch}")
             for param, vel, grad, m, prod in zip(params, vels, grad_ws + grad_bs, momenta,
                                                  scratch):
                 np.multiply(vel, m, out=prod)

@@ -4,8 +4,6 @@ Shapes are placed in painter's order with fractional [0, 1] coordinates so the
 same layout rasterizes at any resolution. Pixel centers decide membership.
 """
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,11 +66,9 @@ def _check_entry(entry: dict, index: int) -> None:
     if kind not in _GEOMETRY_KEYS:
         raise ValueError(f"phantom entry {index} has unknown shape kind {kind!r}")
     for key in (*_GEOMETRY_KEYS[kind], "t1", "t2", "pd"):
-        value = entry[key]
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)):
-            raise ValueError(f"phantom entry {index} key {key!r} must be a finite number, "
-                             f"got {value!r}")
+        if not bundle._is_kind(entry[key], float):
+            raise ValueError(f"phantom entry {index} key {key!r} must be "
+                             f"{bundle._KINDS[float]}, got {entry[key]!r}")
     for key in ("t1", "t2"):
         if entry[key] <= 0:
             raise ValueError(f"phantom entry {index} key {key!r} must be > 0, got {entry[key]!r}")

@@ -8,7 +8,9 @@ matching the majorization test used for step-size control.
 
 :func:`solve` iterates on the subspace normal operator
 (:func:`forward_model.normal`) and forms no k-space inside its loop; the
-k-space reference loop it is checked against lives in ``tests/oracles.py``.
+k-space reference loop it is checked against is ``reference_solve`` in
+``tests/test_solver.py``, built on the ``gradient`` and ``backtrack_ok`` of
+``tests/oracles.py``.
 """
 
 import csv
@@ -24,10 +26,6 @@ from .tvprox import TvConfig, tv_prox_stack
 
 MODES = ("bpi", "lr", "lrtv")
 _MU_FLOOR = 1e-30
-
-
-class NumericalError(RuntimeError):
-    """Non-finite values or a collapsed step size during a solve."""
 
 
 @dataclass
@@ -157,8 +155,8 @@ def solve(
                 mu *= 0.5
                 halvings += 1
                 if mu < _MU_FLOOR:
-                    raise NumericalError("step size collapsed during backtracking at "
-                                         f"iteration {k}")
+                    raise FloatingPointError("step size collapsed during backtracking at "
+                                             f"iteration {k}")
                 continue
             break
         duals = new_duals
@@ -167,7 +165,7 @@ def solve(
         x_next = z + momentum * (z - z_prev)
 
         if not np.all(np.isfinite(x_next)):
-            raise NumericalError(f"non-finite iterate at iteration {k}")
+            raise FloatingPointError(f"non-finite iterate at iteration {k}")
 
         norm_x = float(np.linalg.norm(x))
         rel_change = float(np.linalg.norm(x_next - x) / norm_x) if norm_x > 0 else float("inf")

@@ -228,7 +228,7 @@ def train_reference(net, data, cfg):
             loss, grad_ws, grad_bs = loss_and_gradients_reference(net, inputs[idx],
                                                                   targets[idx])
             if not math.isfinite(loss):
-                raise inference.DivergenceError(epoch)
+                raise FloatingPointError(f"training loss became non-finite at epoch {epoch}")
             for i in range(len(net.weights)):
                 vel_w[i] = inference.MOMENTUM * vel_w[i] - lr * grad_ws[i]
                 vel_b[i] = inference.MOMENTUM * vel_b[i] - lr * grad_bs[i]

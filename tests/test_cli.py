@@ -146,6 +146,7 @@ BAD_CONFIGS = [
     ({"dict": {"t1": "100:4000"}}, "dict.t1: expected start:step:stop"),
     ({"rank": 250}, "rank: must be at most min(frames, atoms) = 200, got 250"),
     ({"accel": 60.0}, "center block (81 samples) alone exceeds the budget"),
+    ({"schedule": {"period": 10**400}}, "schedule.period"),
 ]
 
 # per kind of bundle: the file of that kind, a command that loads it and
@@ -400,6 +401,24 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error kind=memory msg=")
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        # the grid's value count floors inf
+        ("simulate-dict", "--t1", "1:1e-300:1e308", "--out", "{out}"),
+        # the label repeat count does not fit a C long
+        ("train-net", "--dict", "{dict}", "--basis", "{basis}", "--augment", str(10**25),
+         "--out", "{out}"),
+    ], ids=["simulate-dict-grid", "train-net-augment"])
+    def test_request_too_large_to_index_is_memory_error(self, pipeline_dir, tmp_path, capsys,
+                                                          args):
+        out = tmp_path / "out.mrfb"
+        paths = {"dict": pipeline_dir / "dict.mrfb", "basis": pipeline_dir / "basis.mrfb",
+                 "out": out}
+        capsys.readouterr()
+        assert run_cli(*(arg.format(**paths) for arg in args)) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error kind=memory msg=")
+        assert not out.exists()
+
     def test_bad_grid_is_usage_error(self, tmp_path):
         assert run_cli("simulate-dict", "--t1", "nope", "--t2", "20:2:600",
                        "--frames", "10", "--out", str(tmp_path / "d.mrfb")) == 1
@@ -532,7 +551,8 @@ class TestExitCodes:
         assert not (out_dir / "dict.mrfb").exists()
         return lines[0]
 
-    @pytest.mark.parametrize("key,value", [("t1", -5), ("cx", "a"), ("t1", None)])
+    @pytest.mark.parametrize("key,value", [("t1", -5), ("cx", "a"), ("t1", None),
+                                           pytest.param("t1", 10**400, id="t1-10**400")])
     def test_bad_phantom_value_fails_before_dictionary(self, tmp_path, capsys, key, value):
         entry = {"shape": "ellipse", "cx": 0.5, "cy": 0.5, "a": 0.4, "b": 0.4,
                  "t1": 800.0, "t2": 80.0, "pd": 1.0, key: value}
@@ -713,7 +733,9 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(key)}: must be an integer"):
             experiment.resolve_config(nested(key, INTEGER_KEYS[key]))
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                       pytest.param(10**400, id="10**400"),
+                                       pytest.param(-10**400, id="-10**400")])
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_nonfinite_rejected(self, key, value):
         with pytest.raises(ValueError, match=f"^{re.escape(key)}: must be a finite number"):

@@ -392,7 +392,7 @@ class TestNumericalError:
                                      iteration):
         y, basis, coils, pattern, _, _ = problem
         monkeypatch.setattr(owner, name, replacement)
-        with pytest.raises(solver.NumericalError, match=f" at iteration {iteration}$"):
+        with pytest.raises(FloatingPointError, match=f" at iteration {iteration}$"):
             solver.solve(y, basis, coils, pattern, SolverConfig(mode="lr", max_outer_iters=5))
 
 
