@@ -306,6 +306,31 @@ def write_metrics_csv(path, rows: list[dict]) -> None:
             )
 
 
+def _check_array_sizes(cfg: dict, atoms: int) -> None:
+    """Refuse a configuration whose stages would build an array with more
+    elements than numpy can index, naming the key that makes it too large.
+
+    The counts are Python ints, checked in stage order, so each key is
+    blamed only when the keys before it passed."""
+    h, w = cfg["size"]
+    frames, tc = cfg["frames"], cfg["train"]
+    layers = [cfg["rank"], *tc["hidden"], 2]
+    counts = [
+        ("size", "the phantom (H x W)", h * w),
+        ("frames", "the time series (frames x H x W)", frames * h * w),
+        ("coils", "the k-space (frames x coils x H x W)", frames * cfg["coils"] * h * w),
+        ("dict", "the dictionary (frames x atoms)", frames * atoms),
+        ("train.augment", "the training set (atoms x augment rows)", atoms * tc["augment"]),
+        ("train.hidden", "a weight matrix (the product of two adjacent layer widths)",
+         max(a * b for a, b in zip(layers, layers[1:]))),
+    ]
+    limit = int(np.iinfo(np.intp).max)
+    for key, what, count in counts:
+        if count > limit:
+            raise ValueError(f"{key}: {what} would hold {count} elements, "
+                             f"more than the {limit} an array can index")
+
+
 def run_experiment(config: dict | None, out_dir) -> dict:
     """Run the full three-method comparison; returns {method: score dict}.
 
@@ -327,6 +352,7 @@ def run_experiment(config: dict | None, out_dir) -> dict:
     if cfg["rank"] > max_rank:
         raise ValueError(f"rank: must be at most min(frames, atoms) = {max_rank}, "
                          f"got {cfg['rank']!r}")
+    _check_array_sizes(cfg, sizes["t1"] * sizes["t2"])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "exp_config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")

@@ -3,6 +3,18 @@
 Forward differences with reflexive boundary handling: the difference at the
 last row/column is zero, so the dual field rows/columns there stay zero and
 the prox preserves the image mean exactly.
+
+tv_prox allocates its work arrays once per call and updates them in place
+with `out=`: the dual pair (2, H, W) and its extrapolation, the image u, its
+difference pair and a scratch pair. Each step turns the difference pair into
+the next dual point in place, and the two then trade buffers. A ufunc over
+column-shifted views such as u[:, 1:] costs about three times one over
+row-shifted or flat views, so the x-parts work on the flattened image: the
+x-difference is one subtract, after which the last column is set back to
++0.0, and the adjoint's x-part is one add, with the first column saved before
+it and restored after it. Every operation computes the same values in the
+same order as a loop that allocates fresh arrays at every step, so the
+result, dual and TV equal that loop's bit for bit.
 """
 
 from dataclasses import dataclass
@@ -27,44 +39,70 @@ class TvConfig:
             raise ValueError("dual_gap_tol must be > 0")
 
 
-def _grad(u):
-    """Forward differences (dy, dx); last row / column are zero."""
-    dy = np.zeros_like(u)
-    dx = np.zeros_like(u)
-    dy[:-1, :] = u[1:, :] - u[:-1, :]
-    dx[:, :-1] = u[:, 1:] - u[:, :-1]
-    return dy, dx
+def _diff(u, d):
+    """Forward differences of the image u into the C-contiguous pair
+    d = (dy, dx); the last row of dy and the last column of dx are +0.0.
+
+    dx is one subtract over the flattened image, which also differences each
+    row's last entry against the next row's first; that column is reset."""
+    np.subtract(u[1:], u[:-1], out=d[0, :-1])
+    d[0, -1] = 0.0
+    flat_u, flat_dx = u.reshape(-1), d[1].reshape(-1)
+    np.subtract(flat_u[1:], flat_u[:-1], out=flat_dx[:-1])
+    d[1, :, -1] = 0.0
 
 
-def _grad_adj(p, q):
-    """Adjoint of _grad: <grad(u), (p,q)> == <u, _grad_adj(p,q)>."""
-    out = -p.copy()
-    out[1:, :] += p[:-1, :]
-    out -= q
-    out[:, 1:] += q[:, :-1]
-    return out
+def _diff_adj(pq, out, col):
+    """Adjoint of _diff into the image out: <diff(u), pq> == <u, out>.
+
+    The x-part is one add over the flattened arrays, which would also add
+    each row's last q to the next row's first entry; that column is saved
+    in col before the add and restored after it. out must be C-contiguous,
+    so that its flattened form is a view."""
+    p, q = pq
+    np.subtract(p[:-1], p[1:], out=out[1:])  # p[i-1] - p[i] == -p[i] + p[i-1]
+    np.negative(p[0], out=out[0])
+    np.subtract(out, q, out=out)
+    col[:] = out[:, 0]
+    flat_out = out.reshape(-1)
+    np.add(flat_out[1:], q.reshape(-1)[:-1], out=flat_out[1:])
+    out[:, 0] = col
 
 
-def _tv(dy, dx, variant):
-    """Total variation from the forward differences of an image."""
+def _magnitude(pq, work):
+    """sqrt(p**2 + q**2) of a pair, in work[0]."""
+    np.square(pq, out=work)
+    np.add(work[0], work[1], out=work[0])
+    return np.sqrt(work[0], out=work[0])
+
+
+def _tv(d, variant, work):
+    """Total variation from the forward differences d of an image; work is
+    a scratch pair."""
     if variant == "isotropic":
-        return np.sum(np.sqrt(dy**2 + dx**2))
-    return np.sum(np.abs(dy)) + np.sum(np.abs(dx))
+        return np.add.reduce(_magnitude(d, work), axis=None)
+    np.abs(d, out=work)
+    return np.add.reduce(work[0], axis=None) + np.add.reduce(work[1], axis=None)
 
 
 def tv_norm(img: np.ndarray, variant: str) -> float:
     """Total variation of a real image under the configured variant."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    return float(_tv(*_grad(np.asarray(img, dtype=np.float64)), variant))
+    u = np.asarray(img, dtype=np.float64)
+    d = np.zeros((2,) + u.shape)
+    _diff(u, d)
+    return float(_tv(d, variant, np.empty_like(d)))
 
 
-def _project_dual(p, q, variant):
+def _project(pq, variant, work):
+    """Project the dual pair pq in place onto the feasible set."""
     if variant == "isotropic":
-        mag = np.sqrt(p**2 + q**2)
-        scale = np.maximum(1.0, mag)
-        return p / scale, q / scale
-    return np.clip(p, -1.0, 1.0), np.clip(q, -1.0, 1.0)
+        scale = _magnitude(pq, work)
+        np.maximum(1.0, scale, out=scale)
+        np.divide(pq, scale, out=pq)
+    else:
+        np.clip(pq, -1.0, 1.0, out=pq)
 
 
 def tv_prox(
@@ -83,42 +121,55 @@ def tv_prox(
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
-    b = np.asarray(img, dtype=np.float64)
+    # a column of tv_prox_stack's stack is strided; every iteration reads b twice
+    b = np.ascontiguousarray(img, dtype=np.float64)
     if tau == 0:
         return b.copy(), np.zeros((2,) + b.shape), tv_norm(b, cfg.variant)
 
+    # the work arrays: the dual pair p and its extrapolation r, the image u,
+    # its differences d and a scratch pair; in place, d becomes the next
+    # dual point, which then trades buffers with p
+    p = np.zeros((2,) + b.shape)
+    r, d, work = (np.zeros_like(p) for _ in range(3))
+    u = np.empty(b.shape)
     if dual_init is not None:
-        p = dual_init[0].astype(np.float64, copy=True)
-        q = dual_init[1].astype(np.float64, copy=True)
-        p, q = _project_dual(p, q, cfg.variant)
-    else:
-        p = np.zeros_like(b)
-        q = np.zeros_like(b)
-    rp, rq = p.copy(), q.copy()
+        p[0], p[1] = dual_init[0], dual_init[1]
+        _project(p, cfg.variant, work)
+    r[:] = p
     t = 1.0
     energy = float(np.sum(b**2))
     gap_bound = cfg.dual_gap_tol * energy
+    step = 8.0 * tau
+
+    def primal(pq):
+        """u = b - tau * adj(pq), then d = diff(u)."""
+        _diff_adj(pq, u, work[0, :, 0])
+        np.multiply(u, tau, out=u)
+        np.subtract(b, u, out=u)
+        _diff(u, d)
 
     for _ in range(cfg.max_iters):
-        u = b - tau * _grad_adj(rp, rq)
-        dy, dx = _grad(u)
-        pn, qn = _project_dual(rp + dy / (8.0 * tau), rq + dx / (8.0 * tau), cfg.variant)
+        primal(r)
+        np.divide(d, step, out=d)
+        np.add(r, d, out=d)
+        _project(d, cfg.variant, work)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
-        rp = pn + beta * (pn - p)
-        rq = qn + beta * (qn - q)
-        p, q, t = pn, qn, t_next
+        np.subtract(d, p, out=r)
+        np.multiply(r, beta, out=r)
+        np.add(d, r, out=r)
+        p, d, t = d, p, t_next
 
-        # gap at the feasible dual point: tau * (TV(u_p) - <grad(u_p), P>);
-        # u_p is the result once the loop ends
-        u_p = b - tau * _grad_adj(p, q)
-        gy, gx = _grad(u_p)
-        tv = float(_tv(gy, gx, cfg.variant))
-        gap = tau * (tv - np.sum(gy * p) - np.sum(gx * q))
+        # gap at the feasible dual point: tau * (TV(u) - <diff(u), p>), where
+        # u = b - tau * adj(p) is the result once the loop ends
+        primal(p)
+        tv = float(_tv(d, cfg.variant, work))
+        np.multiply(d, p, out=d)
+        gap = tau * (tv - np.add.reduce(d[0], axis=None) - np.add.reduce(d[1], axis=None))
         if gap <= gap_bound:
             break
 
-    return u_p, np.stack([p, q]), tv
+    return u, p, tv
 
 
 def tv_prox_stack(

@@ -6,6 +6,9 @@ Independent oracles avoid the library's code paths:
   rotation matrices instead of configuration states;
 - ``tv_objective`` and ``tv_prox_subgradient`` minimize the prox objective by
   subgradient descent;
+- ``tv_prox_reference`` is the fast gradient projection loop with a fresh
+  array per step, where ``tvprox.tv_prox`` updates fixed work arrays in
+  place; the two must agree bit for bit;
 - ``match_full_space`` searches the full-length fingerprint space;
 - ``dictionary_match_reference`` scores 2048-voxel blocks, where
   ``inference.dictionary_match`` scores cache-sized ones;
@@ -239,6 +242,80 @@ def train_reference(net, data, cfg):
         epoch_loss /= n_batches
         history.append(epoch_loss)
     return net, history, vel_w + vel_b
+
+
+def _grad(u):
+    """Forward differences (dy, dx); last row / column are zero."""
+    dy = np.zeros_like(u)
+    dx = np.zeros_like(u)
+    dy[:-1, :] = u[1:, :] - u[:-1, :]
+    dx[:, :-1] = u[:, 1:] - u[:, :-1]
+    return dy, dx
+
+
+def _grad_adj(p, q):
+    """Adjoint of _grad: <grad(u), (p,q)> == <u, _grad_adj(p,q)>."""
+    out = -p.copy()
+    out[1:, :] += p[:-1, :]
+    out -= q
+    out[:, 1:] += q[:, :-1]
+    return out
+
+
+def _tv(dy, dx, variant):
+    """Total variation from the forward differences of an image."""
+    if variant == "isotropic":
+        return np.sum(np.sqrt(dy**2 + dx**2))
+    return np.sum(np.abs(dy)) + np.sum(np.abs(dx))
+
+
+def _project_dual(p, q, variant):
+    if variant == "isotropic":
+        mag = np.sqrt(p**2 + q**2)
+        scale = np.maximum(1.0, mag)
+        return p / scale, q / scale
+    return np.clip(p, -1.0, 1.0), np.clip(q, -1.0, 1.0)
+
+
+def tv_prox_reference(img, tau, cfg, dual_init=None):
+    """Fast gradient projection on the dual, one fresh array per step;
+    ``tvprox.tv_prox`` must reproduce its result, dual and TV bit for bit."""
+    b = np.asarray(img, dtype=np.float64)
+    if tau == 0:
+        return b.copy(), np.zeros((2,) + b.shape), float(_tv(*_grad(b), cfg.variant))
+
+    if dual_init is not None:
+        p = dual_init[0].astype(np.float64, copy=True)
+        q = dual_init[1].astype(np.float64, copy=True)
+        p, q = _project_dual(p, q, cfg.variant)
+    else:
+        p = np.zeros_like(b)
+        q = np.zeros_like(b)
+    rp, rq = p.copy(), q.copy()
+    t = 1.0
+    energy = float(np.sum(b**2))
+    gap_bound = cfg.dual_gap_tol * energy
+
+    for _ in range(cfg.max_iters):
+        u = b - tau * _grad_adj(rp, rq)
+        dy, dx = _grad(u)
+        pn, qn = _project_dual(rp + dy / (8.0 * tau), rq + dx / (8.0 * tau), cfg.variant)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        rp = pn + beta * (pn - p)
+        rq = qn + beta * (qn - q)
+        p, q, t = pn, qn, t_next
+
+        # gap at the feasible dual point: tau * (TV(u_p) - <grad(u_p), P>);
+        # u_p is the result once the loop ends
+        u_p = b - tau * _grad_adj(p, q)
+        gy, gx = _grad(u_p)
+        tv = float(_tv(gy, gx, cfg.variant))
+        gap = tau * (tv - np.sum(gy * p) - np.sum(gx * q))
+        if gap <= gap_bound:
+            break
+
+    return u_p, np.stack([p, q]), tv
 
 
 def tv_objective(u, b, tau, variant):

@@ -582,6 +582,19 @@ class TestExitCodes:
     def test_bad_config_fails_before_dictionary(self, tmp_path, capsys, config, key):
         assert key in self.run_bad_experiment(tmp_path, capsys, config)
 
+    @pytest.mark.parametrize("config,key", [
+        ({"size": [10**25, 8]}, "size"),
+        ({"frames": 10**25}, "frames"),
+        ({"coils": 10**25}, "coils"),
+        ({"dict": {"t1": "100:1e-9:4000", "t2": "20:1e-9:600"}}, "dict"),
+        ({"train": {"augment": 10**25}}, "train.augment"),
+        ({"train": {"hidden": [10**25, 24]}}, "train.hidden"),
+    ], ids=["size", "frames", "coils", "dict", "train.augment", "train.hidden"])
+    def test_oversized_config_fails_before_any_stage(self, tmp_path, capsys, config, key):
+        line = self.run_bad_experiment(tmp_path, capsys, config)
+        assert f"msg='{key}: " in line and "more than the" in line
+        assert not list((tmp_path / "out").glob("*"))
+
     @pytest.mark.parametrize("kind", list(LOADERS))
     def test_missing_field_is_io_error(self, loader_files, tmp_path, capsys, kind):
         source, args, meta_keys = LOADERS[kind]

@@ -6,7 +6,7 @@ import pytest
 from mrfkit import tvprox
 from mrfkit.tvprox import TvConfig, tv_norm, tv_prox, tv_prox_stack
 
-from oracles import tv_objective, tv_prox_subgradient
+from oracles import tv_objective, tv_prox_reference, tv_prox_subgradient
 
 TIGHT = TvConfig(max_iters=500, dual_gap_tol=1e-12)
 TIGHT_ANISO = TvConfig(variant="anisotropic", max_iters=500, dual_gap_tol=1e-12)
@@ -61,13 +61,15 @@ class TestTvNorm:
 class TestGradAdjoint:
     def test_adjointness(self, rng):
         u = rng.standard_normal((9, 11))
-        p = rng.standard_normal((9, 11))
-        q = rng.standard_normal((9, 11))
-        p[-1, :] = 0
-        q[:, -1] = 0
-        dy, dx = tvprox._grad(u)
-        lhs = np.sum(dy * p) + np.sum(dx * q)
-        rhs = np.sum(u * tvprox._grad_adj(p, q))
+        pq = rng.standard_normal((2, 9, 11))
+        pq[0, -1, :] = 0
+        pq[1, :, -1] = 0
+        d = np.zeros((2, 9, 11))
+        tvprox._diff(u, d)
+        adj = np.empty_like(u)
+        tvprox._diff_adj(pq, adj, np.empty(9))
+        lhs = np.sum(d * pq)
+        rhs = np.sum(u * adj)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -152,6 +154,62 @@ class TestTvProx:
         b, dual_b, _ = tv_prox(img, 0.3, TIGHT)
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(dual_a, dual_b)
+
+
+SHAPES = [(64, 64), (17, 33), (2, 2), (1, 5), (8, 1)]
+# a stop by the gap rule long before max_iters, and a stop by max_iters
+# (unless the gap vanishes at once, as it does for tiny images at small tau)
+STOPS = {"gap": {"max_iters": 1000, "dual_gap_tol": 1e-3},
+         "max_iters": {"max_iters": 4, "dual_gap_tol": 1e-14}}
+
+
+class TestMatchesReference:
+    """tv_prox updates fixed work arrays in place; its result, dual and TV
+    equal those of oracles.tv_prox_reference, the loop that allocates fresh
+    arrays at every step, bit for bit."""
+
+    @staticmethod
+    def same_bits(img, tau, cfg, dual=None):
+        """Run both; assert bitwise equal results and return the reference's."""
+        got = tv_prox(img, tau, cfg, dual_init=dual)
+        want = tv_prox_reference(img, tau, cfg, dual_init=dual)
+        for a, b in zip(got, want):
+            assert np.shape(a) == np.shape(b)
+            np.testing.assert_array_equal(bits(a), bits(b))
+        return want
+
+    @pytest.mark.parametrize("stop", list(STOPS))
+    @pytest.mark.parametrize("tau", [0.01, 0.3, 10.0])
+    @pytest.mark.parametrize("variant", ["isotropic", "anisotropic"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_cold_warm_and_signed_zeros(self, rng, shape, variant, tau, stop):
+        cfg = TvConfig(variant=variant, **STOPS[stop])
+        img = rng.standard_normal(shape)
+        _, dual, _ = self.same_bits(img, tau, cfg)
+        # a strided view, as tv_prox_stack passes the columns of its stack
+        self.same_bits(np.stack([img, -img], axis=-1)[..., 0], tau, cfg)
+        # a warm start whose last row (p) and last column (q) are nonzero
+        warm = dual + rng.standard_normal(dual.shape)
+        assert warm[0, -1].all() and warm[1, :, -1].all()
+        self.same_bits(img, tau, cfg, warm)
+        img[rng.random(shape) < 0.3] = -0.0
+        self.same_bits(img, tau, cfg)
+
+    @pytest.mark.parametrize("fill", [0.0, -0.0])
+    @pytest.mark.parametrize("variant", ["isotropic", "anisotropic"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_zero_image(self, shape, variant, fill):
+        self.same_bits(np.full(shape, fill), 0.3, TvConfig(variant=variant))
+
+    @pytest.mark.parametrize("variant", ["isotropic", "anisotropic"])
+    def test_both_stops_reached(self, rng, variant):
+        img = rng.standard_normal((17, 33))
+        for stop, settings in STOPS.items():
+            cfg = TvConfig(variant=variant, **settings)
+            longer = dataclasses.replace(cfg, max_iters=cfg.max_iters + 1)
+            same = np.array_equal(tv_prox_reference(img, 0.3, cfg)[0],
+                                  tv_prox_reference(img, 0.3, longer)[0])
+            assert same == (stop == "gap")
 
 
 class TestReturnedTv:
