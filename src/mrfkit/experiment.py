@@ -307,11 +307,12 @@ def write_metrics_csv(path, rows: list[dict]) -> None:
 
 
 def _check_array_sizes(cfg: dict, atoms: int) -> None:
-    """Refuse a configuration whose stages would build an array with more
-    elements than numpy can index, naming the key that makes it too large.
+    """Refuse a configuration whose stages would build an array of more
+    bytes than numpy can address, naming the key that makes it too large.
 
-    The counts are Python ints, checked in stage order, so each key is
-    blamed only when the keys before it passed."""
+    Each count is an array's elements at 16 bytes, the widest element any
+    stage stores (complex128). The counts are Python ints, checked in stage
+    order, so each key is blamed only when the keys before it passed."""
     h, w = cfg["size"]
     frames, tc = cfg["frames"], cfg["train"]
     layers = [cfg["rank"], *tc["hidden"], 2]
@@ -326,9 +327,10 @@ def _check_array_sizes(cfg: dict, atoms: int) -> None:
     ]
     limit = int(np.iinfo(np.intp).max)
     for key, what, count in counts:
-        if count > limit:
-            raise ValueError(f"{key}: {what} would hold {count} elements, "
-                             f"more than the {limit} an array can index")
+        nbytes = 16 * count
+        if nbytes > limit:
+            raise ValueError(f"{key}: {what} would take {nbytes} bytes, "
+                             f"more than the {limit} an array can address")
 
 
 def run_experiment(config: dict | None, out_dir) -> dict:

@@ -123,7 +123,15 @@ class MrfNet:
         return post
 
     def loss_and_gradients(self, x: np.ndarray, targets_norm: np.ndarray):
-        """Mean-squared-error loss and its gradients for every parameter."""
+        """Mean-squared-error loss and its gradients for every parameter.
+
+        A ReLU unit that no row of the batch activates has a zero delta
+        column. So a layer between two hidden layers forms its weight
+        gradient and the delta it sends back over the live units of its
+        output only: the dead units' gradient columns are exact zeros, and
+        the products equal the dense backward pass's to float roundoff. The
+        output layer and the first layer keep all of their columns; each
+        bias gradient sums the full-width delta."""
         post = self._forward_cached(x)
         diff = post[-1] - targets_norm
         loss = float(np.mean(diff**2))
@@ -134,11 +142,20 @@ class MrfNet:
         last = len(self.weights) - 1
         if self.output_relu:
             delta = delta * (post[-1] > 0)
+        live = slice(None)  # the output layer keeps all of its columns
         for i in range(last, -1, -1):
-            grad_ws[i] = post[i].T @ delta
+            live_delta = delta[:, live]
+            grad_ws[i] = np.zeros_like(self.weights[i])
+            grad_ws[i][:, live] = post[i].T @ live_delta
             grad_bs[i] = delta.sum(axis=0)
             if i > 0:
-                delta = (delta @ self.weights[i].T) * (post[i] > 0)
+                mask = post[i] > 0
+                delta = live_delta @ self.weights[i][:, live].T
+                np.multiply(delta, mask, out=delta)
+                # the first layer's gradient has only input-width rows and it
+                # sends nothing back: a column copy of delta costs more than
+                # it saves, and its varying size fragments the heap
+                live = np.flatnonzero(mask.any(axis=0)) if i > 1 else slice(None)
         return loss, grad_ws, grad_bs
 
     def _bounds(self) -> np.ndarray:

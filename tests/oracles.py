@@ -19,8 +19,9 @@ Independent oracles avoid the library's code paths:
   place, one fresh array per step; ``inference.make_training_set`` and
   ``inference.train`` must reproduce them bit for bit;
 - ``loss_and_gradients_reference`` keeps the pre-activations apart from the
-  layer outputs and masks each ReLU by its pre-activation;
-  ``MrfNet.loss_and_gradients`` must reproduce it bit for bit;
+  layer outputs, masks each ReLU by its pre-activation and lists the units a
+  batch activates column by column; ``MrfNet.loss_and_gradients`` must
+  reproduce it bit for bit;
 - ``training_set_lspace`` draws the training noise on all L frames and
   projects it, where ``inference.make_training_set`` draws it in the
   subspace; the two must agree in distribution.
@@ -187,7 +188,11 @@ def training_set_lspace(dictionary, basis, cfg):
 def loss_and_gradients_reference(net, x, targets_norm):
     """``MrfNet.loss_and_gradients`` on separate pre- and post-activation
     lists, out of place, with each ReLU's mask taken from its pre-activation
-    where the library takes it from the rectified output."""
+    where the library takes it from the rectified output. A layer between
+    two hidden layers forms its weight gradient and the delta it sends back
+    over the units of its output that some row of the batch activates,
+    listed column by column from the pre-activations; its other gradient
+    columns are zero. The output and first layers use every column."""
     pre, post = [], [x]
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -201,11 +206,18 @@ def loss_and_gradients_reference(net, x, targets_norm):
     delta = (2.0 / diff.size) * diff
     if net.output_relu:
         delta = delta * (pre[last] > 0)
+    every = slice(None)
+    live = every  # the output layer uses every column
     for i in range(last, -1, -1):
-        grad_ws[i] = post[i].T @ delta
+        grad_ws[i] = np.zeros(net.weights[i].shape, net.weights[i].dtype)
+        grad_ws[i][:, live] = post[i].T @ delta[:, live]
         grad_bs[i] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ net.weights[i].T) * (pre[i - 1] > 0)
+            delta = (delta[:, live] @ net.weights[i][:, live].T) * (pre[i - 1] > 0)
+            if i == 1:
+                live = every  # and so does the first layer
+            else:
+                live = [j for j in range(pre[i - 1].shape[1]) if np.any(pre[i - 1][:, j] > 0)]
     return loss, grad_ws, grad_bs
 
 

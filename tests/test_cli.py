@@ -584,12 +584,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("config,key", [
         ({"size": [10**25, 8]}, "size"),
+        ({"size": [2**31, 2**30], "frames": 2, "rank": 1, "coils": 1}, "size"),
+        ({"size": [2**31, 2**31]}, "size"),
         ({"frames": 10**25}, "frames"),
         ({"coils": 10**25}, "coils"),
         ({"dict": {"t1": "100:1e-9:4000", "t2": "20:1e-9:600"}}, "dict"),
         ({"train": {"augment": 10**25}}, "train.augment"),
         ({"train": {"hidden": [10**25, 24]}}, "train.hidden"),
-    ], ids=["size", "frames", "coils", "dict", "train.augment", "train.hidden"])
+    ], ids=["size", "size-bytes", "size-2**62", "frames", "coils", "dict", "train.augment",
+            "train.hidden"])
     def test_oversized_config_fails_before_any_stage(self, tmp_path, capsys, config, key):
         line = self.run_bad_experiment(tmp_path, capsys, config)
         assert f"msg='{key}: " in line and "more than the" in line

@@ -169,6 +169,94 @@ class TestLossAndGradientsReference:
             np.testing.assert_array_equal(bits(got), bits(ref))
 
 
+def dense_gradients(net, x, targets_norm):
+    """The backward pass over every unit of every layer, weights then biases:
+    post.T @ delta and delta @ w.T at full width."""
+    post = net._forward_cached(x)
+    diff = post[-1] - targets_norm
+    delta = (2.0 / diff.size) * diff
+    if net.output_relu:
+        delta = delta * (post[-1] > 0)
+    last = len(net.weights) - 1
+    grad_ws, grad_bs = [None] * (last + 1), [None] * (last + 1)
+    for i in range(last, -1, -1):
+        grad_ws[i] = post[i].T @ delta
+        grad_bs[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ net.weights[i].T) * (post[i] > 0)
+    return grad_ws + grad_bs
+
+
+# float roundoff of a product whose summation order changed
+ROUNDOFF = {np.float32: 1e-6, np.float64: 1e-14}
+SHIPPED_HIDDEN = tuple(_TRAIN["hidden"])
+
+
+def live_units(net, x, layer):
+    """How many units of a hidden layer some row of x activates."""
+    return int(np.count_nonzero((net._forward_cached(x)[layer + 1] > 0).any(axis=0)))
+
+
+def assert_matches_dense(net, x, y):
+    _, grad_ws, grad_bs = net.loss_and_gradients(x, y)
+    tol = ROUNDOFF[net.weights[0].dtype.type]
+    for got, ref in zip(grad_ws + grad_bs, dense_gradients(net, x, y)):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
+
+
+class TestLiveUnitStep:
+    """loss_and_gradients forms the products of the layer between the hidden
+    layers over the units a batch activates; its gradients equal the dense
+    products to roundoff."""
+
+    @pytest.fixture(scope="class", params=[np.float32, np.float64], ids=["float32", "float64"])
+    def trained(self, request, desk_dictionary, desk_basis):
+        # the shipped widths trained for 74 batches of 512: most second-layer
+        # units no longer fire
+        dtype = request.param
+        cfg = dataclasses.replace(TRAIN_DEFAULTS, augment_factor=4, epochs=2)
+        x, targets_ms = inference.make_training_set(desk_dictionary, desk_basis, cfg)
+        x = x.astype(dtype)
+        net = MrfNet.initialize(desk_basis.rank_s, (100.0, 4000.0), (20.0, 600.0),
+                                hidden=SHIPPED_HIDDEN, seed=cfg.seed, dtype=dtype)
+        net, _ = inference.train(net, (x, targets_ms), cfg)
+        y = net.normalize_targets(targets_ms.astype(np.float64)).astype(dtype)
+        order = np.random.default_rng(8).permutation(x.shape[0])
+        return net, x[order], y[order]
+
+    @pytest.mark.parametrize("rows", [512, 196, 1])
+    def test_trained_batches(self, trained, rows):
+        net, x, y = trained
+        assert x.shape[1] == 5 and live_units(net, x[:512], 1) < 150
+        assert_matches_dense(net, x[:rows], y[:rows])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_without_live_units(self, dtype):
+        rng = np.random.default_rng(9)
+        net = MrfNet.initialize(5, (100.0, 4000.0), (20.0, 600.0), hidden=SHIPPED_HIDDEN,
+                                seed=9, dtype=dtype)
+        net.biases[1][:] = -1e3
+        x = rng.standard_normal((64, 5)).astype(dtype)
+        y = rng.random((64, 2)).astype(dtype)
+        assert live_units(net, x, 1) == 0
+        _, grad_ws, grad_bs = net.loss_and_gradients(x, y)
+        assert not grad_ws[0].any() and not grad_ws[1].any() and grad_bs[2].any()
+        assert_matches_dense(net, x, y)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_relu(self, dtype):
+        rng = np.random.default_rng(10)
+        net = MrfNet.initialize(5, (100.0, 4000.0), (20.0, 600.0), hidden=SHIPPED_HIDDEN,
+                                seed=10, output_relu=True, dtype=dtype)
+        net.biases[1][::2] = -1e3  # half the second layer never fires
+        x = rng.standard_normal((196, 5)).astype(dtype)
+        y = rng.random((196, 2)).astype(dtype)
+        out = net.forward(x)
+        assert (out > 0).any() and (out == 0).any() and live_units(net, x, 1) <= 150
+        assert_matches_dense(net, x, y)
+
+
 class TestTraining:
     def test_toy_dictionary_convergence(self, toy_setup):
         # 9 atoms, sigma=0: the net should interpolate the labels
