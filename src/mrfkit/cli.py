@@ -186,8 +186,10 @@ def reconstruct(mode, in_path, basis_path, out_path, trace_path, **settings):
 def train_net(dict_path, basis_path, out_path, **settings):
     """Train the parameter-regression network on noisy dictionary projections."""
     _net, history = experiment.train_net(_resolve(settings), dict_path, basis_path, out_path)
-    final = history[-1] if history else float("nan")
-    click.echo(f"trained {len(history)} epochs, final loss {final:.3e} -> {out_path}")
+    last = history[-1] if history else dict.fromkeys(experiment.HISTORY_FIELDS, float("nan"))
+    click.echo(f"trained {len(history)} epochs, final loss {last['loss']:.3e}, within one grid "
+               f"step of matching: T1 {100 * last['t1_within_step']:.1f}%, "
+               f"T2 {100 * last['t2_within_step']:.1f}% -> {out_path}")
 
 
 @cli.command("infer")

@@ -59,7 +59,7 @@ DEFAULT_EXPERIMENT = {
         "epochs": 30,
         "batch_size": 512,
         "learning_rate": 0.05,
-        "hidden": [300, 300],
+        "hidden": [300, 100],
         "output_relu": False,
     },
 }
@@ -211,9 +211,29 @@ def reconstruct(cfg: dict, mode: str, kspace_path, basis_path, out_path,
     return trace
 
 
-def train_net(cfg: dict, dict_path, basis_path, out_path) -> tuple[inference.MrfNet, list[float]]:
+HISTORY_FIELDS = ("epoch", "loss", "learning_rate", "t1_within_step", "t2_within_step")
+
+
+def _within_one_step(dictionary: epg.Dictionary, basis: subspace.SubspaceBasis):
+    """Criterion 10's measure as a function of a network: the fractions of
+    the clean atoms whose network T1 and T2 lie within one grid step of
+    dictionary matching's. The clean rows and their matching maps are
+    computed once."""
+    clean = inference.TrainConfig(noise_sigma=0.0, augment_factor=1, epochs=0, seed=0)
+    rows, _ = inference.make_training_set(dictionary, basis, clean)
+    matched, _ = inference.dictionary_match(rows, dictionary, basis)
+    steps = np.array([dictionary.grid_spec.t1.step, dictionary.grid_spec.t2.step])
+
+    def fractions(net: inference.MrfNet) -> list[float]:
+        near = np.abs(net.predict_ms(rows) - matched) <= steps + 1e-9
+        return [float(f) for f in near.mean(axis=0)]
+
+    return fractions
+
+
+def train_net(cfg: dict, dict_path, basis_path, out_path) -> tuple[inference.MrfNet, list[dict]]:
     """Train the parameter-regression network on noisy dictionary projections;
-    returns the network and its per-epoch loss history."""
+    returns the network and one HISTORY_FIELDS row per epoch."""
     dictionary = epg.load_dictionary(dict_path)
     basis = subspace.load_basis(basis_path)
     tc = cfg["train"]
@@ -234,7 +254,14 @@ def train_net(cfg: dict, dict_path, basis_path, out_path) -> tuple[inference.Mrf
         output_relu=tc["output_relu"],
     )
     data = inference.make_training_set(dictionary, basis, train_cfg)
-    net, history = inference.train(net, data, train_cfg)
+    within_one_step = _within_one_step(dictionary, basis)
+    history = []
+
+    def record(epoch, trained, loss, rate):
+        row = [epoch + 1, loss, rate, *within_one_step(trained)]
+        history.append(dict(zip(HISTORY_FIELDS, row)))
+
+    net, _ = inference.train(net, data, train_cfg, on_epoch=record)
     inference.save_net(net, train_cfg, out_path)
     return net, history
 
@@ -290,20 +317,17 @@ def write_pgm16(path, img: np.ndarray, vmax: float) -> None:
         fh.write(data.tobytes())
 
 
-def write_metrics_csv(path, rows: list[dict]) -> None:
+def _write_csv(path, fields, rows: list[dict]) -> None:
+    """One header line, then each row's fields, numbers at full precision."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "param", "rmse", "mae", "nrmse"])
+        writer.writerow(fields)
         for row in rows:
-            writer.writerow(
-                [
-                    row["method"],
-                    row["param"],
-                    repr(row["rmse"]),
-                    repr(row["mae"]),
-                    repr(row["nrmse"]),
-                ]
-            )
+            writer.writerow([row[f] if isinstance(row[f], str) else repr(row[f]) for f in fields])
+
+
+def write_metrics_csv(path, rows: list[dict]) -> None:
+    _write_csv(path, ["method", "param", "rmse", "mae", "nrmse"], rows)
 
 
 def _check_array_sizes(cfg: dict, atoms: int) -> None:
@@ -368,7 +392,8 @@ def run_experiment(config: dict | None, out_dir) -> dict:
     acquire(cfg, gt_path, kspace_path)
     simulate_dict(cfg, dict_path)
     learn_subspace(cfg, dict_path, basis_path)
-    net, _history = train_net(cfg, dict_path, basis_path, net_path)
+    net, history = train_net(cfg, dict_path, basis_path, net_path)
+    _write_csv(out / "train_history.csv", HISTORY_FIELDS, history)
 
     rows = []
     scores = {}

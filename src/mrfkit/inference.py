@@ -8,6 +8,7 @@ at inference. Voxels with negligible coefficient energy are masked to zero.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -203,14 +204,26 @@ def make_training_set(
     return inputs, targets
 
 
+def learning_rate(cfg: TrainConfig, epoch: int) -> float:
+    """The step-decay rate rule: cfg's rate for the first
+    epochs - epochs // 5 epochs, then a tenth of it for the last epochs // 5.
+    A run of fewer than 5 epochs keeps the configured rate throughout."""
+    if epoch < cfg.epochs - cfg.epochs // 5:
+        return cfg.learning_rate
+    return cfg.learning_rate / 10
+
+
 def train(
     net: MrfNet,
     data: tuple[np.ndarray, np.ndarray],
     cfg: TrainConfig,
+    on_epoch: Callable[[int, MrfNet, float, float], None] | None = None,
 ) -> tuple[MrfNet, list[float]]:
     """Minibatch SGD with momentum on the MSE of normalized targets, at the
-    constant learning rate of cfg. Returns the trained network and the
-    per-epoch loss history (empty for zero epochs).
+    rate `learning_rate(cfg, epoch)`. Returns the trained network and the
+    per-epoch loss history (empty for zero epochs). After each epoch,
+    on_epoch, if given, is called with the epoch, the network being trained
+    (to be read, not changed), the epoch's mean loss and its rate.
     """
     inputs, targets_ms = data
     if inputs.shape[0] == 0:
@@ -230,6 +243,7 @@ def train(
     history: list[float] = []
 
     for epoch in range(cfg.epochs):
+        rate = learning_rate(cfg, epoch)
         order = rng.permutation(inputs.shape[0])
         epoch_loss = 0.0
         n_batches = 0
@@ -242,12 +256,14 @@ def train(
                                                  scratch):
                 np.multiply(vel, m, out=prod)
                 np.copyto(vel, prod, casting="same_kind")
-                grad *= cfg.learning_rate
+                grad *= rate
                 vel -= grad
                 param += vel
             epoch_loss += loss
             n_batches += 1
         history.append(epoch_loss / n_batches)
+        if on_epoch is not None:
+            on_epoch(epoch, net, history[-1], rate)
 
     return net, history
 

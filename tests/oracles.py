@@ -15,8 +15,9 @@ Independent oracles avoid the library's code paths:
 - ``epg_reference`` is the straightforward per-frame configuration-state loop
   that the library's blocked kernel must reproduce bit for bit;
 - ``training_set_reference`` and ``train_reference`` build the noisy training
-  rows and run the momentum SGD loop at a constant learning rate out of
-  place, one fresh array per step; ``inference.make_training_set`` and
+  rows and run the momentum SGD loop out of place, one fresh array per step,
+  at the configured rate and a tenth of it for the last fifth of the epochs
+  (rounded down); ``inference.make_training_set`` and
   ``inference.train`` must reproduce them bit for bit;
 - ``loss_and_gradients_reference`` keeps the pre-activations apart from the
   layer outputs, masks each ReLU by its pre-activation and lists the units a
@@ -221,20 +222,25 @@ def loss_and_gradients_reference(net, x, targets_norm):
     return loss, grad_ws, grad_bs
 
 
-def train_reference(net, data, cfg):
+def train_reference(net, data, cfg, rates=None):
     """``inference.train`` with the momentum update out of place in the
     parameter dtype and the gradients from ``loss_and_gradients_reference``.
-    Returns the trained net, the loss history and the final velocities
-    (weights then biases)."""
+    rates lists each epoch's learning rate; by default the configured rate,
+    then a tenth of it for the last ``cfg.epochs // 5`` epochs. Returns the
+    trained net, the loss history and the final velocities (weights then
+    biases)."""
+    if rates is None:
+        n_decayed = cfg.epochs // 5
+        rates = ([cfg.learning_rate] * (cfg.epochs - n_decayed)
+                 + [cfg.learning_rate / 10] * n_decayed)
     inputs, targets_ms = data
     net = net.copy()
     targets = net.normalize_targets(targets_ms.astype(np.float64)).astype(inputs.dtype)
     rng = np.random.default_rng(cfg.seed + 1)
-    lr = cfg.learning_rate
     vel_w = [np.zeros_like(w) for w in net.weights]
     vel_b = [np.zeros_like(b) for b in net.biases]
     history = []
-    for epoch in range(cfg.epochs):
+    for epoch, lr in enumerate(rates):
         order = rng.permutation(inputs.shape[0])
         epoch_loss = 0.0
         n_batches = 0

@@ -60,7 +60,7 @@ class TestPipelineCommands:
                 assert fidelity <= rhs * (1 + 1e-12)
             assert len(rows) == (1 if mode == "bpi" else 9)
 
-    def test_train_infer_match_score(self, pipeline_dir):
+    def test_train_infer_match_score(self, pipeline_dir, capsys):
         net = str(pipeline_dir / "net.mrfb")
         code = run_cli("train-net", "--dict", str(pipeline_dir / "dict.mrfb"),
                        "--basis", str(pipeline_dir / "basis.mrfb"),
@@ -68,6 +68,9 @@ class TestPipelineCommands:
                        "--batch", "64", "--lr", "0.05", "--hidden", "32", "32",
                        "--seed", "3", "--out", net)
         assert code == 0
+        assert re.fullmatch(r"trained 40 epochs, final loss \S+, within one grid step of "
+                            r"matching: T1 \d+\.\d%, T2 \d+\.\d% -> .*net\.mrfb\n",
+                            capsys.readouterr().out)
         x = str(pipeline_dir / "x_lrtv.mrfb")
         maps_net = str(pipeline_dir / "maps_net.mrfb")
         maps_dm = str(pipeline_dir / "maps_dm.mrfb")
@@ -831,6 +834,15 @@ class TestRunExperiment:
         assert len(lines) == 7  # 3 methods x 2 params
         methods = {line.split(",")[0] for line in lines[1:]}
         assert methods == {"bpi", "lr", "lrtv"}
+
+        # one row per epoch; the last 8 // 5 epochs run at a tenth of the rate
+        with open(out_dir / "train_history.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["epoch", "loss", "learning_rate", "t1_within_step", "t2_within_step"]
+        assert [int(r[0]) for r in rows] == list(range(1, 9))
+        assert [float(r[2]) for r in rows] == [0.05] * 7 + [0.005]
+        fractions = np.array([r[3:] for r in rows], dtype=float)
+        assert ((fractions >= 0) & (fractions <= 1)).all()
 
     def test_pgm_format(self, tmp_path):
         img = np.linspace(0, 4000, 64).reshape(8, 8)
