@@ -24,6 +24,10 @@ MOMENTUM = 0.9
 # dictionary (2.4 MB) stay near one core's L2 cache; 2048 rows took twice as
 # long and 76 MB.
 MATCH_CHUNK = 64
+# training rows per block in make_training_set; it bounds the working memory
+# to a few MB whatever the row count and does not affect values: every step
+# is row by row
+_TRAINING_BLOCK = 8192
 
 
 @dataclass
@@ -169,9 +173,13 @@ class MrfNet:
         return np.clip(lo + self.forward(x).astype(np.float64) * (hi - lo), lo, hi)
 
     def normalize_targets(self, targets_ms: np.ndarray) -> np.ndarray:
-        """(T1, T2) rows in milliseconds mapped to [0, 1] by the grid ranges."""
+        """(T1, T2) rows in milliseconds mapped to [0, 1] by the grid ranges,
+        as a new float64 array."""
         lo, hi = self._bounds()
-        return (targets_ms - lo) / (hi - lo)
+        targets = targets_ms.astype(np.float64)
+        targets -= lo
+        targets /= hi - lo
+        return targets
 
 
 def make_training_set(
@@ -189,18 +197,26 @@ def make_training_set(
     atom had been corrupted frame by frame. Row r's noise is the r-th (S, 2)
     block of the random stream. Targets are the (T1, T2) labels in
     milliseconds. N = d * augment_factor rows.
+
+    The rows are built _TRAINING_BLOCK at a time, drawing each block's noise
+    in stream order, so the working memory does not grow with N.
     """
-    rng = np.random.default_rng(cfg.seed)
     aug = cfg.augment_factor
-    coeffs = np.repeat(project(dictionary.normalized_atoms().T, basis), aug, axis=0)
-    if cfg.noise_sigma > 0:
-        noise = rng.standard_normal((coeffs.shape[0], basis.rank_s, 2))
-        noise *= cfg.noise_sigma
-        coeffs += noise.view(np.complex128)[..., 0]
-        del noise
-    inputs = _unit_aligned(coeffs)[0].astype(np.float32)
-    labels = np.stack([dictionary.t1_ms, dictionary.t2_ms], axis=1)
-    targets = np.repeat(labels, aug, axis=0).astype(np.float32)
+    # np.repeat refuses a row count too large to index before anything else
+    # is allocated
+    labels = np.stack([dictionary.t1_ms, dictionary.t2_ms], axis=1).astype(np.float32)
+    targets = np.repeat(labels, aug, axis=0)
+    inputs = np.empty((targets.shape[0], basis.rank_s), dtype=np.float32)
+    clean = project(dictionary.normalized_atoms().T, basis)
+    rng = np.random.default_rng(cfg.seed)
+    for r0 in range(0, inputs.shape[0], _TRAINING_BLOCK):
+        r1 = min(r0 + _TRAINING_BLOCK, inputs.shape[0])
+        coeffs = clean[np.arange(r0, r1) // aug]
+        if cfg.noise_sigma > 0:
+            noise = rng.standard_normal((r1 - r0, basis.rank_s, 2))
+            noise *= cfg.noise_sigma
+            coeffs += noise.view(np.complex128)[..., 0]
+        inputs[r0:r1] = _unit_aligned(coeffs)[0]
     return inputs, targets
 
 
@@ -229,7 +245,7 @@ def train(
     if inputs.shape[0] == 0:
         raise ValueError("empty training set")
     net = net.copy()
-    targets = net.normalize_targets(targets_ms.astype(np.float64)).astype(inputs.dtype)
+    targets = net.normalize_targets(targets_ms).astype(inputs.dtype)
 
     rng = np.random.default_rng(cfg.seed + 1)
     params = net.weights + net.biases

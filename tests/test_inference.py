@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,19 @@ def bits(a):
     """Unsigned-integer view of a float array, for bitwise comparison."""
     a = np.asarray(a)
     return a.view({4: np.uint32, 8: np.uint64}[a.itemsize])
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes tracemalloc traced during the call above
+    what was traced when it began; tracemalloc traces numpy's data buffers."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - start, result
 
 
 def clean_projections(dictionary, basis):
@@ -65,6 +79,25 @@ class TestMakeTrainingSet:
         a, _ = inference.make_training_set(d, basis, cfg)
         b, _ = inference.make_training_set(d, basis, cfg)
         np.testing.assert_array_equal(a, b)
+
+    def test_working_memory_does_not_grow_with_rows(self, desk_dictionary, desk_basis):
+        # 46,610 and 466,100 rows: the memory beyond the two outputs is the
+        # clean projections and one block's temporaries at both
+        extra = []
+        for aug in (10, 100):
+            cfg = TrainConfig(noise_sigma=0.002, augment_factor=aug, epochs=0, seed=1)
+            peak, (inputs, targets) = traced_peak(inference.make_training_set,
+                                                  desk_dictionary, desk_basis, cfg)
+            extra.append(peak - inputs.nbytes - targets.nbytes)
+        assert abs(extra[1] - extra[0]) <= 2**20, extra
+
+    def test_normalize_targets_makes_one_copy(self, desk_dictionary, desk_basis):
+        cfg = TrainConfig(noise_sigma=0.002, augment_factor=100, epochs=0, seed=1)
+        _, targets_ms = inference.make_training_set(desk_dictionary, desk_basis, cfg)
+        net = MrfNet.initialize(desk_basis.rank_s, (100, 4000), (20, 600), (8, 8), seed=0)
+        peak, targets = traced_peak(net.normalize_targets, targets_ms)
+        assert targets.dtype == np.float64
+        assert peak <= targets_ms.size * 8 + 2**20, peak
 
     def test_empty_dictionary_rejected(self, toy_setup, short_schedule):
         # every grid has a pair, so a dictionary without atoms cannot be made
@@ -313,14 +346,29 @@ class TestBitwiseReference:
     """make_training_set and train reproduce the out-of-place oracles in
     tests/oracles.py bit for bit."""
 
-    @pytest.mark.parametrize("sigma,aug", [(0.002, 3), (0.0, 2), (0.01, 1)])
-    def test_training_set(self, desk_dictionary, desk_basis, sigma, aug):
-        cfg = TrainConfig(noise_sigma=sigma, augment_factor=aug, epochs=0, seed=7)
-        got = inference.make_training_set(desk_dictionary, desk_basis, cfg)
-        ref = training_set_reference(desk_dictionary, desk_basis, cfg)
+    @staticmethod
+    def check_training_set(dictionary, basis, cfg):
+        got = inference.make_training_set(dictionary, basis, cfg)
+        ref = training_set_reference(dictionary, basis, cfg)
         for g, r in zip(got, ref):
             assert g.dtype == r.dtype
             np.testing.assert_array_equal(bits(g), bits(r))
+
+    # (0.002, 100) is the shipped setting: 466,100 rows in many blocks, the
+    # last one partial
+    @pytest.mark.parametrize("sigma,aug", [(0.002, 3), (0.0, 2), (0.01, 1), (0.002, 100),
+                                           (0.0, 100)])
+    def test_training_set(self, desk_dictionary, desk_basis, sigma, aug):
+        cfg = TrainConfig(noise_sigma=sigma, augment_factor=aug, epochs=0, seed=7)
+        self.check_training_set(desk_dictionary, desk_basis, cfg)
+
+    @pytest.mark.parametrize("sigma", [0.01, 0.0])
+    def test_training_set_atom_straddles_blocks(self, toy_setup, sigma):
+        # each atom's copies outnumber a block, so block edges fall inside them
+        d, basis = toy_setup
+        aug = inference._TRAINING_BLOCK * 3 // 2
+        cfg = TrainConfig(noise_sigma=sigma, augment_factor=aug, epochs=0, seed=7)
+        self.check_training_set(d, basis, cfg)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("output_relu", [False, True])
