@@ -126,12 +126,6 @@ class Dictionary:
     def n_atoms(self) -> int:
         return self.atoms.shape[1]
 
-    def normalized_atoms(self) -> np.ndarray:
-        """L2-normalized copy of the atoms; raw atoms are kept as stored."""
-        norms = np.linalg.norm(self.atoms, axis=0, keepdims=True)
-        norms[norms == 0] = 1.0
-        return self.atoms / norms
-
 
 def default_schedule(
     n_frames: int,

@@ -181,10 +181,21 @@ def acquire(cfg: dict, gt_path, out_path) -> fm.KSpaceData:
     series = phantom.synthesize_timeseries(gt, _schedule(cfg), k_max=cfg["k_max"])
     coils = fm.make_coil_maps(h, w, cfg["coils"], kind=cfg["coil_kind"])
     data = fm.apply_frames(series.T.reshape(frames, h, w).astype(np.complex128), coils, pattern)
+    del series
     if cfg["kspace_noise"] > 0:
+        # the stream holds every real part, then every imaginary part; each
+        # slab of frames draws its imaginary parts in that order, so only
+        # the real parts are held whole
+        sigma = cfg["kspace_noise"]
         rng = np.random.default_rng(seed + 1)
-        noise = rng.normal(0.0, cfg["kspace_noise"], (2,) + data.y.shape)
-        data.y += (noise[0] + 1j * noise[1]) * pattern.masks[:, None, :, :]
+        real = rng.normal(0.0, sigma, data.y.shape)
+        for lo in range(0, frames, fm._FRAME_BLOCK):
+            hi = min(lo + fm._FRAME_BLOCK, frames)
+            noise = real[lo:hi] + 1j * rng.normal(0.0, sigma, real[lo:hi].shape)
+            noise *= pattern.masks[lo:hi, None, :, :]
+            data.y[lo:hi] += noise
+            del noise  # before the next slab is drawn
+        del real
     fm.save_kspace(data, coils, out_path, seed=seed, accel=float(cfg["accel"]),
                    kspace_noise=cfg["kspace_noise"])
     return data
@@ -235,6 +246,10 @@ def train_net(cfg: dict, dict_path, basis_path, out_path) -> tuple[inference.Mrf
     """Train the parameter-regression network on noisy dictionary projections;
     returns the network and one HISTORY_FIELDS row per epoch."""
     dictionary = epg.load_dictionary(dict_path)
+    # a training set too large to address is refused before anything is built
+    fault = _array_size_fault(cfg, dictionary.n_atoms, keys=("train.augment",))
+    if fault:
+        raise MemoryError(fault)
     basis = subspace.load_basis(basis_path)
     tc = cfg["train"]
     train_cfg = inference.TrainConfig(
@@ -330,13 +345,14 @@ def write_metrics_csv(path, rows: list[dict]) -> None:
     _write_csv(path, ["method", "param", "rmse", "mae", "nrmse"], rows)
 
 
-def _check_array_sizes(cfg: dict, atoms: int) -> None:
-    """Refuse a configuration whose stages would build an array of more
-    bytes than numpy can address, naming the key that makes it too large.
+def _array_size_fault(cfg: dict, atoms: int, keys=None) -> str | None:
+    """Why some stage would build an array of more bytes than numpy can
+    address, naming the key that makes it too large, or None if none would.
 
     Each count is an array's elements at 16 bytes, the widest element any
     stage stores (complex128). The counts are Python ints, checked in stage
-    order, so each key is blamed only when the keys before it passed."""
+    order, so each key is blamed only when the keys before it passed; keys,
+    if given, limits the check to those keys' rows."""
     h, w = cfg["size"]
     frames, tc = cfg["frames"], cfg["train"]
     layers = [cfg["rank"], *tc["hidden"], 2]
@@ -352,9 +368,10 @@ def _check_array_sizes(cfg: dict, atoms: int) -> None:
     limit = int(np.iinfo(np.intp).max)
     for key, what, count in counts:
         nbytes = 16 * count
-        if nbytes > limit:
-            raise ValueError(f"{key}: {what} would take {nbytes} bytes, "
-                             f"more than the {limit} an array can address")
+        if (keys is None or key in keys) and nbytes > limit:
+            return (f"{key}: {what} would take {nbytes} bytes, "
+                    f"more than the {limit} an array can address")
+    return None
 
 
 def run_experiment(config: dict | None, out_dir) -> dict:
@@ -378,7 +395,9 @@ def run_experiment(config: dict | None, out_dir) -> dict:
     if cfg["rank"] > max_rank:
         raise ValueError(f"rank: must be at most min(frames, atoms) = {max_rank}, "
                          f"got {cfg['rank']!r}")
-    _check_array_sizes(cfg, sizes["t1"] * sizes["t2"])
+    fault = _array_size_fault(cfg, sizes["t1"] * sizes["t2"])
+    if fault:
+        raise ValueError(fault)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "exp_config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")

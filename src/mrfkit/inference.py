@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import bundle
-from .epg import Dictionary
+from .epg import CHUNK_SIZE, Dictionary
 from .subspace import SubspaceBasis, phase_align, project
 
 BACKGROUND_REL_NORM = 1e-3
@@ -24,9 +24,9 @@ MOMENTUM = 0.9
 # dictionary (2.4 MB) stay near one core's L2 cache; 2048 rows took twice as
 # long and 76 MB.
 MATCH_CHUNK = 64
-# training rows per block in make_training_set; it bounds the working memory
-# to a few MB whatever the row count and does not affect values: every step
-# is row by row
+# training rows per block in make_training_set and train; it bounds the
+# working memory to a few MB whatever the row count and does not affect
+# values: every step is row by row
 _TRAINING_BLOCK = 8192
 
 
@@ -199,7 +199,9 @@ def make_training_set(
     milliseconds. N = d * augment_factor rows.
 
     The rows are built _TRAINING_BLOCK at a time, drawing each block's noise
-    in stream order, so the working memory does not grow with N.
+    in stream order, so the working memory does not grow with N; the atoms
+    are projected CHUNK_SIZE at a time, so beyond the (d, S) projections it
+    does not grow with d either.
     """
     aug = cfg.augment_factor
     # np.repeat refuses a row count too large to index before anything else
@@ -207,7 +209,7 @@ def make_training_set(
     labels = np.stack([dictionary.t1_ms, dictionary.t2_ms], axis=1).astype(np.float32)
     targets = np.repeat(labels, aug, axis=0)
     inputs = np.empty((targets.shape[0], basis.rank_s), dtype=np.float32)
-    clean = project(dictionary.normalized_atoms().T, basis)
+    clean = _atom_projections(dictionary, basis, normalized=True)
     rng = np.random.default_rng(cfg.seed)
     for r0 in range(0, inputs.shape[0], _TRAINING_BLOCK):
         r1 = min(r0 + _TRAINING_BLOCK, inputs.shape[0])
@@ -245,7 +247,10 @@ def train(
     if inputs.shape[0] == 0:
         raise ValueError("empty training set")
     net = net.copy()
-    targets = net.normalize_targets(targets_ms).astype(inputs.dtype)
+    targets = np.empty(targets_ms.shape, inputs.dtype)
+    for r0 in range(0, targets.shape[0], _TRAINING_BLOCK):
+        block = slice(r0, r0 + _TRAINING_BLOCK)
+        targets[block] = net.normalize_targets(targets_ms[block])
 
     rng = np.random.default_rng(cfg.seed + 1)
     params = net.weights + net.biases
@@ -280,8 +285,33 @@ def train(
         history.append(epoch_loss / n_batches)
         if on_epoch is not None:
             on_epoch(epoch, net, history[-1], rate)
+        del order, idx  # the next epoch's order is drawn once this one is freed
 
     return net, history
+
+
+def _atom_projections(dictionary: Dictionary, basis: SubspaceBasis,
+                      normalized: bool) -> np.ndarray:
+    """Complex128 subspace coefficients (d, S) of every atom, unit-normalized
+    first when normalized is set; bit for bit those of the whole atom matrix.
+
+    The atoms are projected CHUNK_SIZE at a time, so the complex128 copies the
+    product needs hold one block, not the dictionary. A block of one atom
+    would take numpy's matrix-vector product, which sums in another order,
+    so a last single atom joins the block before it."""
+    n = dictionary.n_atoms
+    coeffs = np.empty((n, basis.rank_s), dtype=np.complex128)
+    starts = list(range(0, n, CHUNK_SIZE))
+    if len(starts) > 1 and starts[-1] == n - 1:
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        block = dictionary.atoms[:, lo:hi]
+        if normalized:
+            norms = np.linalg.norm(block, axis=0, keepdims=True)
+            norms[norms == 0] = 1.0
+            block = block / norms
+        coeffs[lo:hi] = project(block.T, basis)
+    return coeffs
 
 
 def _unit_aligned(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -333,7 +363,7 @@ def dictionary_match(
     Returns (maps (n, 2), pd (n,)).
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    table, raw_norms = _unit_aligned(project(dictionary.atoms.T.astype(np.complex128), basis))
+    table, raw_norms = _unit_aligned(_atom_projections(dictionary, basis, normalized=False))
 
     fg, norms, rows = _foreground(coeffs)
     maps = np.zeros((coeffs.shape[0], 2))

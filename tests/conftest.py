@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,25 @@ from mrfkit import epg, subspace
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240615)
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak bytes tracemalloc traced during the call above
+    what was traced when it began; tracemalloc traces numpy's data buffers."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - start, result
+
+
+@pytest.fixture
+def traced_peak():
+    """The memory tests' probe: traced_peak(fn, *args) -> (peak bytes, result)."""
+    return _traced_peak
 
 
 @pytest.fixture(scope="session")

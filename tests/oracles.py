@@ -14,11 +14,17 @@ Independent oracles avoid the library's code paths:
   ``inference.dictionary_match`` scores cache-sized ones;
 - ``epg_reference`` is the straightforward per-frame configuration-state loop
   that the library's blocked kernel must reproduce bit for bit;
+- ``atom_projections_reference`` projects the whole atom matrix at once,
+  where ``inference._atom_projections`` projects blocks of atoms; the two
+  must agree bit for bit;
 - ``training_set_reference`` and ``train_reference`` build the noisy training
   rows and run the momentum SGD loop out of place, one fresh array per step,
   at the configured rate and a tenth of it for the last fifth of the epochs
   (rounded down); ``inference.make_training_set`` and
   ``inference.train`` must reproduce them bit for bit;
+- ``acquire_reference`` draws the k-space noise as whole arrays, where
+  ``experiment.acquire`` adds it a slab of frames at a time; the two must
+  write the same bytes;
 - ``loss_and_gradients_reference`` keeps the pre-activations apart from the
   layer outputs, masks each ReLU by its pre-activation and lists the units a
   batch activates column by column; ``MrfNet.loss_and_gradients`` must
@@ -49,7 +55,7 @@ import math
 
 import numpy as np
 
-from mrfkit import epg, inference
+from mrfkit import epg, experiment, inference, phantom
 from mrfkit import forward_model as fm
 from mrfkit.subspace import phase_align, project
 
@@ -150,6 +156,17 @@ def epg_reference(t1_ms, t2_ms, schedule, k_max=None):
     return (1j * signal * echo[None, :]).astype(np.complex64)
 
 
+def atom_projections_reference(dictionary, basis, normalized):
+    """``inference._atom_projections`` on the whole atom matrix: complex128
+    coefficients (d, S) of the atoms, each unit-normalized first when
+    normalized is set."""
+    if not normalized:
+        return project(dictionary.atoms.T.astype(np.complex128), basis)
+    norms = np.linalg.norm(dictionary.atoms, axis=0, keepdims=True)
+    norms[norms == 0] = 1.0
+    return project((dictionary.atoms / norms).T, basis)
+
+
 def training_set_reference(dictionary, basis, cfg):
     """``inference.make_training_set`` out of place: the clean projections
     repeated, the scaled noise added as a fresh complex array built from the
@@ -157,7 +174,7 @@ def training_set_reference(dictionary, basis, cfg):
     divided by norms computed here, not by the library's helper."""
     rng = np.random.default_rng(cfg.seed)
     aug = cfg.augment_factor
-    coeffs = np.repeat(project(dictionary.normalized_atoms().T, basis), aug, axis=0)
+    coeffs = np.repeat(atom_projections_reference(dictionary, basis, normalized=True), aug, axis=0)
     if cfg.noise_sigma > 0:
         noise = cfg.noise_sigma * rng.standard_normal((coeffs.shape[0], basis.rank_s, 2))
         coeffs = coeffs + (noise[..., 0] + 1j * noise[..., 1])
@@ -177,7 +194,9 @@ def training_set_lspace(dictionary, basis, cfg):
     distribution of ``inference.make_training_set``'s, from another random
     stream; returns float64 (N, S)."""
     rng = np.random.default_rng(cfg.seed)
-    block = np.repeat(dictionary.normalized_atoms().T.astype(np.complex128),
+    norms = np.linalg.norm(dictionary.atoms, axis=0, keepdims=True)
+    norms[norms == 0] = 1.0
+    block = np.repeat((dictionary.atoms / norms).T.astype(np.complex128),
                       cfg.augment_factor, axis=0)
     noise = rng.normal(0.0, cfg.noise_sigma, (2,) + block.shape)
     block.real += noise[0]
@@ -421,6 +440,24 @@ def dictionary_match_reference(coeffs, dictionary, basis):
     maps[fg, 1] = dictionary.t2_ms[best_idx]
     pd[fg] = best_score * norms / raw_norms[best_idx]
     return maps, pd
+
+
+def acquire_reference(cfg, gt_path, out_path):
+    """``experiment.acquire`` with the k-space noise drawn as one (2, L, C, H,
+    W) array, real parts then imaginary parts, and added in one expression."""
+    gt = phantom.load_ground_truth(gt_path)
+    h, w = gt.shape
+    frames, seed = cfg["frames"], cfg["seed"]
+    pattern = fm.make_vd_cartesian_masks(h, w, frames, cfg["accel"], seed)
+    series = phantom.synthesize_timeseries(gt, experiment._schedule(cfg), k_max=cfg["k_max"])
+    coils = fm.make_coil_maps(h, w, cfg["coils"], kind=cfg["coil_kind"])
+    data = fm.apply_frames(series.T.reshape(frames, h, w).astype(np.complex128), coils, pattern)
+    if cfg["kspace_noise"] > 0:
+        rng = np.random.default_rng(seed + 1)
+        noise = rng.normal(0.0, cfg["kspace_noise"], (2,) + data.y.shape)
+        data.y += (noise[0] + 1j * noise[1]) * pattern.masks[:, None, :, :]
+    fm.save_kspace(data, coils, out_path, seed=seed, accel=float(cfg["accel"]),
+                   kspace_noise=cfg["kspace_noise"])
 
 
 def simulate_fingerprint(t1_ms, t2_ms, schedule, k_max=None):

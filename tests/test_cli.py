@@ -12,6 +12,8 @@ from mrfkit import bundle, cli, epg, experiment, forward_model, inference, phant
 from mrfkit import subspace
 from mrfkit.tvprox import TvConfig
 
+from oracles import acquire_reference
+
 
 def run_cli(*args):
     return cli.main(list(args))
@@ -404,22 +406,34 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error kind=memory msg=")
         assert not out.exists()
 
-    @pytest.mark.parametrize("args", [
+    @pytest.mark.parametrize("args,message", [
         # the grid's value count floors inf
-        ("simulate-dict", "--t1", "1:1e-300:1e308", "--out", "{out}"),
-        # the label repeat count does not fit a C long
-        ("train-net", "--dict", "{dict}", "--basis", "{basis}", "--augment", str(10**25),
-         "--out", "{out}"),
-    ], ids=["simulate-dict-grid", "train-net-augment"])
+        (("simulate-dict", "--t1", "1:1e-300:1e308", "--out", "{out}"), ""),
+        # training sets counted before anything is built: a row count that
+        # does not fit a C long, and on the default 4661-atom dictionary one
+        # that wraps past int64 in numpy and one that fits but is more bytes
+        # than an array can address
+        *((("train-net", "--dict", dictionary, "--basis", basis, "--augment", str(augment),
+            "--out", "{out}"), "'train.augment: ")
+          for dictionary, basis, augment in (("{dict}", "{basis}", 10**25),
+                                             ("{desk_dict}", "{desk_basis}", 2**59),
+                                             ("{desk_dict}", "{desk_basis}", 2**50))),
+    ], ids=["simulate-dict-grid", "train-net-augment", "train-net-augment-2**59",
+            "train-net-augment-2**50"])
     def test_request_too_large_to_index_is_memory_error(self, pipeline_dir, tmp_path, capsys,
-                                                          args):
+                                                          desk_dictionary, desk_basis, args,
+                                                          message):
         out = tmp_path / "out.mrfb"
         paths = {"dict": pipeline_dir / "dict.mrfb", "basis": pipeline_dir / "basis.mrfb",
-                 "out": out}
+                 "desk_dict": tmp_path / "desk_dict.mrfb",
+                 "desk_basis": tmp_path / "desk_basis.mrfb", "out": out}
+        if "{desk_dict}" in args:
+            epg.save_dictionary(desk_dictionary, paths["desk_dict"])
+            subspace.save_basis(desk_basis, paths["desk_basis"])
         capsys.readouterr()
         assert run_cli(*(arg.format(**paths) for arg in args)) == 1
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error kind=memory msg=")
+        assert len(lines) == 1 and lines[0].startswith(f"error kind=memory msg={message}")
         assert not out.exists()
 
     def test_bad_grid_is_usage_error(self, tmp_path):
@@ -853,6 +867,35 @@ class TestRunExperiment:
         data = np.frombuffer(raw[len(b"P5\n8 8\n65535\n"):], dtype=">u2")
         assert data[0] == 0
         assert data[-1] == 65535
+
+
+class TestAcquire:
+    """acquire adds the k-space noise a slab of frames at a time; the bytes it
+    writes are those of the whole-array draw in tests/oracles.py."""
+
+    # forward_model._FRAME_BLOCK is 32 frames: 40 end in a partial slab, 64
+    # fill two, 20 are less than one
+    @pytest.mark.parametrize("frames", [40, 64, 20])
+    @pytest.mark.parametrize("noise", [0.005, 0.0])
+    def test_kspace_equals_whole_array_noise(self, tmp_path, frames, noise):
+        cfg = experiment.resolve_config({**TINY_EXPERIMENT, "frames": frames,
+                                         "kspace_noise": noise})
+        gt = tmp_path / "gt.mrfb"
+        experiment.make_phantom(cfg, gt)
+        experiment.acquire(cfg, gt, tmp_path / "kspace.mrfb")
+        acquire_reference(cfg, gt, tmp_path / "reference.mrfb")
+        assert filecmp.cmp(tmp_path / "kspace.mrfb", tmp_path / "reference.mrfb", shallow=False)
+
+    def test_noise_holds_one_float64_array(self, tmp_path, traced_peak):
+        # 400 frames of 4 coils at 32 x 32: beside the 26 MB k-space, the
+        # noise's real parts (half of it), a few float64 slabs of 1 MB and
+        # the masks
+        cfg = experiment.resolve_config({**TINY_EXPERIMENT, "frames": 400, "coils": 4})
+        gt = tmp_path / "gt.mrfb"
+        experiment.make_phantom(cfg, gt)
+        peak, data = traced_peak(experiment.acquire, cfg, gt, tmp_path / "kspace.mrfb")
+        slab = data.y[: forward_model._FRAME_BLOCK].real.nbytes
+        assert peak <= data.y.nbytes * 3 // 2 + 4 * slab + 2 * 2**20, (peak, data.y.nbytes)
 
 
 def test_hand_pipeline_matches_run_experiment(tmp_path):

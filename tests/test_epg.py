@@ -287,12 +287,6 @@ class TestBuildDictionary:
                            match=r"'grid' has \d+ x 1 \(T1, T2\) pairs, but 'atoms' has 2 columns"):
             epg.Dictionary(np.zeros((100, 2), np.complex64), short_schedule, grid)
 
-    def test_normalized_atoms(self, small_dictionary):
-        normed = small_dictionary.normalized_atoms()
-        np.testing.assert_allclose(np.linalg.norm(normed, axis=0), 1.0, rtol=1e-5)
-        # raw atoms untouched
-        assert not np.allclose(np.linalg.norm(small_dictionary.atoms, axis=0), 1.0)
-
 
 class TestDictionaryRoundTrip:
     def test_save_load(self, small_dictionary, tmp_path):

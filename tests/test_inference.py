@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +6,9 @@ import pytest
 from mrfkit import epg, experiment, inference, subspace
 from mrfkit.inference import MrfNet, TrainConfig
 
-from oracles import (dictionary_match_reference, loss_and_gradients_reference, match_full_space,
-                     train_reference, training_set_lspace, training_set_reference)
+from oracles import (atom_projections_reference, dictionary_match_reference,
+                     loss_and_gradients_reference, match_full_space, train_reference,
+                     training_set_lspace, training_set_reference)
 
 # TrainConfig at the shipped training settings
 _TRAIN = experiment.DEFAULT_EXPERIMENT["train"]
@@ -25,22 +25,22 @@ def toy_setup(small_dictionary):
 
 
 def bits(a):
-    """Unsigned-integer view of a float array, for bitwise comparison."""
+    """Unsigned-integer view of a float or complex array, for bitwise
+    comparison."""
     a = np.asarray(a)
-    return a.view({4: np.uint32, 8: np.uint64}[a.itemsize])
+    return a.view({4: np.uint32, 8: np.uint64, 16: np.uint64}[a.itemsize])
 
 
-def traced_peak(fn, *args):
-    """fn(*args) and the peak bytes tracemalloc traced during the call above
-    what was traced when it began; tracemalloc traces numpy's data buffers."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        result = fn(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak - start, result
+def atom_subset(dictionary, n_t1, n_t2):
+    """The first n_t1 * n_t2 atoms of dictionary, labelled by an n_t1 x n_t2 grid."""
+    grid = epg.GridSpec(t1=epg.GridRange(1, 1, n_t1), t2=epg.GridRange(1, 1, n_t2))
+    return epg.Dictionary(dictionary.atoms[:, : n_t1 * n_t2], dictionary.schedule, grid)
+
+
+# atom counts about epg.CHUNK_SIZE (512): 4661 ends in a partial block, 513 in
+# a single atom that joins the block before it, 514 in a block of two, and 9
+# is less than a block
+ATOM_GRIDS = [(79, 59), (27, 19), (2, 257), (3, 3)]
 
 
 def clean_projections(dictionary, basis):
@@ -53,8 +53,10 @@ class TestMakeTrainingSet:
         d, basis = toy_setup
         inputs, targets = clean_projections(d, basis)
         assert inputs.shape == (d.n_atoms, basis.rank_s)
+        norms = np.linalg.norm(d.atoms, axis=0, keepdims=True)
+        norms[norms == 0] = 1.0
         expected = subspace.phase_align(
-            subspace.project(d.normalized_atoms().T.astype(np.complex128), basis)
+            subspace.project((d.atoms / norms).T.astype(np.complex128), basis)
         )
         expected /= np.linalg.norm(expected, axis=1, keepdims=True)
         np.testing.assert_allclose(inputs, expected, atol=1e-6)
@@ -80,7 +82,8 @@ class TestMakeTrainingSet:
         b, _ = inference.make_training_set(d, basis, cfg)
         np.testing.assert_array_equal(a, b)
 
-    def test_working_memory_does_not_grow_with_rows(self, desk_dictionary, desk_basis):
+    def test_working_memory_does_not_grow_with_rows(self, desk_dictionary, desk_basis,
+                                                    traced_peak):
         # 46,610 and 466,100 rows: the memory beyond the two outputs is the
         # clean projections and one block's temporaries at both
         extra = []
@@ -91,7 +94,7 @@ class TestMakeTrainingSet:
             extra.append(peak - inputs.nbytes - targets.nbytes)
         assert abs(extra[1] - extra[0]) <= 2**20, extra
 
-    def test_normalize_targets_makes_one_copy(self, desk_dictionary, desk_basis):
+    def test_normalize_targets_makes_one_copy(self, desk_dictionary, desk_basis, traced_peak):
         cfg = TrainConfig(noise_sigma=0.002, augment_factor=100, epochs=0, seed=1)
         _, targets_ms = inference.make_training_set(desk_dictionary, desk_basis, cfg)
         net = MrfNet.initialize(desk_basis.rank_s, (100, 4000), (20, 600), (8, 8), seed=0)
@@ -104,6 +107,63 @@ class TestMakeTrainingSet:
         d, _ = toy_setup
         with pytest.raises(ValueError, match="'grid' has 3 x 3 .* but 'atoms' has 0 columns"):
             epg.Dictionary(np.zeros((100, 0), np.complex64), short_schedule, d.grid_spec)
+
+
+class TestAtomProjections:
+    @pytest.mark.parametrize("grid", ATOM_GRIDS, ids=lambda g: str(g[0] * g[1]))
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_blocks_equal_whole_matrix(self, desk_dictionary, desk_basis, grid, normalized):
+        d = atom_subset(desk_dictionary, *grid)
+        got = inference._atom_projections(d, desk_basis, normalized)
+        ref = atom_projections_reference(d, desk_basis, normalized)
+        assert got.dtype == ref.dtype == np.complex128
+        np.testing.assert_array_equal(bits(got), bits(ref))
+
+    def test_normalized_atoms_have_unit_norm(self, small_dictionary):
+        # on the identity basis the projections are the atoms themselves
+        frames = small_dictionary.n_frames
+        identity = subspace.SubspaceBasis(v=np.eye(frames), s_values=np.ones(frames))
+        normed = inference._atom_projections(small_dictionary, identity, normalized=True)
+        np.testing.assert_allclose(np.linalg.norm(normed, axis=1), 1.0, rtol=1e-5)
+        raw = inference._atom_projections(small_dictionary, identity, normalized=False)
+        assert not np.allclose(np.linalg.norm(raw, axis=1), 1.0)
+
+
+class TestWorkingMemory:
+    """tracemalloc bounds on what the blocked paths hold beyond their outputs."""
+
+    def test_training_set_does_not_grow_with_atoms(self, desk_dictionary, desk_basis,
+                                                   traced_peak):
+        # 1025 and 4661 atoms: beyond the outputs, only the (d, S) complex128
+        # table of clean projections grows with the atom count, not a copy of
+        # the (L, d) atoms
+        cfg = TrainConfig(noise_sigma=0.002, augment_factor=10, epochs=0, seed=1)
+        extra = []
+        for grid in ((25, 41), (79, 59)):
+            d = atom_subset(desk_dictionary, *grid)
+            peak, (inputs, targets) = traced_peak(inference.make_training_set, d, desk_basis,
+                                                  cfg)
+            extra.append((d.n_atoms, peak - inputs.nbytes - targets.nbytes))
+        (n0, extra0), (n1, extra1) = extra
+        assert extra1 - extra0 <= (n1 - n0) * desk_basis.rank_s * 16 + 2**20, extra
+
+    def test_train_holds_no_float64_targets(self, desk_dictionary, desk_basis, traced_peak):
+        # the float32 normalized targets and one block of float64 rows
+        cfg = TrainConfig(noise_sigma=0.002, augment_factor=100, epochs=0, seed=1)
+        data = inference.make_training_set(desk_dictionary, desk_basis, cfg)
+        net = MrfNet.initialize(desk_basis.rank_s, (100, 4000), (20, 600), (8, 8), seed=0)
+        peak, _ = traced_peak(inference.train, net, data, cfg)
+        assert peak <= data[1].nbytes + 2**20, peak
+
+    def test_matching_holds_no_copy_of_the_atoms(self, desk_dictionary, desk_basis,
+                                                 traced_peak):
+        # one block of scores and the (d, S) projections, not a complex128 copy
+        # of the (L, d) atoms
+        d = desk_dictionary
+        rows = clean_projections(d, desk_basis)[0][: inference.MATCH_CHUNK]
+        peak, _ = traced_peak(inference.dictionary_match, rows, d, desk_basis)
+        table = d.n_atoms * desk_basis.rank_s * 16
+        assert peak <= 2 * table + inference.MATCH_CHUNK * d.n_atoms * 8 + 2**20, peak
 
 
 class TestTrainConfig:
@@ -370,6 +430,11 @@ class TestBitwiseReference:
         cfg = TrainConfig(noise_sigma=sigma, augment_factor=aug, epochs=0, seed=7)
         self.check_training_set(d, basis, cfg)
 
+    @pytest.mark.parametrize("grid", ATOM_GRIDS[1:], ids=lambda g: str(g[0] * g[1]))
+    def test_training_set_atom_blocks(self, desk_dictionary, desk_basis, grid):
+        cfg = TrainConfig(noise_sigma=0.002, augment_factor=3, epochs=0, seed=7)
+        self.check_training_set(atom_subset(desk_dictionary, *grid), desk_basis, cfg)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("output_relu", [False, True])
     def test_train(self, toy_setup, dtype, output_relu):
@@ -591,6 +656,19 @@ class TestDictionaryMatch:
         ref_maps, ref_pd = dictionary_match_reference(rows, desk_dictionary, desk_basis)
         np.testing.assert_array_equal(bits(maps), bits(ref_maps))
         np.testing.assert_allclose(pd, ref_pd, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("grid", ATOM_GRIDS, ids=lambda g: str(g[0] * g[1]))
+    def test_blocked_projections_keep_maps_and_pd(self, desk_dictionary, desk_basis, rng,
+                                                  monkeypatch, grid):
+        # the same scoring on the whole-matrix projections gives the same bits
+        d = atom_subset(desk_dictionary, *grid)
+        rows = np.concatenate([rng.standard_normal((2 * inference.MATCH_CHUNK + 3, 5)),
+                               clean_projections(d, desk_basis)[0]])
+        maps, pd = inference.dictionary_match(rows, d, desk_basis)
+        monkeypatch.setattr(inference, "_atom_projections", atom_projections_reference)
+        ref_maps, ref_pd = inference.dictionary_match(rows, d, desk_basis)
+        np.testing.assert_array_equal(bits(maps), bits(ref_maps))
+        np.testing.assert_array_equal(bits(pd), bits(ref_pd))
 
     def test_agrees_with_full_space_oracle(self, desk_dictionary, desk_basis):
         d, basis = desk_dictionary, desk_basis
