@@ -268,11 +268,12 @@ def simulate_fingerprints(
     n_blocks = -(-t1.size // CHUNK_SIZE)
     workers = max(1, min(n_blocks, _worker_count()))
     if workers > 1:
-        # one anonymous shared mapping: the forked workers write straight into it
+        # one anonymous shared mapping, zero-filled: the forked workers write
+        # straight into it
         nbytes = n_frames * t1.size * np.dtype(np.complex64).itemsize
         out = np.frombuffer(mmap.mmap(-1, nbytes), np.complex64).reshape(n_frames, t1.size)
     else:
-        out = np.empty((n_frames, t1.size), dtype=np.complex64)
+        out = np.zeros((n_frames, t1.size), dtype=np.complex64)
 
     def run_share(k):
         """Simulate blocks k, k + workers, ... into out."""
@@ -281,7 +282,9 @@ def simulate_fingerprints(
             signal = np.empty((n_frames, e1[block].size), dtype=np.float32)
             _simulate_block(coefficients, n_orders, z0[block], e1[block], e2[block],
                             recovery[block], signal)
-            np.multiply(1j * signal, echo[block], out=out[:, block])
+            # the atom is i * signal * echo: its real part stays the +0.0 that
+            # out starts with
+            np.multiply(signal, echo[block], out=out.imag[:, block])
 
     _run_forked(run_share, workers)
     return out

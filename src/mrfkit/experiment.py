@@ -155,7 +155,10 @@ def simulate_dict(cfg: dict, out_path) -> epg.Dictionary:
 
 def learn_subspace(cfg: dict, dict_path, out_path) -> subspace.SubspaceBasis:
     """Learn the rank-S temporal subspace from a dictionary bundle."""
-    basis = subspace.learn_subspace(epg.load_dictionary(dict_path), cfg["rank"])
+    # the loaded dictionary lives only inside atom_gram, so its atoms are
+    # freed before eigh's workspace is allocated
+    gram, n_atoms = subspace.atom_gram(epg.load_dictionary(dict_path), cfg["rank"])
+    basis = subspace.gram_basis(gram, n_atoms, cfg["rank"])
     subspace.save_basis(basis, out_path)
     return basis
 
@@ -180,7 +183,8 @@ def acquire(cfg: dict, gt_path, out_path) -> fm.KSpaceData:
     pattern = fm.make_vd_cartesian_masks(h, w, frames, cfg["accel"], seed)
     series = phantom.synthesize_timeseries(gt, _schedule(cfg), k_max=cfg["k_max"])
     coils = fm.make_coil_maps(h, w, cfg["coils"], kind=cfg["coil_kind"])
-    data = fm.apply_frames(series.T.reshape(frames, h, w).astype(np.complex128), coils, pattern)
+    # complex64 frames: the product with the complex128 coil maps casts them exactly
+    data = fm.apply_frames(series.T.reshape(frames, h, w), coils, pattern)
     del series
     if cfg["kspace_noise"] > 0:
         # the stream holds every real part, then every imaginary part; each

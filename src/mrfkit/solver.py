@@ -26,6 +26,12 @@ from .tvprox import TvConfig, tv_prox_stack
 
 MODES = ("bpi", "lr", "lrtv")
 _MU_FLOOR = 1e-30
+# The expanded fidelity cancels terms as large as ||y||^2, so where the
+# majorization holds with equality (a step of 1 / the largest eigenvalue of
+# A^H A) the sign of its test is roundoff, some ulps of ||y||^2 either way. A
+# step that violates it by no more than this many ulps is accepted, rather
+# than halving the step size for the rest of the solve.
+_ROUNDOFF_ULPS = 64
 
 
 @dataclass
@@ -151,7 +157,7 @@ def solve(
             gz = fm.normal(z, kernel, coils)
             fidelity_z = _expanded_fidelity(norm_y_sq, ahyv, z, gz)
             rhs = _majorization_rhs(fidelity_x, grad, z - x, mu)
-            if fidelity_z > rhs:
+            if fidelity_z > rhs + _ROUNDOFF_ULPS * np.spacing(norm_y_sq):
                 mu *= 0.5
                 halvings += 1
                 if mu < _MU_FLOOR:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bundle
-from .epg import Dictionary
+from .epg import CHUNK_SIZE, Dictionary
 
 
 @dataclass
@@ -69,6 +69,19 @@ def learn_subspace(dictionary, rank: int) -> SubspaceBasis:
     rank : int
         Number of leading left singular vectors to retain.
     """
+    return gram_basis(*atom_gram(dictionary, rank), rank)
+
+
+def atom_gram(dictionary, rank: int) -> tuple[np.ndarray, int]:
+    """G = Re(D D^H) = Re D Re D^T + Im D Im D^T, float64 (L, L), and the atom
+    count d, from learn_subspace's arguments; the rank is checked first.
+
+    G sums blocks of CHUNK_SIZE atoms, one plane of one block in float64 at a
+    time, so beyond G this holds one (L, L) product and one block plane. A
+    plane that is all zero, such as a simulated dictionary's real plane, adds
+    nothing and is skipped. A caller that drops its last reference to the
+    atoms before gram_basis frees them before eigh's workspace is allocated.
+    """
     atoms = dictionary.atoms if isinstance(dictionary, Dictionary) else np.asarray(dictionary)
     if atoms.ndim != 2:
         raise ValueError("atom matrix must be 2-D")
@@ -76,15 +89,26 @@ def learn_subspace(dictionary, rank: int) -> SubspaceBasis:
     if not 1 <= rank <= min(n_frames, n_atoms):
         raise ValueError(f"rank must be in [1, {min(n_frames, n_atoms)}]")
 
-    # G sums 2048-atom blocks, w 33 MB each at 1000 frames; w @ w.T is one
-    # symmetric rank-k update over each atom's real and imaginary parts
     gram = np.zeros((n_frames, n_frames))
+    product = np.empty_like(gram)
+    planes = (atoms.real, atoms.imag) if np.iscomplexobj(atoms) else (atoms,)
     with np.errstate(invalid="ignore"):  # an inf atom entry makes NaNs, rejected below
-        for block in np.split(atoms, range(2048, n_atoms, 2048), axis=1):
-            w = np.stack([block.real, block.imag], axis=2, dtype=np.float64).reshape(n_frames, -1)
-            gram += w @ w.T
+        for lo in range(0, n_atoms, CHUNK_SIZE):
+            for plane in planes:
+                block = plane[:, lo : lo + CHUNK_SIZE]
+                if block.any():  # a NaN is nonzero, so it reaches G
+                    w = block.astype(np.float64)
+                    np.matmul(w, w.T, out=product)  # one symmetric rank-k update
+                    gram += product
+                    del w  # before the next plane is converted
+    return gram, n_atoms
+
+
+def gram_basis(gram: np.ndarray, n_atoms: int, rank: int) -> SubspaceBasis:
+    """The rank-S basis and min(L, 2d) singular values from atom_gram's G."""
     if not np.isfinite(gram).all():  # every non-finite atom entry reaches G
         raise ValueError("dictionary has non-finite atoms (NaN or inf)")
+    n_frames = gram.shape[0]
     eigvals, eigvecs = np.linalg.eigh(gram)  # ascending
     s_values = np.sqrt(np.clip(eigvals[::-1][: min(n_frames, 2 * n_atoms)], 0.0, None))
     # eigh's vectors are Fortran-ordered; v is row-major, as a loaded basis is

@@ -48,7 +48,11 @@ Reference paths are built on the per-frame k-space operator:
 eigenvectors of the complex Gram D D^H, each column rotated so its
 largest-magnitude entry is real positive. ``subspace.learn_subspace`` takes
 them from the real Gram Re(D D^H); on a dictionary of atoms that are i times a
-real signal, the two agree to roundoff.
+real signal, the two agree to roundoff. ``learn_subspace_stacked`` forms that
+real Gram from 2048-atom blocks with each atom's real and imaginary parts side
+by side in one float64 array, where ``subspace.atom_gram`` converts one plane
+of a CHUNK_SIZE block at a time and skips a plane that is all zero; the two
+agree to roundoff.
 """
 
 import math
@@ -477,6 +481,21 @@ def learn_subspace_complex(atoms, rank):
     v = np.linalg.eigh(gram)[1][:, ::-1][:, :rank]
     ref = v[np.argmax(np.abs(v), axis=0), np.arange(rank)]
     return v * (np.abs(ref) / ref)[None, :]
+
+
+def learn_subspace_stacked(atoms, rank):
+    """(v, s_values) of ``subspace.learn_subspace`` from G = W W^T summed over
+    2048-atom blocks, W the block's real and imaginary parts side by side."""
+    n_frames, n_atoms = atoms.shape
+    gram = np.zeros((n_frames, n_frames))
+    for block in np.split(atoms, range(2048, n_atoms, 2048), axis=1):
+        w = np.stack([block.real, block.imag], axis=2, dtype=np.float64).reshape(n_frames, -1)
+        gram += w @ w.T
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    s_values = np.sqrt(np.clip(eigvals[::-1][: min(n_frames, 2 * n_atoms)], 0.0, None))
+    v = eigvecs[:, ::-1][:, :rank]
+    ref = v[np.argmax(np.abs(v), axis=0), np.arange(rank)]
+    return v * np.sign(ref), s_values
 
 
 def expand(coeffs, basis):

@@ -158,6 +158,25 @@ class TestMatchesReference:
                          epg_reference(t1, t2, schedule, k_max=100))
 
 
+class TestReadout:
+    """The readout writes signal * echo into the imaginary plane of zeroed
+    atoms; epg_reference reads out with the complex product 1j * signal * echo
+    that the library formed before. The two give the same bits, and no real
+    part is -0.0."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_same_bits_as_complex_product(self, rng, monkeypatch, workers):
+        monkeypatch.setattr(epg, "_worker_count", lambda: workers)
+        t1, t2 = TestMatchesReference.tissues(rng, 2 * epg.CHUNK_SIZE + 3)
+        schedule = epg.default_schedule(200)
+        out = epg.simulate_fingerprints(t1, t2, schedule)
+        assert_no_children()
+        # inverted tissues start negative
+        assert (out.imag < 0).mean() > 0.01 and (out.imag > 0).mean() > 0.01
+        assert_same_bits(out, epg_reference(t1, t2, schedule))
+        assert not np.signbit(out.real).any()
+
+
 def assert_no_children():
     """No child process of this one is left, running or unreaped."""
     with pytest.raises(ChildProcessError):

@@ -170,7 +170,11 @@ class TestSolve:
         err = np.linalg.norm(x1 - mu1 * b) / np.linalg.norm(x1)
         assert err < 1e-12
 
-    def test_unitary_one_iteration_exact(self, rng):
+    @staticmethod
+    def check_unitary_one_iteration(rng):
+        # full sampling, one uniform coil: at mu = 1 the majorization holds
+        # with equality (TestBacktrackOk), so the solver's test must not halve
+        # the step on roundoff of either sign
         n_frames, rank, size = 8, 3, 16
         basis = subspace.learn_subspace(random_complex(rng, (n_frames, 40)), rank)
         pattern = fm.make_vd_cartesian_masks(size, size, n_frames, accel=1.0, seed=0)
@@ -179,8 +183,16 @@ class TestSolve:
         y = fm.forward(x_true, basis, coils, pattern)
         assert solver.auto_step_size(pattern, coils.n_coils) == 1.0
         cfg = SolverConfig(mode="lr", max_outer_iters=1)
-        x, _ = solver.solve(y, basis, coils, pattern, cfg)
+        x, trace = solver.solve(y, basis, coils, pattern, cfg)
+        assert trace.records[-1].halvings == 0
         np.testing.assert_allclose(x, x_true, atol=1e-10)
+
+    def test_unitary_one_iteration_exact(self, rng):
+        self.check_unitary_one_iteration(rng)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_unitary_one_iteration_exact_on_any_draw(self, seed):
+        self.check_unitary_one_iteration(np.random.default_rng(seed))
 
     def test_bpi_mode(self, problem):
         y, basis, coils, pattern, _, _ = problem

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from mrfkit import bundle, epg, subspace
+from mrfkit import bundle, epg, experiment, subspace
 
-from oracles import expand, learn_subspace_complex
+from oracles import expand, learn_subspace_complex, learn_subspace_stacked
 
 
 def random_complex(rng, shape):
@@ -113,6 +115,107 @@ class TestLearnSubspace:
         assert basis.s_values.shape == (min(n_frames, 2 * n_atoms),)
         assert np.all(np.diff(basis.s_values) <= 1e-9)
         assert np.all(basis.s_values >= 0)
+
+
+def gram_input(name, rng, desk_dictionary):
+    """An atom matrix for the Gram tests; the simulated one ends in a partial
+    block (4661 = 9 * 512 + 53 atoms)."""
+    if name == "simulated":
+        return desk_dictionary.atoms
+    if name == "complex":  # both planes nonzero
+        return random_complex(rng, (40, 2 * epg.CHUNK_SIZE + 76))
+    if name == "real":
+        return rng.standard_normal((40, 700))
+    return (rng.standard_normal((40, 700)) + 0j).astype(np.complex64)  # a zero imaginary plane
+
+
+GRAM_INPUTS = ["simulated", "complex", "real", "zero-imaginary"]
+
+
+class TestAtomGram:
+    """atom_gram sums one plane of one CHUNK_SIZE block at a time and skips
+    zero planes; the 2048-atom blocks of both planes side by side give the same
+    basis to roundoff."""
+
+    @pytest.mark.parametrize("name", GRAM_INPUTS)
+    def test_matches_stacked_blocks(self, rng, desk_dictionary, name):
+        atoms = gram_input(name, rng, desk_dictionary)
+        rank = 5
+        basis = subspace.learn_subspace(atoms, rank)
+        v, s_values = learn_subspace_stacked(atoms, rank)
+        assert np.abs(basis.v - v).max() < 1e-10
+        assert basis.s_values.shape == s_values.shape
+        np.testing.assert_allclose(basis.s_values[:rank], s_values[:rank], rtol=1e-10)
+
+    @pytest.mark.parametrize("name,products", [("simulated", 10), ("complex", 6),
+                                               ("real", 2), ("zero-imaginary", 2)])
+    def test_zero_planes_are_skipped(self, rng, desk_dictionary, monkeypatch, name, products):
+        # one product per nonzero plane of each block: a simulated dictionary's
+        # real plane, and a real or zero-imaginary input's imaginary one, add none
+        calls = []
+        matmul = np.matmul
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return matmul(*args, **kwargs)
+
+        atoms = gram_input(name, rng, desk_dictionary)
+        monkeypatch.setattr(np, "matmul", counting)
+        subspace.atom_gram(atoms, 5)
+        assert len(calls) == products
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_in_zero_real_plane_raises(self, desk_dictionary, bad):
+        # the entry makes its block's real plane nonzero, so it reaches G
+        atoms = desk_dictionary.atoms.copy()
+        atoms.real[100, 2000] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            subspace.learn_subspace(atoms, 5)
+
+    @pytest.mark.parametrize("rank", [0, 201])
+    def test_rank_checked_before_gram(self, desk_dictionary, monkeypatch, rank):
+        def no_product(*args, **kwargs):
+            raise AssertionError("Gram work before the rank check")
+
+        monkeypatch.setattr(np, "matmul", no_product)
+        with pytest.raises(ValueError, match="rank must be in"):
+            subspace.learn_subspace(desk_dictionary, rank)
+
+
+def gram_bound(n_frames):
+    """atom_gram's working memory: G, one (L, L) product, one float64 block
+    plane, and 1 MB for the rest."""
+    return 2 * n_frames * n_frames * 8 + n_frames * epg.CHUNK_SIZE * 8 + 2**20
+
+
+class TestGramMemory:
+    @pytest.mark.parametrize("copies", [1, 3])
+    def test_working_memory_does_not_grow_with_atoms(self, desk_dictionary, traced_peak,
+                                                     copies):
+        atoms = np.tile(desk_dictionary.atoms, (1, copies))
+        peak, basis = traced_peak(subspace.learn_subspace, atoms, 5)
+        assert basis.rank_s == 5
+        assert peak <= gram_bound(atoms.shape[0])
+
+    def test_stage_frees_atoms_before_eigh(self, desk_dictionary, tmp_path, traced_peak,
+                                           monkeypatch):
+        # the learn-subspace stage holds the loaded atoms only while it forms
+        # G, so eigh's workspace is not added on top of them
+        dict_path = tmp_path / "dict.mrfb"
+        epg.save_dictionary(desk_dictionary, dict_path)
+        held = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        cfg = experiment.resolve_config(None)
+        peak, _ = traced_peak(experiment.learn_subspace, cfg, dict_path, tmp_path / "b.mrfb")
+        atoms_bytes = desk_dictionary.atoms.nbytes
+        assert len(held) == 1 and held[0] < atoms_bytes
+        assert peak <= atoms_bytes + gram_bound(desk_dictionary.n_frames)
 
 
 class TestProjectExpand:
