@@ -6,12 +6,21 @@ The header carries the magic string "MRFB1", one entry per array (name,
 dtype, shape, offset) and an optional free-form metadata object. Each array
 is stored in the dtype its saver gives it; loaders read each through
 `_Fields.array`, which checks its dtype, its shape and that it is finite.
+
+One payload of a bundle may go between memory and the file in pieces: the
+writer takes a `Deferred` array, whose payload a callback writes into the
+reserved file, and the reader can leave one array in the file as a `Stored`,
+which reads it a block of columns at a time.
 """
 
+import errno
 import functools
 import json
+import math
 import os
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -101,6 +110,12 @@ class _Fields(dict):
             dims = ", ".join("*" if n is None else str(n) for n in shape)
             comma = "," if len(shape) == 1 else ""
             raise self.fault(name, f"must have shape ({dims}{comma}), got {value.shape}")
+        # a Stored array checks each block as it is read
+        return value if isinstance(value, Stored) else self.finite(name, value)
+
+    def finite(self, name, value):
+        """value, all or part of array name, which, if floating, must hold no
+        NaN or inf."""
         if value.dtype.kind in "fc":
             # no stored entry can overflow this sum, so it is finite exactly
             # when every entry is, and it takes no array-sized temporary
@@ -109,6 +124,57 @@ class _Fields(dict):
             if not np.isfinite(total):
                 raise self.fault(name, "has non-finite entries (NaN or inf)")
         return value
+
+
+@dataclass(frozen=True)
+class Deferred:
+    """An array that write_bundle lays out but does not hold: once the whole
+    file is reserved and every other array written, fill(fd, offset) writes
+    its payload, row-major, at offset in the open file."""
+
+    shape: tuple
+    dtype: np.dtype
+    fill: Callable[[int, int], None]
+
+    @property
+    def nbytes(self) -> int:
+        return math.prod(self.shape) * self.dtype.itemsize
+
+
+@dataclass(frozen=True)
+class Stored:
+    """An array that read_bundle left in the file, after checking that its
+    payload is there; column_blocks reads a 2-D one. The dtype, shape and ndim
+    are the array's, so _Fields.array checks them as it checks an ndarray."""
+
+    fields: _Fields
+    name: str
+    offset: int
+    shape: tuple
+    dtype: np.dtype
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    def column_blocks(self, width: int):
+        """Yield the blocks of width columns (the last may be narrower) of a
+        2-D array in order, each read with one pread per row into one reused
+        buffer, so a block is valid only until the next is read. Each block
+        is checked finite as _Fields.array checks a whole array."""
+        rows, cols = self.shape
+        itemsize = self.dtype.itemsize
+        buffer = np.empty((rows, min(width, cols)), self.dtype)
+        fd = os.open(self.fields.path, os.O_RDONLY)
+        try:
+            for lo in range(0, cols, width):
+                block = buffer[:, : min(width, cols - lo)]
+                for t, row in enumerate(block):
+                    if os.preadv(fd, [row], self.offset + (t * cols + lo) * itemsize) != row.nbytes:
+                        raise TruncatedError(f"array {self.name!r}: file ended inside its payload")
+                yield self.fields.finite(self.name, block)
+        finally:
+            os.close(fd)
 
 
 _KINDS = {bool: "true or false", int: "an integer", float: "a finite number",
@@ -139,6 +205,20 @@ def _byte_view(a: np.ndarray) -> memoryview:
     return memoryview(a.reshape(-1).view(np.uint8))
 
 
+def write_columns(fd: int, offset: int, width: int, lo: int, block: np.ndarray) -> None:
+    """Write block, (rows, n) with contiguous rows, as columns lo .. lo + n - 1
+    of the row-major (rows, width) payload at offset of the open file fd, one
+    pwrite per row. A short write, which on a regular file means the disk is
+    full, raises OSError."""
+    for t, row in enumerate(block):
+        data = _byte_view(row)
+        start = offset + (t * width + lo) * block.dtype.itemsize
+        written = os.pwrite(fd, data, start)
+        if written != len(data):
+            raise OSError(errno.ENOSPC, f"short write: {written} of {len(data)} bytes at "
+                                        f"offset {start}")
+
+
 def loader(load):
     """Decorate a function that loads objects from the bundle at path and
     whose objects check their own values: a ValueError they raise on an
@@ -146,9 +226,9 @@ def loader(load):
     HeaderError naming the file, since the file is at fault."""
 
     @functools.wraps(load)
-    def checked(path):
+    def checked(path, *args, **kwargs):
         try:
-            return load(path)
+            return load(path, *args, **kwargs)
         except ValueError as exc:
             raise HeaderError(f"{os.fspath(path)}: {exc}") from exc
 
@@ -160,12 +240,15 @@ def write_bundle(path, arrays: dict, meta: dict | None = None) -> None:
 
     Each array is stored in the dtype it has, which must be float32,
     complex64, uint8 or int32 (little-endian); any other raises DtypeError.
+    An array may be a Deferred, whose fill writes its payload after every
+    other array is written. The whole file is reserved first, so a disk too
+    small for it fails before any payload is written or made.
     """
     converted = {}
     for name, arr in arrays.items():
         if not isinstance(name, str) or not name:
             raise ValueError("array names must be non-empty strings")
-        a = np.ascontiguousarray(arr)
+        a = arr if isinstance(arr, Deferred) else np.ascontiguousarray(arr)
         if a.dtype not in _DTYPES.values():
             raise DtypeError(f"cannot store array {name!r} of dtype {a.dtype}")
         converted[name] = a
@@ -196,17 +279,23 @@ def write_bundle(path, arrays: dict, meta: dict | None = None) -> None:
         raise RuntimeError("header layout did not converge")
 
     # write beside the target and rename, so an interrupted write never
-    # leaves a truncated bundle at path for the next stage to read
+    # leaves a truncated bundle at path for the next stage to read; the
+    # reserved file reads as zeros, which pad between the payloads
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as fh:
+            os.posix_fallocate(fh.fileno(), 0, offset)  # the end of the last payload
             fh.write(len(blob).to_bytes(8, "little"))
             fh.write(blob)
-            pos = 8 + len(blob)
-            for entry, a in zip(entries, converted.values()):
-                fh.write(b"\0" * (entry["offset"] - pos))
-                fh.write(_byte_view(a))
-                pos = entry["offset"] + a.nbytes
+            payloads = list(zip(entries, converted.values()))
+            for entry, a in payloads:
+                if not isinstance(a, Deferred):
+                    fh.seek(entry["offset"])
+                    fh.write(_byte_view(a))
+            fh.flush()  # before a fill writes to the descriptor itself
+            for entry, a in payloads:
+                if isinstance(a, Deferred):
+                    a.fill(fh.fileno(), entry["offset"])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -214,12 +303,14 @@ def write_bundle(path, arrays: dict, meta: dict | None = None) -> None:
         raise
 
 
-def read_bundle(path, kind: str | None = None) -> tuple[dict, dict]:
+def read_bundle(path, kind: str | None = None, defer: str | None = None) -> tuple[dict, dict]:
     """Read a bundle; returns (arrays, meta). Validates magic, offsets, shapes,
     and, when kind is given, that meta["kind"] names it.
 
     Every check runs on the header and the file size before any payload is
-    read; each payload is then read straight into its own array."""
+    read; each payload is then read straight into its own array, but that of
+    the array named defer, if the bundle has it, which stays in the file as a
+    Stored."""
     where = os.fspath(path)
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -282,6 +373,9 @@ def read_bundle(path, kind: str | None = None) -> tuple[dict, dict]:
         # the payloads do not overlap, so the arrays together fit in the file
         arrays = _Fields(where, "array")
         for offset, end, name, shape, dtype in spans:
+            if name == defer:
+                arrays[name] = Stored(arrays, name, offset, shape, dtype)
+                continue
             try:
                 arrays[name] = np.empty(shape, dtype=dtype)
             except ValueError as exc:  # an empty array with an unrepresentable shape

@@ -87,8 +87,8 @@ def cli():
 @_out_option
 def simulate_dict(out_path, **settings):
     """Simulate the fingerprint dictionary over a (T1, T2) grid."""
-    dictionary = experiment.simulate_dict(_resolve(settings), out_path)
-    click.echo(f"wrote {dictionary.n_atoms} atoms x {dictionary.n_frames} frames to {out_path}")
+    n_frames, n_atoms = experiment.simulate_dict(_resolve(settings), out_path)
+    click.echo(f"wrote {n_atoms} atoms x {n_frames} frames to {out_path}")
 
 
 @cli.command("learn-subspace")

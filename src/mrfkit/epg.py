@@ -103,7 +103,9 @@ class GridSpec:
 @dataclass
 class Dictionary:
     """Simulated fingerprints, one column per pair of the grid in its
-    T1-major order; the labels are those pairs."""
+    T1-major order; the labels are those pairs. The atoms of a dictionary
+    loaded with stream are a bundle.Stored, and write_dictionary saves one
+    whose atoms are a bundle.Deferred: both have the atoms' shape."""
 
     atoms: np.ndarray  # complex64, (L, d)
     schedule: SequenceSchedule
@@ -241,6 +243,29 @@ def simulate_fingerprints(
     ndarray, complex64, shape (L, n)
         F0 signal at the echo time after each excitation.
     """
+    t1, t2, n_orders = _tissues(t1_ms, t2_ms, schedule, k_max)
+    workers = _share_count(t1.size)
+    if workers > 1:
+        # one anonymous shared mapping, zero-filled: the forked workers write
+        # straight into it
+        nbytes = schedule.n_frames * t1.size * np.dtype(np.complex64).itemsize
+        out = np.frombuffer(mmap.mmap(-1, nbytes), np.complex64).reshape(schedule.n_frames,
+                                                                         t1.size)
+    else:
+        out = np.zeros((schedule.n_frames, t1.size), dtype=np.complex64)
+
+    def store(lo, signal, echo):
+        # the atom is i * signal * echo: its real part stays the +0.0 that
+        # out starts with
+        np.multiply(signal, echo, out=out.imag[:, lo : lo + signal.shape[1]])
+
+    _simulate(t1, t2, schedule, n_orders, workers, store)
+    return out
+
+
+def _tissues(t1_ms, t2_ms, schedule: SequenceSchedule, k_max) -> tuple:
+    """simulate_fingerprints' arguments checked: float64 T1 and T2 arrays and
+    the number of configuration orders kept."""
     t1 = np.asarray(t1_ms, dtype=np.float64)
     t2 = np.asarray(t2_ms, dtype=np.float64)
     if t1.shape != t2.shape or t1.ndim != 1:
@@ -249,45 +274,43 @@ def simulate_fingerprints(
         raise ValueError("tissue parameters must be finite")
     if np.any(t1 <= 0) or np.any(t2 <= 0):
         raise ValueError("tissue parameters must be positive")
-
-    n_frames = schedule.n_frames
     if k_max is None:
-        k_max = min(n_frames, DEFAULT_K_MAX)
+        k_max = min(schedule.n_frames, DEFAULT_K_MAX)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    n_orders = min(int(k_max), n_frames) + 1
+    return t1, t2, min(int(k_max), schedule.n_frames) + 1
 
+
+def _share_count(n_tissues: int) -> int:
+    """Processes that simulate n tissues: one per block, at most _worker_count."""
+    return max(1, min(-(-n_tissues // CHUNK_SIZE), _worker_count()))
+
+
+def _simulate(t1, t2, schedule: SequenceSchedule, n_orders: int, workers: int, store) -> None:
+    """Simulate the tissues of _tissues' checked arrays in blocks of
+    CHUNK_SIZE, shared among workers processes; each process calls
+    store(lo, signal, echo) for each block it simulates, where lo is the
+    block's first tissue, signal the (L, n) float32 F0 magnitudes and echo
+    the (n,) float32 decays to the echo time: the block's atoms are
+    i * signal * echo."""
     tr, te, tinv = schedule.tr_ms, schedule.te_ms, schedule.tinv_ms
     e1 = np.exp(-tr / t1).astype(np.float32)
     e2 = np.exp(-tr / t2).astype(np.float32)
     recovery = (1.0 - e1).astype(np.float32)
     echo = np.exp(-te / t2).astype(np.float32)
     z0 = (1.0 - 2.0 * np.exp(-tinv / t1)).astype(np.float32)
-
     coefficients = _flip_coefficients(schedule.flip_angles_deg)
-    n_blocks = -(-t1.size // CHUNK_SIZE)
-    workers = max(1, min(n_blocks, _worker_count()))
-    if workers > 1:
-        # one anonymous shared mapping, zero-filled: the forked workers write
-        # straight into it
-        nbytes = n_frames * t1.size * np.dtype(np.complex64).itemsize
-        out = np.frombuffer(mmap.mmap(-1, nbytes), np.complex64).reshape(n_frames, t1.size)
-    else:
-        out = np.zeros((n_frames, t1.size), dtype=np.complex64)
 
     def run_share(k):
-        """Simulate blocks k, k + workers, ... into out."""
+        """Simulate and store blocks k, k + workers, ..."""
         for lo in range(k * CHUNK_SIZE, t1.size, workers * CHUNK_SIZE):
             block = slice(lo, lo + CHUNK_SIZE)
-            signal = np.empty((n_frames, e1[block].size), dtype=np.float32)
+            signal = np.empty((schedule.n_frames, e1[block].size), dtype=np.float32)
             _simulate_block(coefficients, n_orders, z0[block], e1[block], e2[block],
                             recovery[block], signal)
-            # the atom is i * signal * echo: its real part stays the +0.0 that
-            # out starts with
-            np.multiply(signal, echo[block], out=out.imag[:, block])
+            store(lo, signal, echo[block])
 
     _run_forked(run_share, workers)
-    return out
 
 
 def _worker_count() -> int:
@@ -302,7 +325,9 @@ def _run_forked(run_share, workers: int) -> None:
 
     A forked child has only the forking thread, so it must not need a lock
     that another thread (a BLAS worker, say) held at the fork: the children
-    run numpy element-wise operations alone, no BLAS and no I/O.
+    run numpy element-wise operations and os.pwrite calls on a descriptor
+    they inherit, and nothing else: no BLAS and no buffered I/O, whose
+    buffers the fork copied.
     """
     pids = []
     try:
@@ -337,6 +362,32 @@ def build_dictionary(
     return Dictionary(simulate_fingerprints(*grid.pairs(), schedule, k_max=k_max), schedule, grid)
 
 
+def write_dictionary(
+    grid: GridSpec, schedule: SequenceSchedule, path, k_max: int | None = None
+) -> tuple[int, int]:
+    """save_dictionary(build_dictionary(grid, schedule, k_max), path), byte for
+    byte, without holding the atoms: each process that simulates a block
+    writes its rows into the reserved file. Returns the atoms' shape (L, d)."""
+    t1, t2, n_orders = _tissues(*grid.pairs(), schedule, k_max)
+    n_frames, n_atoms = shape = schedule.n_frames, t1.size
+
+    def fill(fd, offset):
+        # zero-filled, and only the imaginary part is written: the real part
+        # of every atom is +0.0, as in simulate_fingerprints
+        rows = np.zeros((n_frames, min(CHUNK_SIZE, n_atoms)), dtype=np.complex64)
+
+        def store(lo, signal, echo):
+            block = rows[:, : signal.shape[1]]
+            np.multiply(signal, echo, out=block.imag)
+            bundle.write_columns(fd, offset, n_atoms, lo, block)
+
+        _simulate(t1, t2, schedule, n_orders, _share_count(n_atoms), store)
+
+    atoms = bundle.Deferred(shape, np.dtype(np.complex64), fill)
+    save_dictionary(Dictionary(atoms, schedule, grid), path)
+    return shape
+
+
 def save_dictionary(dictionary: Dictionary, path) -> None:
     s, g = dictionary.schedule, dictionary.grid_spec
     meta = {
@@ -364,8 +415,11 @@ def save_dictionary(dictionary: Dictionary, path) -> None:
 
 
 @bundle.loader
-def load_dictionary(path) -> Dictionary:
-    arrays, meta = bundle.read_bundle(path, kind="dictionary")
+def load_dictionary(path, stream: bool = False) -> Dictionary:
+    """Read a dictionary bundle. With stream, every check but the atoms'
+    finiteness runs as without it, but the atoms stay in the file: they are
+    a bundle.Stored, whose column_blocks read them and check each block."""
+    arrays, meta = bundle.read_bundle(path, kind="dictionary", defer="atoms" if stream else None)
     atoms = arrays.array("atoms", (None, None), "complex64")
     schedule = SequenceSchedule(
         arrays.array("flip_angles_deg", (atoms.shape[0],), "float32").astype(np.float64),

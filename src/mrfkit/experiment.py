@@ -146,18 +146,16 @@ def _grid(cfg: dict) -> epg.GridSpec:
     return epg.GridSpec(**axes)
 
 
-def simulate_dict(cfg: dict, out_path) -> epg.Dictionary:
-    """Simulate the fingerprint dictionary over the configured (T1, T2) grid."""
-    dictionary = epg.build_dictionary(_grid(cfg), _schedule(cfg), k_max=cfg["k_max"])
-    epg.save_dictionary(dictionary, out_path)
-    return dictionary
+def simulate_dict(cfg: dict, out_path) -> tuple[int, int]:
+    """Simulate the fingerprint dictionary over the configured (T1, T2) grid,
+    streaming its atoms into the bundle; returns their shape (L, d)."""
+    return epg.write_dictionary(_grid(cfg), _schedule(cfg), out_path, k_max=cfg["k_max"])
 
 
 def learn_subspace(cfg: dict, dict_path, out_path) -> subspace.SubspaceBasis:
     """Learn the rank-S temporal subspace from a dictionary bundle."""
-    # the loaded dictionary lives only inside atom_gram, so its atoms are
-    # freed before eigh's workspace is allocated
-    gram, n_atoms = subspace.atom_gram(epg.load_dictionary(dict_path), cfg["rank"])
+    # the atoms are read a block at a time while G is formed
+    gram, n_atoms = subspace.atom_gram(epg.load_dictionary(dict_path, stream=True), cfg["rank"])
     basis = subspace.gram_basis(gram, n_atoms, cfg["rank"])
     subspace.save_basis(basis, out_path)
     return basis

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -274,6 +276,91 @@ def write_raw_header(path, arrays_json: str):
     raw = len(blob).to_bytes(8, "little") + blob
     raw += b"\0" * (bundle._align(len(raw)) - len(raw)) + b"\0" * 64
     path.write_bytes(raw)
+
+
+def deferred(a, width):
+    """a as a bundle.Deferred whose fill writes it width columns at a time."""
+    def fill(fd, offset):
+        for lo in range(0, a.shape[1], width):
+            bundle.write_columns(fd, offset, a.shape[1], lo, a[:, lo : lo + width].copy())
+
+    return bundle.Deferred(a.shape, a.dtype, fill)
+
+
+class TestStreamedPayloads:
+    """One payload may be written by a callback into the reserved file and
+    read back a block of columns at a time."""
+
+    @pytest.fixture
+    def atoms(self, rng):
+        return (rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))).astype(np.complex64)
+
+    def test_deferred_matches_array(self, tmp_path, rng, atoms):
+        labels = rng.standard_normal(7).astype(np.float32)
+        whole, streamed = tmp_path / "whole.mrfb", tmp_path / "streamed.mrfb"
+        bundle.write_bundle(whole, {"atoms": atoms, "t1": labels}, meta={"kind": "x"})
+        bundle.write_bundle(streamed, {"atoms": deferred(atoms, 3), "t1": labels},
+                            meta={"kind": "x"})
+        assert streamed.read_bytes() == whole.read_bytes()
+
+    def test_stored_reads_column_blocks(self, tmp_path, atoms):
+        path = tmp_path / "t.mrfb"
+        bundle.write_bundle(path, {"atoms": atoms, "b": np.arange(3, dtype=np.int32)})
+        arrays, _ = bundle.read_bundle(path, defer="atoms")
+        np.testing.assert_array_equal(arrays["b"], [0, 1, 2])
+        stored = arrays.array("atoms", (5, None), "complex64")
+        assert isinstance(stored, bundle.Stored) and stored.shape == (5, 7)
+        blocks = [block.copy() for block in stored.column_blocks(3)]
+        assert [block.shape[1] for block in blocks] == [3, 3, 1]
+        np.testing.assert_array_equal(np.concatenate(blocks, axis=1), atoms)
+        with pytest.raises(bundle.DtypeError, match="'atoms' must be float32, got complex64"):
+            arrays.array("atoms", (None, None), "float32")
+        with pytest.raises(bundle.HeaderError, match=r"'atoms' must have shape \(4, \*\)"):
+            arrays.array("atoms", (4, None), "complex64")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_block_raises_when_read(self, tmp_path, atoms, bad):
+        atoms[2, 6] = bad
+        path = tmp_path / "t.mrfb"
+        bundle.write_bundle(path, {"atoms": atoms})
+        arrays, _ = bundle.read_bundle(path, defer="atoms")
+        blocks = arrays.array("atoms", (None, None), "complex64").column_blocks(3)
+        next(blocks), next(blocks)  # the first two blocks are finite
+        with pytest.raises(bundle.HeaderError,
+                           match=f"{path} array 'atoms' has non-finite entries"):
+            next(blocks)
+
+    def test_file_shortened_after_read_is_truncation(self, tmp_path, atoms):
+        path = tmp_path / "t.mrfb"
+        bundle.write_bundle(path, {"atoms": atoms})
+        arrays, _ = bundle.read_bundle(path, defer="atoms")
+        os.truncate(path, os.path.getsize(path) - 8)
+        with pytest.raises(bundle.TruncatedError, match="'atoms': file ended inside"):
+            list(arrays["atoms"].column_blocks(3))
+
+    def test_short_write_raises(self, tmp_path, atoms, monkeypatch):
+        path = tmp_path / "t.mrfb"
+        bundle.write_bundle(path, {"a": np.arange(4, dtype=np.float32)})
+        before = path.read_bytes()
+        pwrite = os.pwrite
+        monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: pwrite(fd, data[:-1], offset))
+        with pytest.raises(OSError, match="short write: 23 of 24 bytes"):
+            bundle.write_bundle(path, {"atoms": deferred(atoms, 3)})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.mrfb"]
+
+    def test_full_disk_fails_before_any_payload(self, tmp_path, atoms, monkeypatch):
+        def full(fd, offset, length):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def fill(fd, offset):
+            raise AssertionError("payload written on a full disk")
+
+        monkeypatch.setattr(os, "posix_fallocate", full)
+        with pytest.raises(OSError, match="No space left on device"):
+            bundle.write_bundle(tmp_path / "t.mrfb",
+                                {"atoms": bundle.Deferred(atoms.shape, atoms.dtype, fill)})
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCorruption:

@@ -1,9 +1,13 @@
 import csv
+import errno
 import filecmp
 import inspect
 import json
+import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -470,8 +474,52 @@ class TestExitCodes:
                        "--frames", "10", "--out", str(d)) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error kind=io msg='EPG worker process")
-        assert not d.exists()
+        assert list(tmp_path.iterdir()) == []  # neither d.mrfb nor d.mrfb.tmp
         with pytest.raises(ChildProcessError):  # no worker is left
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_parent_share_is_io_error(self, tmp_path, capsys, monkeypatch):
+        # the parent's own share of the streamed atoms fails to write: the
+        # workers it started are stopped and no file is left
+        parent, write_columns = os.getpid(), bundle.write_columns
+
+        def write(*args):
+            if os.getpid() == parent:
+                raise OSError(errno.EIO, "parent block")
+            write_columns(*args)
+
+        monkeypatch.setattr(epg, "CHUNK_SIZE", 4)
+        monkeypatch.setattr(epg, "_worker_count", lambda: 3)
+        monkeypatch.setattr(bundle, "write_columns", write)
+        d = tmp_path / "d.mrfb"
+        capsys.readouterr()
+        assert run_cli("simulate-dict", "--t1", "300:300:2100", "--t2", "40:60:340",
+                       "--frames", "10", "--out", str(d)) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error kind=io msg='[Errno 5] parent block'"]
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_full_disk_fails_before_simulation(self, tmp_path, capsys, monkeypatch):
+        # the whole dictionary file is reserved before the first EPG block
+        def full(fd, offset, length):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def no_block(*args):
+            raise AssertionError("simulated a block on a full disk")
+
+        monkeypatch.setattr(os, "posix_fallocate", full)
+        monkeypatch.setattr(epg, "_simulate_block", no_block)
+        monkeypatch.setattr(epg, "_worker_count", lambda: 2)
+        d = tmp_path / "d.mrfb"
+        capsys.readouterr()
+        assert run_cli("simulate-dict", "--t1", "300:30:2100", "--t2", "40:10:340",
+                       "--frames", "10", "--out", str(d)) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error kind=io msg='[Errno 28] No space left on device'"]
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     def test_spec_with_offgrid_is_usage_error(self, tmp_path, capsys):
@@ -486,9 +534,12 @@ class TestExitCodes:
 
     @pytest.mark.filterwarnings("error")  # nothing but the error line on stderr
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-    @pytest.mark.parametrize("frames,t1", [(80, "300:300:2100"), (8, "300:30:2100")],
-                             ids=["narrow", "wide"])
-    def test_non_finite_atoms_are_usage_error(self, tmp_path, capsys, frames, t1, bad):
+    @pytest.mark.parametrize("frames,t1,at", [
+        (80, "300:300:2100", "middle"), (8, "300:30:2100", "middle"),
+        # 1086 atoms: learn-subspace reads blocks of 512, 512 and 62
+        (8, "300:10:2100", "first"), (8, "300:10:2100", "last"),
+    ], ids=["narrow", "wide", "first-block", "last-block"])
+    def test_non_finite_atoms_are_usage_error(self, tmp_path, capsys, frames, t1, at, bad):
         d, b, x = tmp_path / "d.mrfb", tmp_path / "b.mrfb", tmp_path / "x.mrfb"
         assert run_cli("simulate-dict", "--t1", t1, "--t2", "40:60:340",
                        "--frames", str(frames), "--out", str(d)) == 0
@@ -496,8 +547,8 @@ class TestExitCodes:
         basis = subspace.load_basis(b)
         solver.save_reconstruction(np.ones((64, 3), np.complex64), basis, (8, 8), x)
         dictionary = epg.load_dictionary(d)
-        mid = dictionary.n_atoms // 2
-        dictionary.atoms[frames // 2, mid : mid + 2] = bad, -bad  # inf + -inf is NaN
+        col = {"first": 0, "middle": dictionary.n_atoms // 2, "last": dictionary.n_atoms - 2}[at]
+        dictionary.atoms[frames // 2, col : col + 2] = bad, -bad  # inf + -inf is NaN
         epg.save_dictionary(dictionary, d)
         capsys.readouterr()
         for args in (("learn-subspace", "--dict", str(d), "--rank", "3"),
@@ -509,6 +560,33 @@ class TestExitCodes:
             assert len(lines) == 1 and lines[0].startswith("error kind=io code=corrupt-header")
             assert "'atoms' has non-finite entries" in lines[0]
             assert not out.exists()
+
+    @pytest.mark.parametrize("fault", ["truncated", "dtype"])
+    def test_bad_atoms_payload_fails_before_gram(self, pipeline_dir, tmp_path, capsys,
+                                                 monkeypatch, fault):
+        path, out = tmp_path / "bad.mrfb", tmp_path / "out.mrfb"
+        if fault == "truncated":  # the file ends halfway through the atoms
+            arrays, _ = bundle.read_bundle(pipeline_dir / "dict.mrfb", defer="atoms")
+            atoms = arrays["atoms"]
+            end = atoms.offset + math.prod(atoms.shape) * atoms.dtype.itemsize // 2
+            path.write_bytes((pipeline_dir / "dict.mrfb").read_bytes()[:end])
+            code = "truncated-payload"
+        else:
+            arrays, meta = bundle.read_bundle(pipeline_dir / "dict.mrfb", kind="dictionary")
+            arrays["atoms"] = arrays["atoms"].imag.copy()  # float32
+            bundle.write_bundle(path, arrays, meta)
+            code = "dtype-mismatch"
+
+        def no_product(*args, **kwargs):
+            raise AssertionError("Gram work before the atoms were checked")
+
+        monkeypatch.setattr(np, "matmul", no_product)
+        capsys.readouterr()
+        assert run_cli("learn-subspace", "--dict", str(path), "--rank", "3",
+                       "--out", str(out)) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error kind=io code={code}")
+        assert not out.exists()
 
     def test_machine_readable_stderr(self, tmp_path, capsys):
         run_cli("learn-subspace", "--dict", str(tmp_path / "none.mrfb"),
@@ -938,3 +1016,41 @@ def test_hand_pipeline_matches_run_experiment(tmp_path):
     differing = [n for n in names
                  if not filecmp.cmp(exp_dir / n, hand / n, shallow=False)]
     assert differing == []
+
+
+# runs one mrfkit command, then prints the peak resident set in KB of the
+# process and of the EPG workers it forked (ru_maxrss of each)
+_PEAK_RSS = """
+import resource, sys
+from mrfkit import cli
+code = cli.main(sys.argv[1:])
+print(max(resource.getrusage(who).ru_maxrss
+          for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))
+sys.exit(code)
+"""
+
+
+def peak_rss_kb(*args):
+    """The peak resident set of `mrfkit ARGS` run in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1])
+
+
+def test_stream_peaks_do_not_grow_with_atoms(tmp_path):
+    # tracemalloc sees neither the forked workers nor memory outside numpy's
+    # buffers, so the peaks are the processes' own: 4661 and 4 x 4661 atoms of
+    # 200 frames (7.5 and 30 MB of atoms) move each command's peak by less
+    # than 4 MB
+    d, b = str(tmp_path / "d.mrfb"), str(tmp_path / "b.mrfb")
+    peaks = []
+    for t2 in ("20:10:600", "20:2.5:607.5"):
+        peaks.append([peak_rss_kb("simulate-dict", "--t2", t2, "--out", d),
+                      peak_rss_kb("learn-subspace", "--dict", d, "--out", b)])
+    assert epg.load_dictionary(d, stream=True).n_atoms == 4 * 4661
+    for small, large in zip(*peaks):
+        assert large - small < 4 * 1024, peaks

@@ -316,3 +316,38 @@ class TestDictionaryRoundTrip:
         np.testing.assert_array_equal(loaded.t1_ms, small_dictionary.t1_ms)
         assert loaded.schedule.tr_ms == small_dictionary.schedule.tr_ms
         assert loaded.grid_spec == small_dictionary.grid_spec
+
+
+class TestWriteDictionary:
+    """write_dictionary streams the atoms into the bundle block by block; the
+    file is save_dictionary(build_dictionary(...))'s, byte for byte."""
+
+    # 7 x 6 = 42 atoms end in a partial block of 2, 3 x 3 = 9 in one of 1
+    GRIDS = {"partial": ("300:300:2100", "40:60:340"), "single": ("300:300:900", "40:60:160")}
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    def test_matches_saved_build(self, tmp_path, monkeypatch, grid, workers):
+        monkeypatch.setattr(epg, "CHUNK_SIZE", 4)
+        monkeypatch.setattr(epg, "_worker_count", lambda: workers)
+        spec = epg.GridSpec(*(epg.GridRange.parse(text) for text in self.GRIDS[grid]))
+        schedule = epg.default_schedule(30)
+        streamed, saved = tmp_path / "streamed.mrfb", tmp_path / "saved.mrfb"
+        assert epg.write_dictionary(spec, schedule, streamed, k_max=12) == (30, spec.t1.count
+                                                                            * spec.t2.count)
+        assert_no_children()
+        epg.save_dictionary(epg.build_dictionary(spec, schedule, k_max=12), saved)
+        assert streamed.read_bytes() == saved.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["saved.mrfb", "streamed.mrfb"]
+
+    def test_stream_load_checks_all_but_atoms(self, small_dictionary, tmp_path):
+        # a streamed load has the whole load's schedule, grid and labels, and
+        # its atoms read back as the same columns
+        path = tmp_path / "dict.mrfb"
+        epg.save_dictionary(small_dictionary, path)
+        streamed = epg.load_dictionary(path, stream=True)
+        assert streamed.atoms.shape == small_dictionary.atoms.shape
+        assert streamed.grid_spec == small_dictionary.grid_spec
+        np.testing.assert_array_equal(streamed.t2_ms, small_dictionary.t2_ms)
+        blocks = [block.copy() for block in streamed.atoms.column_blocks(4)]
+        assert_same_bits(np.concatenate(blocks, axis=1), small_dictionary.atoms)

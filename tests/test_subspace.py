@@ -215,7 +215,39 @@ class TestGramMemory:
         peak, _ = traced_peak(experiment.learn_subspace, cfg, dict_path, tmp_path / "b.mrfb")
         atoms_bytes = desk_dictionary.atoms.nbytes
         assert len(held) == 1 and held[0] < atoms_bytes
-        assert peak <= atoms_bytes + gram_bound(desk_dictionary.n_frames)
+        # the atoms are read one block at a time into one complex64 buffer,
+        # so the stage never holds them whole
+        n_frames = desk_dictionary.n_frames
+        assert peak <= gram_bound(n_frames) + n_frames * epg.CHUNK_SIZE * 8 < atoms_bytes
+
+
+class TestStreamedGram:
+    """The learn-subspace stage reads the atoms from the file a block at a
+    time; its G, and so its basis file, are those of the loaded atoms."""
+
+    @pytest.fixture
+    def dict_path(self, rng, tmp_path):
+        """A hand-made dictionary bundle, 10 x 9 = 90 atoms of 24 frames, whose
+        real and imaginary planes are both nonzero."""
+        grid = epg.GridSpec(t1=epg.GridRange(100, 100, 1000), t2=epg.GridRange(20, 10, 100))
+        atoms = random_complex(rng, (24, 90)).astype(np.complex64)
+        path = tmp_path / "dict.mrfb"
+        epg.save_dictionary(epg.Dictionary(atoms, epg.default_schedule(24), grid), path)
+        return path
+
+    @pytest.mark.parametrize("chunk", [16, 512], ids=["partial-last-block", "one-block"])
+    def test_stage_matches_loaded_dictionary(self, dict_path, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(epg, "CHUNK_SIZE", chunk)
+        streamed, loaded = tmp_path / "streamed.mrfb", tmp_path / "loaded.mrfb"
+        experiment.learn_subspace(experiment.resolve_config({"rank": 4}), dict_path, streamed)
+        subspace.save_basis(subspace.learn_subspace(epg.load_dictionary(dict_path), 4), loaded)
+        assert streamed.read_bytes() == loaded.read_bytes()
+
+    def test_gram_is_bitwise(self, dict_path, monkeypatch):
+        monkeypatch.setattr(epg, "CHUNK_SIZE", 16)
+        gram, n_atoms = subspace.atom_gram(epg.load_dictionary(dict_path, stream=True), 4)
+        expected, _ = subspace.atom_gram(epg.load_dictionary(dict_path), 4)
+        assert n_atoms == 90 and np.array_equal(gram, expected)
 
 
 class TestProjectExpand:
