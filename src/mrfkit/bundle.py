@@ -106,7 +106,8 @@ class _Fields(dict):
             remedy = f"; rerun {rerun} to write it again" if rerun else ""
             raise DtypeError(f"{self.path} {self.what} {name!r} must be {dtype}, "
                              f"got {value.dtype.name}{remedy}")
-        if value.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, value.shape)):
+        if len(value.shape) != len(shape) or any(n not in (None, m)
+                                                 for n, m in zip(shape, value.shape)):
             dims = ", ".join("*" if n is None else str(n) for n in shape)
             comma = "," if len(shape) == 1 else ""
             raise self.fault(name, f"must have shape ({dims}{comma}), got {value.shape}")
@@ -144,8 +145,8 @@ class Deferred:
 @dataclass(frozen=True)
 class Stored:
     """An array that read_bundle left in the file, after checking that its
-    payload is there; column_blocks reads a 2-D one. The dtype, shape and ndim
-    are the array's, so _Fields.array checks them as it checks an ndarray."""
+    payload is there; column_blocks reads a 2-D one. The dtype and shape are
+    the array's, so _Fields.array checks them as it checks an ndarray."""
 
     fields: _Fields
     name: str
@@ -153,22 +154,18 @@ class Stored:
     shape: tuple
     dtype: np.dtype
 
-    @property
-    def ndim(self) -> int:
-        return len(self.shape)
-
-    def column_blocks(self, width: int):
-        """Yield the blocks of width columns (the last may be narrower) of a
-        2-D array in order, each read with one pread per row into one reused
-        buffer, so a block is valid only until the next is read. Each block
-        is checked finite as _Fields.array checks a whole array."""
+    def column_blocks(self, bounds):
+        """Yield columns lo .. hi - 1 of a 2-D array for each (lo, hi) of
+        bounds in turn, each block read with one pread per row into one
+        reused buffer, so a block is valid only until the next is read. Each
+        block is checked finite as _Fields.array checks a whole array."""
         rows, cols = self.shape
         itemsize = self.dtype.itemsize
-        buffer = np.empty((rows, min(width, cols)), self.dtype)
+        buffer = np.empty((rows, max((hi - lo for lo, hi in bounds), default=0)), self.dtype)
         fd = os.open(self.fields.path, os.O_RDONLY)
         try:
-            for lo in range(0, cols, width):
-                block = buffer[:, : min(width, cols - lo)]
+            for lo, hi in bounds:
+                block = buffer[:, : hi - lo]
                 for t, row in enumerate(block):
                     if os.preadv(fd, [row], self.offset + (t * cols + lo) * itemsize) != row.nbytes:
                         raise TruncatedError(f"array {self.name!r}: file ended inside its payload")
@@ -346,10 +343,7 @@ def read_bundle(path, kind: str | None = None, defer: str | None = None) -> tupl
             if not isinstance(dtype_name, str) or dtype_name not in _DTYPES:
                 raise DtypeError(f"unknown dtype {dtype_name!r}")
             dtype = _DTYPES[dtype_name]
-            count = 1
-            for s in shape:
-                count *= s
-            nbytes = count * dtype.itemsize
+            nbytes = math.prod(shape) * dtype.itemsize
             if offset < 8 + header_len or offset % ALIGNMENT:
                 raise HeaderError(f"bad offset {offset} for array {name!r}")
             if offset + nbytes > size:

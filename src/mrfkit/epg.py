@@ -103,11 +103,11 @@ class GridSpec:
 @dataclass
 class Dictionary:
     """Simulated fingerprints, one column per pair of the grid in its
-    T1-major order; the labels are those pairs. The atoms of a dictionary
-    loaded with stream are a bundle.Stored, and write_dictionary saves one
-    whose atoms are a bundle.Deferred: both have the atoms' shape."""
+    T1-major order; the labels are those pairs. A loaded dictionary's atoms
+    are a bundle.Stored, and write_dictionary saves one whose atoms are a
+    bundle.Deferred: both have the atoms' shape."""
 
-    atoms: np.ndarray  # complex64, (L, d)
+    atoms: np.ndarray  # complex64, (L, d), or a bundle.Stored
     schedule: SequenceSchedule
     grid_spec: GridSpec
     t1_ms: np.ndarray = field(init=False)  # float32, (d,)
@@ -127,6 +127,27 @@ class Dictionary:
     @property
     def n_atoms(self) -> int:
         return self.atoms.shape[1]
+
+
+def _block_bounds(n: int) -> list[tuple[int, int]]:
+    """[lo, hi) of each block of n atoms, in order: CHUNK_SIZE atoms each,
+    but a block of one atom would take numpy's matrix-vector product, which
+    sums in another order, so a last single atom joins the block before it."""
+    starts = list(range(0, n, CHUNK_SIZE))
+    if len(starts) > 1 and starts[-1] == n - 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def atom_blocks(atoms):
+    """Iterate over ((lo, hi), block) for the atoms' columns lo .. hi - 1 of
+    each block of _block_bounds in turn. atoms is an (L, d) ndarray, whose
+    blocks are views, or a bundle.Stored, whose blocks are read and checked
+    finite one at a time into one buffer, each valid until the next is read."""
+    bounds = _block_bounds(atoms.shape[1])
+    if isinstance(atoms, bundle.Stored):
+        return zip(bounds, atoms.column_blocks(bounds))
+    return zip(bounds, (atoms[:, lo:hi] for lo, hi in bounds))
 
 
 def default_schedule(
@@ -226,7 +247,7 @@ def simulate_fingerprints(
 ) -> np.ndarray:
     """Simulate fingerprints for arrays of tissues at once.
 
-    Blocks of CHUNK_SIZE tissues are shared among up to one process per CPU
+    The blocks of _block_bounds are shared among up to one process per CPU
     this process may run on; the output is the same for any number.
 
     Parameters
@@ -283,12 +304,12 @@ def _tissues(t1_ms, t2_ms, schedule: SequenceSchedule, k_max) -> tuple:
 
 def _share_count(n_tissues: int) -> int:
     """Processes that simulate n tissues: one per block, at most _worker_count."""
-    return max(1, min(-(-n_tissues // CHUNK_SIZE), _worker_count()))
+    return max(1, min(len(_block_bounds(n_tissues)), _worker_count()))
 
 
 def _simulate(t1, t2, schedule: SequenceSchedule, n_orders: int, workers: int, store) -> None:
-    """Simulate the tissues of _tissues' checked arrays in blocks of
-    CHUNK_SIZE, shared among workers processes; each process calls
+    """Simulate the tissues of _tissues' checked arrays in the blocks of
+    _block_bounds, shared among workers processes; each process calls
     store(lo, signal, echo) for each block it simulates, where lo is the
     block's first tissue, signal the (L, n) float32 F0 magnitudes and echo
     the (n,) float32 decays to the echo time: the block's atoms are
@@ -303,9 +324,9 @@ def _simulate(t1, t2, schedule: SequenceSchedule, n_orders: int, workers: int, s
 
     def run_share(k):
         """Simulate and store blocks k, k + workers, ..."""
-        for lo in range(k * CHUNK_SIZE, t1.size, workers * CHUNK_SIZE):
-            block = slice(lo, lo + CHUNK_SIZE)
-            signal = np.empty((schedule.n_frames, e1[block].size), dtype=np.float32)
+        for lo, hi in _block_bounds(t1.size)[k::workers]:
+            block = slice(lo, hi)
+            signal = np.empty((schedule.n_frames, hi - lo), dtype=np.float32)
             _simulate_block(coefficients, n_orders, z0[block], e1[block], e2[block],
                             recovery[block], signal)
             store(lo, signal, echo[block])
@@ -374,7 +395,8 @@ def write_dictionary(
     def fill(fd, offset):
         # zero-filled, and only the imaginary part is written: the real part
         # of every atom is +0.0, as in simulate_fingerprints
-        rows = np.zeros((n_frames, min(CHUNK_SIZE, n_atoms)), dtype=np.complex64)
+        widest = max(hi - lo for lo, hi in _block_bounds(n_atoms))
+        rows = np.zeros((n_frames, widest), dtype=np.complex64)
 
         def store(lo, signal, echo):
             block = rows[:, : signal.shape[1]]
@@ -415,11 +437,10 @@ def save_dictionary(dictionary: Dictionary, path) -> None:
 
 
 @bundle.loader
-def load_dictionary(path, stream: bool = False) -> Dictionary:
-    """Read a dictionary bundle. With stream, every check but the atoms'
-    finiteness runs as without it, but the atoms stay in the file: they are
-    a bundle.Stored, whose column_blocks read them and check each block."""
-    arrays, meta = bundle.read_bundle(path, kind="dictionary", defer="atoms" if stream else None)
+def load_dictionary(path) -> Dictionary:
+    """Read a dictionary bundle, all but its atoms, which stay in the file as
+    a bundle.Stored: atom_blocks reads them and checks each block finite."""
+    arrays, meta = bundle.read_bundle(path, kind="dictionary", defer="atoms")
     atoms = arrays.array("atoms", (None, None), "complex64")
     schedule = SequenceSchedule(
         arrays.array("flip_angles_deg", (atoms.shape[0],), "float32").astype(np.float64),

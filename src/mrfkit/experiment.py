@@ -154,9 +154,7 @@ def simulate_dict(cfg: dict, out_path) -> tuple[int, int]:
 
 def learn_subspace(cfg: dict, dict_path, out_path) -> subspace.SubspaceBasis:
     """Learn the rank-S temporal subspace from a dictionary bundle."""
-    # the atoms are read a block at a time while G is formed
-    gram, n_atoms = subspace.atom_gram(epg.load_dictionary(dict_path, stream=True), cfg["rank"])
-    basis = subspace.gram_basis(gram, n_atoms, cfg["rank"])
+    basis = subspace.learn_subspace(epg.load_dictionary(dict_path), cfg["rank"])
     subspace.save_basis(basis, out_path)
     return basis
 

@@ -14,20 +14,22 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import bundle
-from .epg import CHUNK_SIZE, Dictionary
+from .epg import Dictionary, atom_blocks
 from .subspace import SubspaceBasis, phase_align, project
 
 BACKGROUND_REL_NORM = 1e-3
 MOMENTUM = 0.9
-# voxels per block in dictionary_match; it bounds memory and does not affect
-# values beyond BLAS rounding. 64 rows of scores against the default 4661-atom
-# dictionary (2.4 MB) stay near one core's L2 cache; 2048 rows took twice as
-# long and 76 MB.
+# voxels per block in dictionary_match, fewer against a dictionary so large
+# that their scores would pass MATCH_SCORES; they bound memory and do not
+# affect values beyond BLAS rounding. 64 rows against the default 4661 atoms
+# (2.4 MB) stay near one core's L2 cache; 2048 took twice as long and 76 MB.
 MATCH_CHUNK = 64
-# training rows per block in make_training_set and train; it bounds the
-# working memory to a few MB whatever the row count and does not affect
-# values: every step is row by row
-_TRAINING_BLOCK = 8192
+MATCH_SCORES = 300_000
+# rows per block in make_training_set, train and MrfNet.predict_ms: a few MB
+# whatever the row count (6.5 MB through the default hidden layers). Values do
+# not change, as every step is row by row; BLAS may round a last block of a
+# few rows differently.
+_TRAINING_BLOCK = 4096
 
 
 @dataclass
@@ -168,9 +170,14 @@ class MrfNet:
         return np.array([self.t1_range, self.t2_range], np.float64).T
 
     def predict_ms(self, x: np.ndarray) -> np.ndarray:
-        """De-normalized predictions clamped to the training grid ranges."""
+        """De-normalized predictions clamped to the training grid ranges,
+        _TRAINING_BLOCK rows at a time."""
         lo, hi = self._bounds()
-        return np.clip(lo + self.forward(x).astype(np.float64) * (hi - lo), lo, hi)
+        out = np.empty((x.shape[0], 2))
+        for r0 in range(0, x.shape[0], _TRAINING_BLOCK):
+            normalized = self.forward(x[r0 : r0 + _TRAINING_BLOCK]).astype(np.float64)
+            out[r0 : r0 + _TRAINING_BLOCK] = np.clip(lo + normalized * (hi - lo), lo, hi)
+        return out
 
     def normalize_targets(self, targets_ms: np.ndarray) -> np.ndarray:
         """(T1, T2) rows in milliseconds mapped to [0, 1] by the grid ranges,
@@ -200,7 +207,7 @@ def make_training_set(
 
     The rows are built _TRAINING_BLOCK at a time, drawing each block's noise
     in stream order, so the working memory does not grow with N; the atoms
-    are projected CHUNK_SIZE at a time, so beyond the (d, S) projections it
+    are projected a block at a time, so beyond the (d, S) projections it
     does not grow with d either.
     """
     aug = cfg.augment_factor
@@ -295,17 +302,10 @@ def _atom_projections(dictionary: Dictionary, basis: SubspaceBasis,
     """Complex128 subspace coefficients (d, S) of every atom, unit-normalized
     first when normalized is set; bit for bit those of the whole atom matrix.
 
-    The atoms are projected CHUNK_SIZE at a time, so the complex128 copies the
-    product needs hold one block, not the dictionary. A block of one atom
-    would take numpy's matrix-vector product, which sums in another order,
-    so a last single atom joins the block before it."""
-    n = dictionary.n_atoms
-    coeffs = np.empty((n, basis.rank_s), dtype=np.complex128)
-    starts = list(range(0, n, CHUNK_SIZE))
-    if len(starts) > 1 and starts[-1] == n - 1:
-        starts.pop()
-    for lo, hi in zip(starts, starts[1:] + [n]):
-        block = dictionary.atoms[:, lo:hi]
+    The atoms are projected a block of atom_blocks at a time, so the
+    complex128 copies the product needs hold one block, not the dictionary."""
+    coeffs = np.empty((dictionary.n_atoms, basis.rank_s), dtype=np.complex128)
+    for (lo, hi), block in atom_blocks(dictionary.atoms):
         if normalized:
             norms = np.linalg.norm(block, axis=0, keepdims=True)
             norms[norms == 0] = 1.0
@@ -345,8 +345,7 @@ def infer(net: MrfNet, coeffs: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected (n, {net.rank}) coefficients")
     fg, _, rows = _foreground(coeffs)
     maps = np.zeros((coeffs.shape[0], 2))
-    if fg.any():
-        maps[fg] = net.predict_ms(rows.astype(net.weights[0].dtype))
+    maps[fg] = net.predict_ms(rows.astype(net.weights[0].dtype))
     return maps
 
 
@@ -370,8 +369,9 @@ def dictionary_match(
     pd = np.zeros(coeffs.shape[0])
     best_idx = np.empty(rows.shape[0], dtype=np.int64)
     best_score = np.empty(rows.shape[0])
-    for lo in range(0, rows.shape[0], MATCH_CHUNK):
-        hi = min(lo + MATCH_CHUNK, rows.shape[0])
+    chunk = max(1, min(MATCH_CHUNK, MATCH_SCORES // dictionary.n_atoms))
+    for lo in range(0, rows.shape[0], chunk):
+        hi = min(lo + chunk, rows.shape[0])
         scores = rows[lo:hi] @ table.T
         best_idx[lo:hi] = np.argmax(scores, axis=1)
         best_score[lo:hi] = scores[np.arange(lo, hi) - lo, best_idx[lo:hi]]

@@ -9,7 +9,6 @@ reconstruction is ``coeffs @ v.T``, so ``project(x) @ v.T`` is the orthogonal
 projection onto the model subspace.
 """
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,52 +68,7 @@ def learn_subspace(dictionary, rank: int) -> SubspaceBasis:
     rank : int
         Number of leading left singular vectors to retain.
     """
-    return gram_basis(*atom_gram(dictionary, rank), rank)
-
-
-def atom_gram(dictionary, rank: int) -> tuple[np.ndarray, int]:
-    """G = Re(D D^H) = Re D Re D^T + Im D Im D^T, float64 (L, L), and the atom
-    count d, from learn_subspace's arguments; the rank is checked first.
-
-    G sums blocks of epg.CHUNK_SIZE atoms, one plane of one block in float64
-    at a time, so beyond G this holds one (L, L) product and one block plane.
-    A plane that is all zero, such as a simulated dictionary's real plane,
-    adds nothing and is skipped. Atoms left in their file (a bundle.Stored)
-    are read one block at a time, each checked finite as it is read, so they
-    are never held whole; atoms in memory are freed before eigh's workspace
-    is allocated by a caller that drops its last reference to them first.
-    """
-    atoms = dictionary.atoms if isinstance(dictionary, epg.Dictionary) else dictionary
-    if not isinstance(atoms, bundle.Stored):
-        atoms = np.asarray(atoms)
-    if atoms.ndim != 2:
-        raise ValueError("atom matrix must be 2-D")
-    n_frames, n_atoms = atoms.shape
-    if not 1 <= rank <= min(n_frames, n_atoms):
-        raise ValueError(f"rank must be in [1, {min(n_frames, n_atoms)}]")
-
-    width = epg.CHUNK_SIZE
-    if isinstance(atoms, bundle.Stored):
-        blocks = atoms.column_blocks(width)
-    else:
-        blocks = (atoms[:, lo : lo + width] for lo in range(0, n_atoms, width))
-    gram = np.zeros((n_frames, n_frames))
-    product = np.empty_like(gram)
-    # an inf atom entry makes NaNs, rejected below; closing the blocks closes
-    # a Stored's file at once if an error leaves them unread
-    with np.errstate(invalid="ignore"), contextlib.closing(blocks):
-        for block in blocks:
-            for plane in (block.real, block.imag) if atoms.dtype.kind == "c" else (block,):
-                if plane.any():  # a NaN is nonzero, so it reaches G
-                    w = plane.astype(np.float64)
-                    np.matmul(w, w.T, out=product)  # one symmetric rank-k update
-                    gram += product
-                    del w  # before the next plane is converted
-    return gram, n_atoms
-
-
-def gram_basis(gram: np.ndarray, n_atoms: int, rank: int) -> SubspaceBasis:
-    """The rank-S basis and min(L, 2d) singular values from atom_gram's G."""
+    gram, n_atoms = atom_gram(dictionary, rank)
     if not np.isfinite(gram).all():  # every non-finite atom entry reaches G
         raise ValueError("dictionary has non-finite atoms (NaN or inf)")
     n_frames = gram.shape[0]
@@ -123,6 +77,38 @@ def gram_basis(gram: np.ndarray, n_atoms: int, rank: int) -> SubspaceBasis:
     # eigh's vectors are Fortran-ordered; v is row-major, as a loaded basis is
     v = np.ascontiguousarray(_fix_column_signs(eigvecs[:, ::-1][:, :rank]))
     return SubspaceBasis(v=v, s_values=s_values)
+
+
+def atom_gram(dictionary, rank: int) -> tuple[np.ndarray, int]:
+    """G = Re(D D^H) = Re D Re D^T + Im D Im D^T, float64 (L, L), and the atom
+    count d, from learn_subspace's arguments; the rank is checked first.
+
+    G sums the blocks of epg.atom_blocks, one plane of one block in float64
+    at a time, so beyond G this holds one (L, L) product and one block plane.
+    A plane that is all zero, such as a simulated dictionary's real plane,
+    adds nothing and is skipped. Atoms left in their file (a bundle.Stored)
+    are never held whole.
+    """
+    atoms = dictionary.atoms if isinstance(dictionary, epg.Dictionary) else dictionary
+    if not isinstance(atoms, bundle.Stored):
+        atoms = np.asarray(atoms)
+    if len(atoms.shape) != 2:
+        raise ValueError("atom matrix must be 2-D")
+    n_frames, n_atoms = atoms.shape
+    if not 1 <= rank <= min(n_frames, n_atoms):
+        raise ValueError(f"rank must be in [1, {min(n_frames, n_atoms)}]")
+
+    gram = np.zeros((n_frames, n_frames))
+    product = np.empty_like(gram)
+    with np.errstate(invalid="ignore"):  # an inf atom entry makes NaNs, rejected below
+        for _, block in epg.atom_blocks(atoms):
+            for plane in (block.real, block.imag) if atoms.dtype.kind == "c" else (block,):
+                if plane.any():  # a NaN is nonzero, so it reaches G
+                    w = plane.astype(np.float64)
+                    np.matmul(w, w.T, out=product)  # one symmetric rank-k update
+                    gram += product
+                    del w  # before the next plane is converted
+    return gram, n_atoms
 
 
 def project(series: np.ndarray, basis: SubspaceBasis) -> np.ndarray:

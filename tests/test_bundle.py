@@ -310,7 +310,7 @@ class TestStreamedPayloads:
         np.testing.assert_array_equal(arrays["b"], [0, 1, 2])
         stored = arrays.array("atoms", (5, None), "complex64")
         assert isinstance(stored, bundle.Stored) and stored.shape == (5, 7)
-        blocks = [block.copy() for block in stored.column_blocks(3)]
+        blocks = [block.copy() for block in stored.column_blocks([(0, 3), (3, 6), (6, 7)])]
         assert [block.shape[1] for block in blocks] == [3, 3, 1]
         np.testing.assert_array_equal(np.concatenate(blocks, axis=1), atoms)
         with pytest.raises(bundle.DtypeError, match="'atoms' must be float32, got complex64"):
@@ -324,7 +324,8 @@ class TestStreamedPayloads:
         path = tmp_path / "t.mrfb"
         bundle.write_bundle(path, {"atoms": atoms})
         arrays, _ = bundle.read_bundle(path, defer="atoms")
-        blocks = arrays.array("atoms", (None, None), "complex64").column_blocks(3)
+        blocks = arrays.array("atoms", (None, None), "complex64").column_blocks(
+            [(0, 3), (3, 6), (6, 7)])
         next(blocks), next(blocks)  # the first two blocks are finite
         with pytest.raises(bundle.HeaderError,
                            match=f"{path} array 'atoms' has non-finite entries"):
@@ -336,7 +337,7 @@ class TestStreamedPayloads:
         arrays, _ = bundle.read_bundle(path, defer="atoms")
         os.truncate(path, os.path.getsize(path) - 8)
         with pytest.raises(bundle.TruncatedError, match="'atoms': file ended inside"):
-            list(arrays["atoms"].column_blocks(3))
+            list(arrays["atoms"].column_blocks([(0, 3), (3, 7)]))
 
     def test_short_write_raises(self, tmp_path, atoms, monkeypatch):
         path = tmp_path / "t.mrfb"

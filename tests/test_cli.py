@@ -539,7 +539,7 @@ class TestExitCodes:
         # 1086 atoms: learn-subspace reads blocks of 512, 512 and 62
         (8, "300:10:2100", "first"), (8, "300:10:2100", "last"),
     ], ids=["narrow", "wide", "first-block", "last-block"])
-    def test_non_finite_atoms_are_usage_error(self, tmp_path, capsys, frames, t1, at, bad):
+    def test_non_finite_atoms_are_io_error(self, tmp_path, capsys, frames, t1, at, bad):
         d, b, x = tmp_path / "d.mrfb", tmp_path / "b.mrfb", tmp_path / "x.mrfb"
         assert run_cli("simulate-dict", "--t1", t1, "--t2", "40:60:340",
                        "--frames", str(frames), "--out", str(d)) == 0
@@ -547,9 +547,10 @@ class TestExitCodes:
         basis = subspace.load_basis(b)
         solver.save_reconstruction(np.ones((64, 3), np.complex64), basis, (8, 8), x)
         dictionary = epg.load_dictionary(d)
+        atoms = bundle.read_bundle(d)[0]["atoms"]  # whole, in memory
         col = {"first": 0, "middle": dictionary.n_atoms // 2, "last": dictionary.n_atoms - 2}[at]
-        dictionary.atoms[frames // 2, col : col + 2] = bad, -bad  # inf + -inf is NaN
-        epg.save_dictionary(dictionary, d)
+        atoms[frames // 2, col : col + 2] = bad, -bad  # inf + -inf is NaN
+        epg.save_dictionary(epg.Dictionary(atoms, dictionary.schedule, dictionary.grid_spec), d)
         capsys.readouterr()
         for args in (("learn-subspace", "--dict", str(d), "--rank", "3"),
                      ("match", "--dict", str(d), "--in", str(x)),
@@ -1046,11 +1047,16 @@ def test_stream_peaks_do_not_grow_with_atoms(tmp_path):
     # buffers, so the peaks are the processes' own: 4661 and 4 x 4661 atoms of
     # 200 frames (7.5 and 30 MB of atoms) move each command's peak by less
     # than 4 MB
-    d, b = str(tmp_path / "d.mrfb"), str(tmp_path / "b.mrfb")
+    d, b, x, out = (str(tmp_path / name) for name in ("d.mrfb", "b.mrfb", "x.mrfb", "o.mrfb"))
     peaks = []
     for t2 in ("20:10:600", "20:2.5:607.5"):
         peaks.append([peak_rss_kb("simulate-dict", "--t2", t2, "--out", d),
                       peak_rss_kb("learn-subspace", "--dict", d, "--out", b)])
-    assert epg.load_dictionary(d, stream=True).n_atoms == 4 * 4661
+        basis = subspace.load_basis(b)
+        solver.save_reconstruction(np.ones((64, basis.rank_s), np.complex64), basis, (8, 8), x)
+        peaks[-1] += [peak_rss_kb("train-net", "--dict", d, "--basis", b, "--augment", "1",
+                                  "--epochs", "1", "--out", out),
+                      peak_rss_kb("match", "--dict", d, "--in", x, "--out", out)]
+    assert epg.load_dictionary(d).n_atoms == 4 * 4661
     for small, large in zip(*peaks):
         assert large - small < 4 * 1024, peaks

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from mrfkit import epg
+from mrfkit import bundle, epg
 
 from oracles import bloch_fingerprint, epg_reference, simulate_fingerprint
 
@@ -14,6 +14,12 @@ TIMINGS = {"tr_ms": 10.0, "te_ms": 1.908, "tinv_ms": 18.0}
 def assert_same_bits(a, b):
     assert a.shape == b.shape and a.dtype == b.dtype == np.complex64
     assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+def read_atoms(dictionary):
+    """A dictionary's atoms as one array, read block by block by atom_blocks."""
+    blocks = [block.copy() for _, block in epg.atom_blocks(dictionary.atoms)]
+    return np.concatenate(blocks, axis=1)
 
 
 class TestSchedule:
@@ -312,7 +318,7 @@ class TestDictionaryRoundTrip:
         path = tmp_path / "dict.mrfb"
         epg.save_dictionary(small_dictionary, path)
         loaded = epg.load_dictionary(path)
-        np.testing.assert_array_equal(loaded.atoms, small_dictionary.atoms)
+        np.testing.assert_array_equal(read_atoms(loaded), small_dictionary.atoms)
         np.testing.assert_array_equal(loaded.t1_ms, small_dictionary.t1_ms)
         assert loaded.schedule.tr_ms == small_dictionary.schedule.tr_ms
         assert loaded.grid_spec == small_dictionary.grid_spec
@@ -340,14 +346,15 @@ class TestWriteDictionary:
         assert streamed.read_bytes() == saved.read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["saved.mrfb", "streamed.mrfb"]
 
-    def test_stream_load_checks_all_but_atoms(self, small_dictionary, tmp_path):
-        # a streamed load has the whole load's schedule, grid and labels, and
-        # its atoms read back as the same columns
+    def test_stream_load_checks_all_but_atoms(self, small_dictionary, tmp_path, monkeypatch):
+        # a load leaves the atoms in the file; it has the saved schedule, grid
+        # and labels, and its atoms read back as the same columns
+        monkeypatch.setattr(epg, "CHUNK_SIZE", 4)
         path = tmp_path / "dict.mrfb"
         epg.save_dictionary(small_dictionary, path)
-        streamed = epg.load_dictionary(path, stream=True)
+        streamed = epg.load_dictionary(path)
+        assert isinstance(streamed.atoms, bundle.Stored)
         assert streamed.atoms.shape == small_dictionary.atoms.shape
         assert streamed.grid_spec == small_dictionary.grid_spec
         np.testing.assert_array_equal(streamed.t2_ms, small_dictionary.t2_ms)
-        blocks = [block.copy() for block in streamed.atoms.column_blocks(4)]
-        assert_same_bits(np.concatenate(blocks, axis=1), small_dictionary.atoms)
+        assert_same_bits(read_atoms(streamed), small_dictionary.atoms)

@@ -129,6 +129,39 @@ class TestAtomProjections:
         assert not np.allclose(np.linalg.norm(raw, axis=1), 1.0)
 
 
+class TestFileBackedAtoms:
+    """A loaded dictionary's atoms stay in its file; atom_blocks reads them in
+    the blocks it takes from an in-memory matrix, a last single atom joined to
+    the block before it."""
+
+    @pytest.fixture
+    def dictionaries(self, short_schedule, tmp_path, monkeypatch):
+        """A built 3 x 3 dictionary, 9 = 2 * 4 + 1 atoms in blocks of 4, its
+        file-backed load and a rank-3 basis."""
+        monkeypatch.setattr(epg, "CHUNK_SIZE", 4)
+        grid = epg.GridSpec(t1=epg.GridRange(400, 800, 2000), t2=epg.GridRange(40, 80, 200))
+        built = epg.build_dictionary(grid, short_schedule)
+        path = tmp_path / "dict.mrfb"
+        epg.save_dictionary(built, path)
+        return built, epg.load_dictionary(path), subspace.learn_subspace(built, 3)
+
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_projections_equal_whole_matrix(self, dictionaries, normalized):
+        built, loaded, basis = dictionaries
+        got = inference._atom_projections(loaded, basis, normalized)
+        ref = atom_projections_reference(built, basis, normalized)
+        np.testing.assert_array_equal(bits(got), bits(ref))
+
+    def test_match_equals_in_memory(self, dictionaries, rng):
+        built, loaded, basis = dictionaries
+        rows = np.concatenate([rng.standard_normal((2 * inference.MATCH_CHUNK + 3, 3)),
+                               clean_projections(built, basis)[0]])
+        maps, pd = inference.dictionary_match(rows, loaded, basis)
+        ref_maps, ref_pd = inference.dictionary_match(rows, built, basis)
+        np.testing.assert_array_equal(bits(maps), bits(ref_maps))
+        np.testing.assert_array_equal(bits(pd), bits(ref_pd))
+
+
 class TestWorkingMemory:
     """tracemalloc bounds on what the blocked paths hold beyond their outputs."""
 

@@ -119,9 +119,12 @@ class TestLearnSubspace:
 
 def gram_input(name, rng, desk_dictionary):
     """An atom matrix for the Gram tests; the simulated one ends in a partial
-    block (4661 = 9 * 512 + 53 atoms)."""
+    block (4661 = 9 * 512 + 53 atoms), and the joined one in a single atom
+    that joins the block before it (4097 = 8 * 512 + 1)."""
     if name == "simulated":
         return desk_dictionary.atoms
+    if name == "joined":
+        return desk_dictionary.atoms[:, : 8 * epg.CHUNK_SIZE + 1]
     if name == "complex":  # both planes nonzero
         return random_complex(rng, (40, 2 * epg.CHUNK_SIZE + 76))
     if name == "real":
@@ -129,7 +132,7 @@ def gram_input(name, rng, desk_dictionary):
     return (rng.standard_normal((40, 700)) + 0j).astype(np.complex64)  # a zero imaginary plane
 
 
-GRAM_INPUTS = ["simulated", "complex", "real", "zero-imaginary"]
+GRAM_INPUTS = ["simulated", "joined", "complex", "real", "zero-imaginary"]
 
 
 class TestAtomGram:
@@ -223,7 +226,7 @@ class TestGramMemory:
 
 class TestStreamedGram:
     """The learn-subspace stage reads the atoms from the file a block at a
-    time; its G, and so its basis file, are those of the loaded atoms."""
+    time; its G, and so its basis file, are those of the atoms read whole."""
 
     @pytest.fixture
     def dict_path(self, rng, tmp_path):
@@ -235,19 +238,25 @@ class TestStreamedGram:
         epg.save_dictionary(epg.Dictionary(atoms, epg.default_schedule(24), grid), path)
         return path
 
-    @pytest.mark.parametrize("chunk", [16, 512], ids=["partial-last-block", "one-block"])
+    @pytest.mark.parametrize("chunk", [16, 89, 512],
+                             ids=["partial-last-block", "joined-single-atom", "one-block"])
     def test_stage_matches_loaded_dictionary(self, dict_path, tmp_path, monkeypatch, chunk):
         monkeypatch.setattr(epg, "CHUNK_SIZE", chunk)
         streamed, loaded = tmp_path / "streamed.mrfb", tmp_path / "loaded.mrfb"
         experiment.learn_subspace(experiment.resolve_config({"rank": 4}), dict_path, streamed)
-        subspace.save_basis(subspace.learn_subspace(epg.load_dictionary(dict_path), 4), loaded)
+        subspace.save_basis(subspace.learn_subspace(whole_atoms(dict_path), 4), loaded)
         assert streamed.read_bytes() == loaded.read_bytes()
 
     def test_gram_is_bitwise(self, dict_path, monkeypatch):
         monkeypatch.setattr(epg, "CHUNK_SIZE", 16)
-        gram, n_atoms = subspace.atom_gram(epg.load_dictionary(dict_path, stream=True), 4)
-        expected, _ = subspace.atom_gram(epg.load_dictionary(dict_path), 4)
+        gram, n_atoms = subspace.atom_gram(epg.load_dictionary(dict_path), 4)
+        expected, _ = subspace.atom_gram(whole_atoms(dict_path), 4)
         assert n_atoms == 90 and np.array_equal(gram, expected)
+
+
+def whole_atoms(path):
+    """The atoms of a dictionary bundle, read whole into memory."""
+    return bundle.read_bundle(path, kind="dictionary")[0]["atoms"]
 
 
 class TestProjectExpand:
