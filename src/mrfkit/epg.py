@@ -275,10 +275,8 @@ def simulate_fingerprints(
     else:
         out = np.zeros((schedule.n_frames, t1.size), dtype=np.complex64)
 
-    def store(lo, signal, echo):
-        # the atom is i * signal * echo: its real part stays the +0.0 that
-        # out starts with
-        np.multiply(signal, echo, out=out.imag[:, lo : lo + signal.shape[1]])
+    def store(lo, atoms):
+        out[:, lo : lo + atoms.shape[1]] = atoms
 
     _simulate(t1, t2, schedule, n_orders, workers, store)
     return out
@@ -310,10 +308,11 @@ def _share_count(n_tissues: int) -> int:
 def _simulate(t1, t2, schedule: SequenceSchedule, n_orders: int, workers: int, store) -> None:
     """Simulate the tissues of _tissues' checked arrays in the blocks of
     _block_bounds, shared among workers processes; each process calls
-    store(lo, signal, echo) for each block it simulates, where lo is the
-    block's first tissue, signal the (L, n) float32 F0 magnitudes and echo
-    the (n,) float32 decays to the echo time: the block's atoms are
-    i * signal * echo."""
+    store(lo, atoms) for each block it simulates, where lo is the block's
+    first tissue and atoms its (L, n) complex64 atoms i * signal * echo, for
+    the F0 magnitudes signal and the decays echo to the echo time. atoms is a
+    view of one zero-filled buffer, so its real part is +0.0 and it is valid
+    until the next call."""
     tr, te, tinv = schedule.tr_ms, schedule.te_ms, schedule.tinv_ms
     e1 = np.exp(-tr / t1).astype(np.float32)
     e2 = np.exp(-tr / t2).astype(np.float32)
@@ -324,12 +323,17 @@ def _simulate(t1, t2, schedule: SequenceSchedule, n_orders: int, workers: int, s
 
     def run_share(k):
         """Simulate and store blocks k, k + workers, ..."""
-        for lo, hi in _block_bounds(t1.size)[k::workers]:
+        bounds = _block_bounds(t1.size)
+        widest = max((hi - lo for lo, hi in bounds), default=0)
+        buffer = np.zeros((schedule.n_frames, widest), dtype=np.complex64)
+        for lo, hi in bounds[k::workers]:
             block = slice(lo, hi)
             signal = np.empty((schedule.n_frames, hi - lo), dtype=np.float32)
             _simulate_block(coefficients, n_orders, z0[block], e1[block], e2[block],
                             recovery[block], signal)
-            store(lo, signal, echo[block])
+            atoms = buffer[:, : hi - lo]
+            np.multiply(signal, echo[block], out=atoms.imag)
+            store(lo, atoms)
 
     _run_forked(run_share, workers)
 
@@ -390,24 +394,17 @@ def write_dictionary(
     byte, without holding the atoms: each process that simulates a block
     writes its rows into the reserved file. Returns the atoms' shape (L, d)."""
     t1, t2, n_orders = _tissues(*grid.pairs(), schedule, k_max)
-    n_frames, n_atoms = shape = schedule.n_frames, t1.size
+    n_atoms = t1.size
 
     def fill(fd, offset):
-        # zero-filled, and only the imaginary part is written: the real part
-        # of every atom is +0.0, as in simulate_fingerprints
-        widest = max(hi - lo for lo, hi in _block_bounds(n_atoms))
-        rows = np.zeros((n_frames, widest), dtype=np.complex64)
-
-        def store(lo, signal, echo):
-            block = rows[:, : signal.shape[1]]
-            np.multiply(signal, echo, out=block.imag)
-            bundle.write_columns(fd, offset, n_atoms, lo, block)
+        def store(lo, atoms):
+            bundle.write_columns(fd, offset, n_atoms, lo, atoms)
 
         _simulate(t1, t2, schedule, n_orders, _share_count(n_atoms), store)
 
-    atoms = bundle.Deferred(shape, np.dtype(np.complex64), fill)
+    atoms = bundle.Deferred((schedule.n_frames, n_atoms), np.dtype(np.complex64), fill)
     save_dictionary(Dictionary(atoms, schedule, grid), path)
-    return shape
+    return atoms.shape
 
 
 def save_dictionary(dictionary: Dictionary, path) -> None:

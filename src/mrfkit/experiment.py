@@ -184,17 +184,15 @@ def acquire(cfg: dict, gt_path, out_path) -> fm.KSpaceData:
     del series
     if cfg["kspace_noise"] > 0:
         # the stream holds every real part, then every imaginary part; each
-        # slab of frames draws its imaginary parts in that order, so only
-        # the real parts are held whole
+        # frame draws its imaginary parts in that order, so only the real
+        # parts are held whole
         sigma = cfg["kspace_noise"]
         rng = np.random.default_rng(seed + 1)
         real = rng.normal(0.0, sigma, data.y.shape)
-        for lo in range(0, frames, fm._FRAME_BLOCK):
-            hi = min(lo + fm._FRAME_BLOCK, frames)
-            noise = real[lo:hi] + 1j * rng.normal(0.0, sigma, real[lo:hi].shape)
-            noise *= pattern.masks[lo:hi, None, :, :]
-            data.y[lo:hi] += noise
-            del noise  # before the next slab is drawn
+        for t in range(frames):
+            noise = real[t] + 1j * rng.normal(0.0, sigma, real[t].shape)
+            noise *= pattern.masks[t]
+            data.y[t] += noise
         del real
     fm.save_kspace(data, coils, out_path, seed=seed, accel=float(cfg["accel"]),
                    kspace_noise=cfg["kspace_noise"])

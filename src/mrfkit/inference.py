@@ -19,11 +19,10 @@ from .subspace import SubspaceBasis, phase_align, project
 
 BACKGROUND_REL_NORM = 1e-3
 MOMENTUM = 0.9
-# voxels per block in dictionary_match, fewer against a dictionary so large
-# that their scores would pass MATCH_SCORES; they bound memory and do not
-# affect values beyond BLAS rounding. 64 rows against the default 4661 atoms
+# scores per block in dictionary_match, which scores MATCH_SCORES // d voxels
+# (at least one) at a time against d atoms. Blocks bound memory and do not
+# affect values beyond BLAS rounding: 64 rows against the default 4661 atoms
 # (2.4 MB) stay near one core's L2 cache; 2048 took twice as long and 76 MB.
-MATCH_CHUNK = 64
 MATCH_SCORES = 300_000
 # rows per block in make_training_set, train and MrfNet.predict_ms: a few MB
 # whatever the row count (6.5 MB through the default hidden layers). Values do
@@ -369,12 +368,13 @@ def dictionary_match(
     pd = np.zeros(coeffs.shape[0])
     best_idx = np.empty(rows.shape[0], dtype=np.int64)
     best_score = np.empty(rows.shape[0])
-    chunk = max(1, min(MATCH_CHUNK, MATCH_SCORES // dictionary.n_atoms))
+    chunk = max(1, MATCH_SCORES // dictionary.n_atoms)
     for lo in range(0, rows.shape[0], chunk):
         hi = min(lo + chunk, rows.shape[0])
         scores = rows[lo:hi] @ table.T
         best_idx[lo:hi] = np.argmax(scores, axis=1)
         best_score[lo:hi] = scores[np.arange(lo, hi) - lo, best_idx[lo:hi]]
+        del scores  # before the next block is scored
 
     maps[fg, 0] = dictionary.t1_ms[best_idx]
     maps[fg, 1] = dictionary.t2_ms[best_idx]

@@ -85,9 +85,9 @@ def atom_gram(dictionary, rank: int) -> tuple[np.ndarray, int]:
 
     G sums the blocks of epg.atom_blocks, one plane of one block in float64
     at a time, so beyond G this holds one (L, L) product and one block plane.
-    A plane that is all zero, such as a simulated dictionary's real plane,
-    adds nothing and is skipped. Atoms left in their file (a bundle.Stored)
-    are never held whole.
+    A plane that is all zero, such as a simulated dictionary's real plane or
+    a real array's imaginary plane, adds nothing and is skipped. Atoms left
+    in their file (a bundle.Stored) are never held whole.
     """
     atoms = dictionary.atoms if isinstance(dictionary, epg.Dictionary) else dictionary
     if not isinstance(atoms, bundle.Stored):
@@ -102,7 +102,7 @@ def atom_gram(dictionary, rank: int) -> tuple[np.ndarray, int]:
     product = np.empty_like(gram)
     with np.errstate(invalid="ignore"):  # an inf atom entry makes NaNs, rejected below
         for _, block in epg.atom_blocks(atoms):
-            for plane in (block.real, block.imag) if atoms.dtype.kind == "c" else (block,):
+            for plane in (block.real, block.imag):
                 if plane.any():  # a NaN is nonzero, so it reaches G
                     w = plane.astype(np.float64)
                     np.matmul(w, w.T, out=product)  # one symmetric rank-k update

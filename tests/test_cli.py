@@ -949,11 +949,12 @@ class TestRunExperiment:
 
 
 class TestAcquire:
-    """acquire adds the k-space noise a slab of frames at a time; the bytes it
-    writes are those of the whole-array draw in tests/oracles.py."""
+    """acquire adds the k-space noise a frame at a time; the bytes it writes
+    are those of the whole-array draw in tests/oracles.py."""
 
-    # forward_model._FRAME_BLOCK is 32 frames: 40 end in a partial slab, 64
-    # fill two, 20 are less than one
+    # forward_model._FRAME_BLOCK is 32 frames, the slab that apply_frames
+    # forms the k-space in: 40 end in a partial slab, 64 fill two, 20 are
+    # less than one
     @pytest.mark.parametrize("frames", [40, 64, 20])
     @pytest.mark.parametrize("noise", [0.005, 0.0])
     def test_kspace_equals_whole_array_noise(self, tmp_path, frames, noise):
@@ -967,14 +968,14 @@ class TestAcquire:
 
     def test_noise_holds_one_float64_array(self, tmp_path, traced_peak):
         # 400 frames of 4 coils at 32 x 32: beside the 26 MB k-space, the
-        # noise's real parts (half of it), a few float64 slabs of 1 MB and
-        # the masks
+        # noise's real parts (half of it), a few complex128 frames of 64 kB,
+        # the masks and apply_frames' slabs
         cfg = experiment.resolve_config({**TINY_EXPERIMENT, "frames": 400, "coils": 4})
         gt = tmp_path / "gt.mrfb"
         experiment.make_phantom(cfg, gt)
         peak, data = traced_peak(experiment.acquire, cfg, gt, tmp_path / "kspace.mrfb")
-        slab = data.y[: forward_model._FRAME_BLOCK].real.nbytes
-        assert peak <= data.y.nbytes * 3 // 2 + 4 * slab + 2 * 2**20, (peak, data.y.nbytes)
+        frame = data.y[0].nbytes
+        assert peak <= data.y.nbytes * 3 // 2 + 4 * frame + 2 * 2**20, (peak, data.y.nbytes)
 
 
 def test_hand_pipeline_matches_run_experiment(tmp_path):

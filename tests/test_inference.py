@@ -152,9 +152,10 @@ class TestFileBackedAtoms:
         ref = atom_projections_reference(built, basis, normalized)
         np.testing.assert_array_equal(bits(got), bits(ref))
 
-    def test_match_equals_in_memory(self, dictionaries, rng):
+    def test_match_equals_in_memory(self, dictionaries, rng, monkeypatch):
         built, loaded, basis = dictionaries
-        rows = np.concatenate([rng.standard_normal((2 * inference.MATCH_CHUNK + 3, 3)),
+        monkeypatch.setattr(inference, "MATCH_SCORES", 64 * built.n_atoms)  # 64-row blocks
+        rows = np.concatenate([rng.standard_normal((2 * 64 + 3, 3)),
                                clean_projections(built, basis)[0]])
         maps, pd = inference.dictionary_match(rows, loaded, basis)
         ref_maps, ref_pd = inference.dictionary_match(rows, built, basis)
@@ -191,12 +192,12 @@ class TestWorkingMemory:
     def test_matching_holds_no_copy_of_the_atoms(self, desk_dictionary, desk_basis,
                                                  traced_peak):
         # one block of scores and the (d, S) projections, not a complex128 copy
-        # of the (L, d) atoms
+        # of the (L, d) atoms; the rows fill three blocks
         d = desk_dictionary
-        rows = clean_projections(d, desk_basis)[0][: inference.MATCH_CHUNK]
+        rows = clean_projections(d, desk_basis)[0][: 3 * (inference.MATCH_SCORES // d.n_atoms)]
         peak, _ = traced_peak(inference.dictionary_match, rows, d, desk_basis)
         table = d.n_atoms * desk_basis.rank_s * 16
-        assert peak <= 2 * table + inference.MATCH_CHUNK * d.n_atoms * 8 + 2**20, peak
+        assert peak <= 2 * table + inference.MATCH_SCORES * 8 + 2**20, peak
 
 
 class TestTrainConfig:
@@ -680,10 +681,28 @@ class TestDictionaryMatch:
         assert maps[0, 0] == d.t1_ms[4]
         assert pd[0] == pytest.approx(0.7, rel=1e-3)
 
-    def test_matches_large_block_reference(self, desk_dictionary, desk_basis, rng):
+    def test_small_dictionary_scores_one_block(self, toy_setup, monkeypatch):
+        # 200 rows against 9 atoms are 1800 scores, far under MATCH_SCORES, so
+        # one block holds them all; np.argmax sees each block of scores
+        d, basis = toy_setup
+        rows = np.tile(clean_projections(d, basis)[0], (23, 1))[:200]
+        blocks, argmax = [], np.argmax
+
+        def spy(a, *args, **kwargs):
+            if np.ndim(a) == 2 and a.shape[1] == d.n_atoms:
+                blocks.append(a.shape[0])
+            return argmax(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argmax", spy)
+        inference.dictionary_match(rows, d, basis)
+        assert blocks == [200]
+
+    def test_matches_large_block_reference(self, desk_dictionary, desk_basis, rng,
+                                           monkeypatch):
         # BLAS may round a score 1 ulp differently in a smaller block; the
         # argmax, and so the maps, must not move
-        rows = rng.standard_normal((3 * inference.MATCH_CHUNK + 5, 5))
+        monkeypatch.setattr(inference, "MATCH_SCORES", 64 * desk_dictionary.n_atoms)
+        rows = rng.standard_normal((3 * 64 + 5, 5))
         rows = np.concatenate([rows, clean_projections(desk_dictionary, desk_basis)[0]])
         maps, pd = inference.dictionary_match(rows, desk_dictionary, desk_basis)
         ref_maps, ref_pd = dictionary_match_reference(rows, desk_dictionary, desk_basis)
@@ -695,7 +714,8 @@ class TestDictionaryMatch:
                                                   monkeypatch, grid):
         # the same scoring on the whole-matrix projections gives the same bits
         d = atom_subset(desk_dictionary, *grid)
-        rows = np.concatenate([rng.standard_normal((2 * inference.MATCH_CHUNK + 3, 5)),
+        monkeypatch.setattr(inference, "MATCH_SCORES", 64 * d.n_atoms)  # 64-row blocks
+        rows = np.concatenate([rng.standard_normal((2 * 64 + 3, 5)),
                                clean_projections(d, desk_basis)[0]])
         maps, pd = inference.dictionary_match(rows, d, desk_basis)
         monkeypatch.setattr(inference, "_atom_projections", atom_projections_reference)
