@@ -62,7 +62,12 @@ class CoilMaps:
 
 @dataclass
 class KSpaceData:
-    """Masked dense-grid k-space samples, zero where unsampled."""
+    """Masked dense-grid k-space samples, zero where unsampled.
+
+    Measured k-space stays in the dtype it was stored in, complex64 from
+    load_kspace; the operators' outputs are complex128. Whatever y's dtype,
+    every reduction over it runs in float64 (adjoint lifts each slab to
+    complex128 exactly), so both give the same bits."""
 
     y: np.ndarray  # complex, (L, C, H, W)
     pattern: SamplingPattern
@@ -240,7 +245,9 @@ def adjoint(
 ) -> np.ndarray:
     """A^H(y) v: the masked k-space projected onto the basis, sum_t v[t, s]
     M_t y_t, then S*C inverse unitary FFTs and the conjugate coil combine.
-    Exact adjoint of :func:`forward`."""
+    Exact adjoint of :func:`forward`. y may be complex64 or complex128: each
+    slab of frames is masked into a complex128 buffer, which holds complex64
+    values exactly, so the result is the same for both."""
     h, w = _check_geometry(basis, coils, pattern)
     n_frames, n_coils, rank = pattern.n_frames, coils.n_coils, basis.rank_s
     y = data.y
@@ -306,6 +313,7 @@ def save_kspace(data: KSpaceData, coils: CoilMaps, path, *, seed: int, accel: fl
 
 
 def load_kspace(path) -> tuple[KSpaceData, CoilMaps]:
+    """The k-space as stored, complex64, and the coil maps as complex128."""
     arrays, _ = bundle.read_bundle(path, kind="kspace")
     n_frames, n_coils, h, w = arrays.array("y", (None,) * 4, "complex64").shape
     masks = arrays.array("masks", (n_frames, h, w), "uint8").astype(bool)
@@ -314,6 +322,6 @@ def load_kspace(path) -> tuple[KSpaceData, CoilMaps]:
         raise arrays.fault("y", "has no coils")
     if not masks.any():
         raise arrays.fault("masks", "samples no k-space point")
-    data = KSpaceData(y=arrays["y"].astype(np.complex128), pattern=SamplingPattern(masks))
+    data = KSpaceData(y=arrays["y"], pattern=SamplingPattern(masks))
     coils = CoilMaps(sens=arrays.array("sens", (n_coils, h, w), "complex64").astype(np.complex128))
     return data, coils

@@ -55,6 +55,10 @@ class SolverConfig:
 
 @dataclass
 class TraceRecord:
+    """One row of a solve's trace. tv_iters and tv_gap describe the TV prox
+    that produced the row's accepted point: its inner iterations summed over
+    the 2S images and the largest of their final dual gaps; 0 without TV."""
+
     iteration: int
     objective: float
     fidelity: float
@@ -64,6 +68,8 @@ class TraceRecord:
     rel_change: float
     momentum: float = 0.0
     majorization_rhs: float = 0.0
+    tv_iters: int = 0
+    tv_gap: float = 0.0
 
 
 @dataclass
@@ -133,7 +139,10 @@ def solve(
     z_prev = np.zeros_like(x)
     duals = None
 
-    norm_y_sq = float(np.vdot(y.y, y.y).real)
+    # np.vdot sums complex64 in single precision; a complex128 y is not copied
+    y128 = np.asarray(y.y, np.complex128)
+    norm_y_sq = float(np.vdot(y128, y128).real)
+    del y128
     trace = SolveTrace([TraceRecord(iteration=0, objective=norm_y_sq, fidelity=norm_y_sq,
                                     tv_term=0.0, mu=mu, halvings=0, rel_change=float("inf"))])
 
@@ -151,9 +160,10 @@ def solve(
         while True:
             step = x - mu * grad
             if lam > 0:
-                z, new_duals, z_tv = tv_prox_stack(step, lam * mu, cfg.tv, (h, w), dual_init=duals)
+                z, new_duals, z_tv, tv_iters, tv_gap = tv_prox_stack(step, lam * mu, cfg.tv,
+                                                                     (h, w), dual_init=duals)
             else:
-                z, new_duals, z_tv = step, None, 0.0
+                z, new_duals, z_tv, tv_iters, tv_gap = step, None, 0.0, 0, 0.0
             gz = fm.normal(z, kernel, coils)
             fidelity_z = _expanded_fidelity(norm_y_sq, ahyv, z, gz)
             rhs = _majorization_rhs(fidelity_x, grad, z - x, mu)
@@ -188,6 +198,8 @@ def solve(
                 rel_change=rel_change,
                 momentum=momentum,
                 majorization_rhs=rhs,
+                tv_iters=tv_iters,
+                tv_gap=tv_gap,
             )
         )
 

@@ -110,21 +110,22 @@ def tv_prox(
     tau: float,
     cfg: TvConfig,
     dual_init: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, float, int, float]:
     """Approximate argmin_u 0.5*||u - img||^2 + tau*TV(u).
 
     Runs fast gradient projection on the dual with step 1/8, stopping when the
     primal-dual gap drops below dual_gap_tol * ||img||^2 or at max_iters. An
     optional dual field (2, H, W) warm-starts the iteration. Returns the
-    result, the final dual field, for reuse as the next warm start, and the
-    result's TV, which the last gap check already measured.
+    result, the final dual field, for reuse as the next warm start, the
+    result's TV, which the last gap check already measured, the number of
+    iterations run and that last gap. tau = 0 runs none and has gap 0.
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
     # a column of tv_prox_stack's stack is strided; every iteration reads b twice
     b = np.ascontiguousarray(img, dtype=np.float64)
     if tau == 0:
-        return b.copy(), np.zeros((2,) + b.shape), tv_norm(b, cfg.variant)
+        return b.copy(), np.zeros((2,) + b.shape), tv_norm(b, cfg.variant), 0, 0.0
 
     # the work arrays: the dual pair p and its extrapolation r, the image u,
     # its differences d and a scratch pair; in place, d becomes the next
@@ -148,7 +149,7 @@ def tv_prox(
         np.subtract(b, u, out=u)
         _diff(u, d)
 
-    for _ in range(cfg.max_iters):
+    for iters in range(1, cfg.max_iters + 1):
         primal(r)
         np.divide(d, step, out=d)
         np.add(r, d, out=d)
@@ -169,7 +170,7 @@ def tv_prox(
         if gap <= gap_bound:
             break
 
-    return u, p, tv
+    return u, p, tv, iters, float(gap)
 
 
 def tv_prox_stack(
@@ -178,10 +179,11 @@ def tv_prox_stack(
     cfg: TvConfig,
     hw: tuple[int, int],
     dual_init: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, float, int, float]:
     """Channel-wise prox of a complex coefficient stack (n, S); returns the
-    result, the final dual state, for warm-starting the next call, and the
-    result's TV summed over the 2S images.
+    result, the final dual state, for warm-starting the next call, the
+    result's TV and the iterations run, each summed over the 2S images, and
+    the largest of their final gaps.
 
     The real and imaginary parts of each channel are the 2S columns of the
     stack's float64 view, independent real prox problems (2S calls), taken
@@ -197,10 +199,13 @@ def tv_prox_stack(
     out = np.empty_like(x)
     parts, out_parts = x.view(np.float64), out.view(np.float64)
     duals = np.zeros((2 * rank, 2, h, w))
-    tv_total = 0.0
+    tv_total, iters_total, gaps = 0.0, 0, []
     for j in range(2 * rank):
         init = dual_init[j] if dual_init is not None else None
-        res, duals[j], tv = tv_prox(parts[:, j].reshape(h, w), tau, cfg, dual_init=init)
+        res, duals[j], tv, iters, gap = tv_prox(parts[:, j].reshape(h, w), tau, cfg,
+                                                dual_init=init)
         out_parts[:, j] = res.ravel()
         tv_total += tv
-    return out, duals, tv_total
+        iters_total += iters
+        gaps.append(gap)
+    return out, duals, tv_total, iters_total, max(gaps, default=0.0)

@@ -320,10 +320,11 @@ def _project_dual(p, q, variant):
 
 def tv_prox_reference(img, tau, cfg, dual_init=None):
     """Fast gradient projection on the dual, one fresh array per step;
-    ``tvprox.tv_prox`` must reproduce its result, dual and TV bit for bit."""
+    ``tvprox.tv_prox`` must reproduce its result, dual, TV, iteration count
+    and final gap bit for bit."""
     b = np.asarray(img, dtype=np.float64)
     if tau == 0:
-        return b.copy(), np.zeros((2,) + b.shape), float(_tv(*_grad(b), cfg.variant))
+        return b.copy(), np.zeros((2,) + b.shape), float(_tv(*_grad(b), cfg.variant)), 0, 0.0
 
     if dual_init is not None:
         p = dual_init[0].astype(np.float64, copy=True)
@@ -337,7 +338,7 @@ def tv_prox_reference(img, tau, cfg, dual_init=None):
     energy = float(np.sum(b**2))
     gap_bound = cfg.dual_gap_tol * energy
 
-    for _ in range(cfg.max_iters):
+    for iters in range(1, cfg.max_iters + 1):
         u = b - tau * _grad_adj(rp, rq)
         dy, dx = _grad(u)
         pn, qn = _project_dual(rp + dy / (8.0 * tau), rq + dx / (8.0 * tau), cfg.variant)
@@ -356,7 +357,7 @@ def tv_prox_reference(img, tau, cfg, dual_init=None):
         if gap <= gap_bound:
             break
 
-    return u_p, np.stack([p, q]), tv
+    return u_p, np.stack([p, q]), tv, iters, float(gap)
 
 
 def tv_objective(u, b, tau, variant):

@@ -59,11 +59,15 @@ class TestPipelineCommands:
             with open(trace, newline="") as fh:
                 header, *rows = csv.reader(fh)
             assert header == ["iteration", "objective", "fidelity", "tv_term", "mu", "halvings",
-                              "rel_change", "momentum", "majorization_rhs"]
-            # every accepted step satisfies the majorization, read from the file
+                              "rel_change", "momentum", "majorization_rhs", "tv_iters", "tv_gap"]
+            # every accepted step satisfies the majorization, read from the file;
+            # only lrtv rows past the zero iterate ran the TV prox
             for row in rows[1:]:
                 fidelity, rhs = float(row[2]), float(row[8])
                 assert fidelity <= rhs * (1 + 1e-12)
+            assert [int(row[9]) > 0 for row in rows] == [mode == "lrtv" and i > 0
+                                                        for i in range(len(rows))]
+            assert all(float(row[10]) == 0.0 for row in rows if int(row[9]) == 0)
             assert len(rows) == (1 if mode == "bpi" else 9)
 
     def test_train_infer_match_score(self, pipeline_dir, capsys):
@@ -976,6 +980,26 @@ class TestAcquire:
         peak, data = traced_peak(experiment.acquire, cfg, gt, tmp_path / "kspace.mrfb")
         frame = data.y[0].nbytes
         assert peak <= data.y.nbytes * 3 // 2 + 4 * frame + 2 * 2**20, (peak, data.y.nbytes)
+
+
+class TestReconstruct:
+    def test_holds_one_complex128_kspace(self, tmp_path, traced_peak):
+        # 400 frames of 4 coils at 32 x 32: beside the 13 MB complex64 k-space
+        # as stored, one complex128 k-space at a time (the copy that ||y||^2
+        # is summed over, then the final residual) and the solve's small
+        # arrays; no complex128 copy of y kept for the whole solve
+        cfg = experiment.resolve_config({**TINY_EXPERIMENT, "frames": 400, "coils": 4,
+                                         "recon": {"iters": 2}})
+        gt, kspace, dictionary, basis = (tmp_path / f"{name}.mrfb"
+                                         for name in ("gt", "kspace", "dict", "basis"))
+        experiment.make_phantom(cfg, gt)
+        stored = experiment.acquire(cfg, gt, kspace).y.size * np.dtype(np.complex64).itemsize
+        experiment.simulate_dict(cfg, dictionary)
+        experiment.learn_subspace(cfg, dictionary, basis)
+        for mode in experiment.METHODS:
+            peak, _ = traced_peak(experiment.reconstruct, cfg, mode, kspace, basis,
+                                  tmp_path / f"x_{mode}.mrfb")
+            assert peak <= 3 * stored + 4 * 2**20, (mode, peak, stored)
 
 
 def test_hand_pipeline_matches_run_experiment(tmp_path):

@@ -182,12 +182,27 @@ class TestWorkingMemory:
         assert extra1 - extra0 <= (n1 - n0) * desk_basis.rank_s * 16 + 2**20, extra
 
     def test_train_holds_no_float64_targets(self, desk_dictionary, desk_basis, traced_peak):
-        # the float32 normalized targets and one block of float64 rows
-        cfg = TrainConfig(noise_sigma=0.002, augment_factor=100, epochs=0, seed=1)
+        # an epoch over the shipped 466,100 rows holds its uint32 order (1.9 MB)
+        # and one batch's temporaries, not a normalized copy of the N x 2
+        # targets (3.7 MB as float32) nor an int64 order (3.7 MB)
+        cfg = TrainConfig(noise_sigma=0.002, augment_factor=100, epochs=1, seed=1)
         data = inference.make_training_set(desk_dictionary, desk_basis, cfg)
         net = MrfNet.initialize(desk_basis.rank_s, (100, 4000), (20, 600), (8, 8), seed=0)
         peak, _ = traced_peak(inference.train, net, data, cfg)
-        assert peak <= data[1].nbytes + 2**20, peak
+        n = data[0].shape[0]
+        assert peak <= n * np.dtype(np.uint32).itemsize + 2**19, (peak, n)
+
+    # each side of the uint8, uint16 and uint32 boundaries, and the shipped N
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 65535, 65536, 65537, 466_100])
+    def test_compact_order_is_the_permutation(self, n):
+        # two draws in a row: rng.permutation(n)'s values, and the generator
+        # left in its state
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(2):
+            order = inference._row_order(rng, n)
+            assert order.dtype == np.min_scalar_type(n - 1)
+            np.testing.assert_array_equal(order, ref_rng.permutation(n))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_matching_holds_no_copy_of_the_atoms(self, desk_dictionary, desk_basis,
                                                  traced_peak):

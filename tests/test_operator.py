@@ -254,6 +254,7 @@ class TestKspaceRoundTrip:
         path = tmp_path / "kspace.mrfb"
         fm.save_kspace(data, coils, path, seed=5, accel=2.0, kspace_noise=0.5)
         loaded, loaded_coils = fm.load_kspace(path)
+        assert loaded.y.dtype == np.complex64  # as stored: no complex128 copy
         np.testing.assert_array_equal(loaded.y, y)
         np.testing.assert_array_equal(loaded.pattern.masks, pattern.masks)
         np.testing.assert_array_equal(

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -293,8 +294,8 @@ def reference_solve(y, basis, coils, pattern, cfg, mu):
         while True:
             step = x - mu * grad
             if cfg.lam > 0:
-                z, new_duals, _ = tv_prox_stack(step, cfg.lam * mu, cfg.tv, (h, w),
-                                                dual_init=duals)
+                z, new_duals, *_ = tv_prox_stack(step, cfg.lam * mu, cfg.tv, (h, w),
+                                                 dual_init=duals)
             else:
                 z, new_duals = step, None
             if backtrack_ok(z, x, grad, mu, y, basis, coils, pattern):
@@ -353,14 +354,15 @@ class TestSolveMatchesReference:
     @pytest.mark.parametrize("variant", ["isotropic", "anisotropic"])
     def test_tv_term_is_tv_norm_of_accepted_z(self, problem, monkeypatch, variant):
         # the trace's TV term comes from the prox; the tv_norm loop over the
-        # accepted z, the last prox output of each iteration, gives equal bits
+        # accepted z, the last prox output of each iteration, gives equal bits,
+        # and the row's TV iterations and gap are that prox's
         y, basis, coils, pattern, _, size = problem
         monkeypatch.setattr(solver, "auto_step_size", lambda *_: 16.0)
         outputs = []
 
         def recording_prox(*args, **kwargs):
             result = tv_prox_stack(*args, **kwargs)
-            outputs.append(result[0])
+            outputs.append(result)
             return result
 
         monkeypatch.setattr(solver, "tv_prox_stack", recording_prox)
@@ -371,9 +373,12 @@ class TestSolveMatchesReference:
         accepted = np.cumsum([r.halvings + 1 for r in records]) - 1
         assert accepted[-1] == len(outputs) - 1 and sum(r.halvings for r in records) > 0
         got = np.array([r.tv_term for r in records])
-        ref = np.array([tv_term_reference(outputs[i], cfg, (size, size)) for i in accepted])
+        ref = np.array([tv_term_reference(outputs[i][0], cfg, (size, size)) for i in accepted])
         assert np.all(got > 0)
         np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+        assert [r.tv_iters for r in records] == [outputs[i][3] for i in accepted]
+        assert [r.tv_gap for r in records] == [outputs[i][4] for i in accepted]
+        assert all(r.tv_iters > 0 for r in records) and trace.records[0].tv_iters == 0
 
 
 class TestTraceCsv:
@@ -387,10 +392,35 @@ class TestTraceCsv:
         with open(path, newline="") as fh:
             header, *rows = csv.reader(fh)
         assert header == ["iteration", "objective", "fidelity", "tv_term", "mu", "halvings",
-                          "rel_change", "momentum", "majorization_rhs"]
-        kinds = [int, float, float, float, float, int, float, float, float]
+                          "rel_change", "momentum", "majorization_rhs", "tv_iters", "tv_gap"]
+        kinds = [int, float, float, float, float, int, float, float, float, int, float]
         assert [TraceRecord(*(kind(v) for kind, v in zip(kinds, row)))
                 for row in rows] == trace.records
+
+
+class TestStoredKspace:
+    """load_kspace keeps the k-space complex64, as stored; every solve on it
+    equals the solve on its exact complex128 copy bit for bit."""
+
+    @staticmethod
+    def bits(trace):
+        return [tuple(np.float64(v).view(np.uint64) if isinstance(v, float) else v
+                      for v in astuple(r)) for r in trace.records]
+
+    @pytest.mark.parametrize("mode,lam", [("bpi", 0.0), ("lr", 0.0), ("lrtv", 1e-3)])
+    def test_solve_equals_complex128(self, problem, tmp_path, mode, lam):
+        y, basis, coils, pattern, _, _ = problem
+        path = tmp_path / "kspace.mrfb"
+        fm.save_kspace(y, coils, path, seed=21, accel=2.0, kspace_noise=0.01)
+        stored, coils = fm.load_kspace(path)
+        assert stored.y.dtype == np.complex64
+        wide = fm.KSpaceData(y=stored.y.astype(np.complex128), pattern=stored.pattern)
+        cfg = SolverConfig(mode=mode, lam=lam, max_outer_iters=6, stop_rel_change=0.0)
+        x, trace = solver.solve(stored, basis, coils, stored.pattern, cfg)
+        x_ref, trace_ref = solver.solve(wide, basis, coils, wide.pattern, cfg)
+        np.testing.assert_array_equal(x.view(np.uint64), x_ref.view(np.uint64))
+        assert len(trace) == (1 if mode == "bpi" else 7)
+        assert self.bits(trace) == self.bits(trace_ref)
 
 
 class TestNumericalError:

@@ -13,7 +13,8 @@ TIGHT_ANISO = TvConfig(variant="anisotropic", max_iters=500, dual_gap_tol=1e-12)
 
 
 def _image_prox(rng, tau):
-    """tv_prox of a random 8x8 image: (input, result, dual, TV of the result)."""
+    """tv_prox of a random 8x8 image: (input, result, dual, TV of the result,
+    iterations, final gap)."""
     x = rng.standard_normal((8, 8))
     return x, *tv_prox(x, tau, TIGHT)
 
@@ -76,9 +77,10 @@ class TestGradAdjoint:
 class TestTvProx:
     @both_proxes
     def test_tau_zero_identity(self, rng, prox):
-        x, out, dual, _ = prox(rng, 0.0)
+        x, out, dual, _, iters, gap = prox(rng, 0.0)
         np.testing.assert_array_equal(out, x)
         assert dual.shape[-3:] == (2, 8, 8) and not dual.any()
+        assert (iters, gap) == (0, 0.0)
 
     def test_constant_unchanged(self):
         img = np.full((12, 9), 1.7)
@@ -143,15 +145,15 @@ class TestTvProx:
 
     def test_warm_start_dual_reuse(self, rng):
         img = rng.standard_normal((12, 12))
-        out_cold, dual, _ = tv_prox(img, 0.2, TIGHT)
+        out_cold, dual, *_ = tv_prox(img, 0.2, TIGHT)
         # a warm restart from the converged dual should change nothing much
         out_warm, *_ = tv_prox(img, 0.2, TvConfig(max_iters=1, dual_gap_tol=1e-12), dual_init=dual)
         assert np.abs(out_warm - out_cold).max() < 1e-6
 
     def test_deterministic(self, rng):
         img = rng.standard_normal((8, 8))
-        a, dual_a, _ = tv_prox(img, 0.3, TIGHT)
-        b, dual_b, _ = tv_prox(img, 0.3, TIGHT)
+        a, dual_a, *_ = tv_prox(img, 0.3, TIGHT)
+        b, dual_b, *_ = tv_prox(img, 0.3, TIGHT)
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(dual_a, dual_b)
 
@@ -164,15 +166,16 @@ STOPS = {"gap": {"max_iters": 1000, "dual_gap_tol": 1e-3},
 
 
 class TestMatchesReference:
-    """tv_prox updates fixed work arrays in place; its result, dual and TV
-    equal those of oracles.tv_prox_reference, the loop that allocates fresh
-    arrays at every step, bit for bit."""
+    """tv_prox updates fixed work arrays in place; its result, dual, TV,
+    iteration count and final gap equal those of oracles.tv_prox_reference,
+    the loop that allocates fresh arrays at every step, bit for bit."""
 
     @staticmethod
     def same_bits(img, tau, cfg, dual=None):
         """Run both; assert bitwise equal results and return the reference's."""
         got = tv_prox(img, tau, cfg, dual_init=dual)
         want = tv_prox_reference(img, tau, cfg, dual_init=dual)
+        assert len(got) == len(want) == 5
         for a, b in zip(got, want):
             assert np.shape(a) == np.shape(b)
             np.testing.assert_array_equal(bits(a), bits(b))
@@ -185,7 +188,7 @@ class TestMatchesReference:
     def test_cold_warm_and_signed_zeros(self, rng, shape, variant, tau, stop):
         cfg = TvConfig(variant=variant, **STOPS[stop])
         img = rng.standard_normal(shape)
-        _, dual, _ = self.same_bits(img, tau, cfg)
+        _, dual, *_ = self.same_bits(img, tau, cfg)
         # a strided view, as tv_prox_stack passes the columns of its stack
         self.same_bits(np.stack([img, -img], axis=-1)[..., 0], tau, cfg)
         # a warm start whose last row (p) and last column (q) are nonzero
@@ -215,7 +218,8 @@ class TestMatchesReference:
 class TestReturnedTv:
     """The TV tv_prox returns, measured at its last gap check, is tv_norm of
     its output bit for bit; tv_prox_stack's is the sum of tv_norm over its
-    output's channels, real part first."""
+    output's channels, real part first. The iteration count and gap tell
+    which rule stopped it."""
 
     @pytest.mark.parametrize("variant", ["isotropic", "anisotropic"])
     @pytest.mark.parametrize("case", ["gap", "max_iters", "warm", "tau_zero"])
@@ -228,12 +232,15 @@ class TestReturnedTv:
             cfg = TvConfig(variant=variant, max_iters=3, dual_gap_tol=1e-14)
         elif case == "warm":
             dual = tv_prox(img + 0.1 * rng.standard_normal(img.shape), tau, cfg)[1]
-        out, _, tv = tv_prox(img, tau, cfg, dual_init=dual)
+        out, _, tv, iters, gap = tv_prox(img, tau, cfg, dual_init=dual)
         assert bits(tv) == bits(tv_norm(out, variant))
+        gap_bound = cfg.dual_gap_tol * np.sum(img**2)
         if case in ("gap", "warm"):  # the gap rule stopped it: one more iteration allowed
+            assert 1 <= iters < cfg.max_iters and gap <= gap_bound
             longer = dataclasses.replace(cfg, max_iters=cfg.max_iters + 1)
             np.testing.assert_array_equal(tv_prox(img, tau, longer, dual_init=dual)[0], out)
         elif case == "max_iters":  # it ran out of iterations: one more changes it
+            assert iters == cfg.max_iters and gap > gap_bound
             longer = dataclasses.replace(cfg, max_iters=cfg.max_iters + 1)
             assert not np.array_equal(tv_prox(img, tau, longer)[0], out)
 
@@ -242,9 +249,9 @@ class TestReturnedTv:
     def test_stack_tv_is_channel_loop(self, rng, variant, tau):
         x = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
         cfg = TvConfig(variant=variant, max_iters=40, dual_gap_tol=1e-6)
-        _, dual, _ = tv_prox_stack(x, 0.2, cfg, (8, 8))
+        _, dual, *_ = tv_prox_stack(x, 0.2, cfg, (8, 8))
         for init in (None, dual):
-            out, _, tv = tv_prox_stack(x, tau, cfg, (8, 8), dual_init=init)
+            out, _, tv, *_ = tv_prox_stack(x, tau, cfg, (8, 8), dual_init=init)
             loop = 0.0
             for s in range(3):
                 channel = out[:, s].reshape(8, 8)
@@ -267,14 +274,20 @@ class TestTvProxStack:
 
     def test_separable_channels(self, rng):
         x = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
-        out, duals, _ = tv_prox_stack(x, 0.3, TIGHT, (8, 8))
+        # the stack's iterations are the images' sum, its gap their largest
+        out, duals, _, iters, gap = tv_prox_stack(x, 0.3, TIGHT, (8, 8))
         assert duals.shape == (4, 2, 8, 8)  # [column of the float64 view, p/q]
+        image_iters, image_gaps = [], []
         for s in range(2):
-            re, dual_re, _ = tv_prox(x[:, s].real.reshape(8, 8), 0.3, TIGHT)
-            im, dual_im, _ = tv_prox(x[:, s].imag.reshape(8, 8), 0.3, TIGHT)
+            re, dual_re, _, iters_re, gap_re = tv_prox(x[:, s].real.reshape(8, 8), 0.3, TIGHT)
+            im, dual_im, _, iters_im, gap_im = tv_prox(x[:, s].imag.reshape(8, 8), 0.3, TIGHT)
             np.testing.assert_allclose(out[:, s], (re + 1j * im).ravel(), atol=1e-14)
             np.testing.assert_array_equal(duals[2 * s], dual_re)
             np.testing.assert_array_equal(duals[2 * s + 1], dual_im)
+            image_iters += [iters_re, iters_im]
+            image_gaps += [gap_re, gap_im]
+        assert iters == sum(image_iters) and len(set(image_iters)) > 1
+        assert bits(gap) == bits(max(image_gaps))
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
