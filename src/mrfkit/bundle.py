@@ -98,9 +98,9 @@ class _Fields(dict):
     def array(self, name, shape, dtype, rerun=None):
         """self[name], which must be an array of the given on-disk dtype, such
         as "float32", and of the given shape, in which a length of None
-        matches any length, and which, if floating, must hold no NaN or inf.
-        A wrong dtype raises DtypeError, which names the command to rerun, if
-        given, to write the file again."""
+        matches any nonzero length, and which, if floating, must hold no NaN
+        or inf. A wrong dtype raises DtypeError, which names the command to
+        rerun, if given, to write the file again."""
         value = self[name]
         if value.dtype != _DTYPES[dtype]:
             remedy = f"; rerun {rerun} to write it again" if rerun else ""
@@ -111,6 +111,8 @@ class _Fields(dict):
             dims = ", ".join("*" if n is None else str(n) for n in shape)
             comma = "," if len(shape) == 1 else ""
             raise self.fault(name, f"must have shape ({dims}{comma}), got {value.shape}")
+        if 0 in value.shape:  # a stage has nothing to work on along an empty axis
+            raise self.fault(name, f"has an axis of length 0, shape {value.shape}")
         # a Stored array checks each block as it is read
         return value if isinstance(value, Stored) else self.finite(name, value)
 

@@ -13,7 +13,9 @@ I/O error, 3 numerical failure, an overflow, NaN or division by zero included.
 Errors print one machine-readable line on stderr.
 """
 
+import errno
 import json
+import os
 import sys
 
 import click
@@ -69,8 +71,15 @@ _k_max_setting = _setting(
     help=f"Highest retained configuration order; null means min(frames, {epg.DEFAULT_K_MAX}).")
 
 
-def _out_option(fn):
-    return click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))(fn)
+def _output_path(ctx, param, path):
+    """Refuse an output path in a missing directory before the stage runs."""
+    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), os.path.dirname(path))
+    return path
+
+
+_out_option = click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False),
+                           callback=_output_path)
 
 
 @click.group()
@@ -157,7 +166,7 @@ def acquire(gt_path, out_path, **settings):
 @click.option("--in", "in_path", required=True, type=click.Path(exists=False))
 @click.option("--basis", "basis_path", required=True, type=click.Path(exists=False))
 @_out_option
-@click.option("--trace", "trace_path", type=click.Path(dir_okay=False), default=None)
+@click.option("--trace", "trace_path", type=click.Path(dir_okay=False), callback=_output_path)
 def reconstruct(mode, in_path, basis_path, out_path, trace_path, **settings):
     """Reconstruct subspace images from acquired k-space data."""
     if settings["recon__lambda"] and mode != "lrtv":

@@ -318,8 +318,6 @@ def load_kspace(path) -> tuple[KSpaceData, CoilMaps]:
     n_frames, n_coils, h, w = arrays.array("y", (None,) * 4, "complex64").shape
     masks = arrays.array("masks", (n_frames, h, w), "uint8").astype(bool)
     # the solver's step size divides by the sample count, coils times sampled points
-    if n_coils == 0:
-        raise arrays.fault("y", "has no coils")
     if not masks.any():
         raise arrays.fault("masks", "samples no k-space point")
     data = KSpaceData(y=arrays["y"], pattern=SamplingPattern(masks))

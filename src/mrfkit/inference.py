@@ -178,12 +178,6 @@ class MrfNet:
             out[r0 : r0 + _TRAINING_BLOCK] = np.clip(lo + normalized * (hi - lo), lo, hi)
         return out
 
-    def normalize_targets(self, targets_ms: np.ndarray) -> np.ndarray:
-        """(T1, T2) rows in milliseconds mapped to [0, 1] by the grid ranges,
-        as a new float64 array."""
-        lo, hi = self._bounds()
-        return _normalized(targets_ms, lo, hi - lo)
-
 
 def make_training_set(
     dictionary: Dictionary,
@@ -246,9 +240,9 @@ def train(
     on_epoch, if given, is called with the epoch, the network being trained
     (to be read, not changed), the epoch's mean loss and its rate.
 
-    Each batch normalizes its own targets in float64, as normalize_targets
-    does, and casts them once to the input dtype, so no normalized copy of
-    all N targets is held; each epoch's order is _row_order's.
+    Each batch maps its own targets to [0, 1] by the grid ranges in float64
+    and casts them once to the input dtype, so no normalized copy of all N
+    targets is held; each epoch's order is _row_order's.
     """
     inputs, targets_ms = data
     if inputs.shape[0] == 0:

@@ -61,7 +61,7 @@ def offgrid_head_spec() -> list[dict]:
 
 def _check_entry(entry: dict, index: int) -> None:
     """Reject an unknown shape, or a value that is not a finite number or is
-    out of range (t1, t2 > 0; pd >= 0), naming the entry and the key."""
+    out of range (an ellipse's a, b > 0; t1, t2 > 0; pd >= 0), naming the entry and key."""
     kind = entry["shape"]
     if kind not in _GEOMETRY_KEYS:
         raise ValueError(f"phantom entry {index} has unknown shape kind {kind!r}")
@@ -69,7 +69,7 @@ def _check_entry(entry: dict, index: int) -> None:
         if not bundle._is_kind(entry[key], float):
             raise ValueError(f"phantom entry {index} key {key!r} must be "
                              f"{bundle._KINDS[float]}, got {entry[key]!r}")
-    for key in ("t1", "t2"):
+    for key in ("a", "b", "t1", "t2") if kind == "ellipse" else ("t1", "t2"):
         if entry[key] <= 0:
             raise ValueError(f"phantom entry {index} key {key!r} must be > 0, got {entry[key]!r}")
     if entry["pd"] < 0:

@@ -235,8 +235,6 @@ def load_reconstruction(path) -> tuple[np.ndarray, SubspaceBasis, tuple[int, int
     # a NaN coefficient would make every voxel count as background
     stack = arrays.array("x_subspace", (None, None, None), "complex64").astype(np.complex128)
     rank, h, w = stack.shape
-    if rank == 0:
-        raise arrays.fault("x_subspace", "has no coefficient images")
     x = stack.reshape(rank, h * w).T
     v = arrays.array("basis_v", (None, rank), "float32", rerun="reconstruct").astype(np.float64)
     basis = SubspaceBasis(v=v, s_values=np.zeros(min(v.shape)))

@@ -150,8 +150,6 @@ def save_basis(basis: SubspaceBasis, path) -> None:
 def load_basis(path) -> SubspaceBasis:
     arrays, _ = bundle.read_bundle(path, kind="basis")
     v = arrays.array("v", (None, None), "float32", rerun="learn-subspace")
-    if v.shape[1] == 0:
-        raise arrays.fault("v", "has no columns")
     return SubspaceBasis(
         v=v.astype(np.float64),
         s_values=arrays.array("singular_values", (None,), "float32").astype(np.float64),

@@ -258,7 +258,8 @@ def train_reference(net, data, cfg, rates=None):
                  + [cfg.learning_rate / 10] * n_decayed)
     inputs, targets_ms = data
     net = net.copy()
-    targets = net.normalize_targets(targets_ms.astype(np.float64)).astype(inputs.dtype)
+    lo, hi = net._bounds()
+    targets = ((targets_ms.astype(np.float64) - lo) / (hi - lo)).astype(inputs.dtype)
     rng = np.random.default_rng(cfg.seed + 1)
     vel_w = [np.zeros_like(w) for w in net.weights]
     vel_b = [np.zeros_like(b) for b in net.biases]

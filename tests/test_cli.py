@@ -162,155 +162,130 @@ BAD_CONFIGS = [
     ({"schedule": {"period": 10**400}}, "schedule.period"),
 ]
 
-# per kind of bundle: the file of that kind, a command that loads it and
-# the header fields its loader needs (kind itself aside); the loader needs
-# every array of the file except those UNREAD_ARRAYS names
+_RECONSTRUCT = ("reconstruct", "--in", "{kspace}", "--basis", "{basis}", "--mode")
+_MATCH = ("match", "--dict", "{dict}", "--in", "{recon}")
+_TRAIN = ("train-net", "--dict", "{dict}", "--basis", "{basis}", "--augment", "2")
+_SCORE = ("score", "--est", "{maps}", "--gt", "{gt}")
+_LEARN = ("learn-subspace", "--dict", "{dict}")
+_INFER = ("infer", "--net", "{net}", "--in", "{recon}")
+# per kind of bundle: the file of that kind and a command that loads it
 LOADERS = {
-    "ground-truth": ("gt", ("acquire", "--gt", "{gt}"), ()),
-    "dictionary": ("dict", ("learn-subspace", "--dict", "{dict}"),
-                   ("tr_ms", "te_ms", "tinv_ms", "grid")),
-    "basis": ("basis", ("reconstruct", "--mode", "lr", "--in", "{kspace}",
-                        "--basis", "{basis}"), ()),
-    "kspace": ("kspace", ("reconstruct", "--mode", "lr", "--in", "{kspace}",
-                          "--basis", "{basis}"), ()),
-    "reconstruction": ("recon", ("match", "--dict", "{dict}", "--in", "{recon}"), ()),
-    "mrf-net": ("net", ("infer", "--net", "{net}", "--in", "{recon}"),
-                ("t1_range", "t2_range", "output_relu")),
-    "maps": ("maps", ("score", "--est", "{maps}", "--gt", "{gt}"), ("estimator",)),
+    "ground-truth": ("gt", ("acquire", "--gt", "{gt}")),
+    "dictionary": ("dict", _LEARN),
+    "basis": ("basis", (*_RECONSTRUCT, "lr")),
+    "kspace": ("kspace", (*_RECONSTRUCT, "lr")),
+    "reconstruction": ("recon", _MATCH),
+    "mrf-net": ("net", _INFER),
+    "maps": ("maps", _SCORE),
 }
-# a dictionary's labels are its grid's pairs: its saver writes them as arrays
-# for readers outside mrfkit, and its loader reads neither
-UNREAD_ARRAYS = {"dictionary": ("t1", "t2")}
-# per kind of bundle: a header value or an array, by its dotted key, replaced
-# by one of the wrong type or shape, which the kind's loader must reject
-BAD_FIELDS = [
-    ("dictionary", "grid.t1", [100.0, 50.0]),
-    ("dictionary", "tr_ms", "ten"),
-    ("dictionary", "te_ms", float("nan")),
-    ("dictionary", "tinv_ms", 10**400),
-    ("reconstruction", "x_subspace", np.zeros((4, 32 * 32), np.complex64)),
-    ("mrf-net", "t1_range", 5),
-    ("mrf-net", "output_relu", "no"),
-    ("maps", "estimator", 1),
-    ("maps", "t1", np.zeros(32 * 32, np.float32)),
-]
+# every command that reads a bundle, by name, with the files it reads as
+# fields; reconstruct in modes bpi and lr (lrtv reads its files as lr does)
+READERS = {
+    "acquire": ("acquire", "--gt", "{gt}"), "score": _SCORE, "learn-subspace": _LEARN,
+    "match": _MATCH, "train-net": _TRAIN, "bpi": (*_RECONSTRUCT, "bpi"),
+    "lr": (*_RECONSTRUCT, "lr", "--iters", "2"), "infer": _INFER,
+}
+# the arrays and header fields that no loader reads: a dictionary's labels,
+# which its saver writes for readers outside mrfkit (its loader reads the
+# grid), and the settings that made a k-space or a network
+UNREAD = {"dictionary": ("t1", "t2"), "kspace": ("seed", "accel", "kspace_noise"),
+          "mrf-net": ("train",)}
+# the command to rerun, which a dtype-mismatch error names, per array
+RERUN = {"v": "learn-subspace", "basis_v": "reconstruct"}
+# the exit-1 errors that a changed bundle may give, all of which README
+# lists: files that do not fit together, a ground truth without foreground
+USAGE_FAULTS = ("does not match basis frames", "sampling pattern frames disagree",
+                "coefficients", "shapes differ", "has no foreground")
+_FLOAT32_MAX = np.finfo(np.float32).max
 
 
-def _one_entry(shape, value):
-    """A float32 array of zeros but for value at its first entry."""
-    out = np.zeros(shape, np.float32)
-    out.flat[0] = value
-    return out
+def structural_faults(value):
+    """The changes of an array or a header value, by name, that make every
+    loader of it fail: for an array, a NaN or inf middle entry (if floating),
+    an extra leading axis, an axis of length 0 and complex64 storage (if it is
+    real); for a header value, its deletion (None), a value of another JSON
+    kind, and for a number or a list, one out of range or too short."""
+    if isinstance(value, np.ndarray):
+        faults = {"extra-axis": value[None]}
+        faults.update((f"empty-axis{i}", value.take([], axis=i)) for i in range(value.ndim))
+        if value.dtype.kind in "fc":
+            for name, entry in (("nan", np.nan), ("inf", np.inf)):
+                faults[name] = value.copy()
+                faults[name].flat[value.size // 2] = entry
+        if value.dtype.kind != "c":
+            faults["complex64"] = value.astype(np.complex64)
+        return faults
+    faults = {"deleted": None,
+              **({"number": 1} if isinstance(value, (str, list)) else {"string": "text"})}
+    if type(value) is float:
+        faults.update({"nan": math.nan, "10**400": 10**400})
+    if isinstance(value, list):
+        faults["short"] = value[:1]
+    return faults
 
 
-# a header value or an array of the right type and shape, but with an
-# impossible value or one that disagrees with another field of the bundle
+def value_changes(value):
+    """The changes of an array, by name, whose outcome depends on the values:
+    a first axis of length 1 or reversed, all entries zero or negated, and,
+    if it is floating, all float32-max or subnormal (1e-40)."""
+    if not isinstance(value, np.ndarray):
+        return {}
+    changes = {"first-axis-1": value[:1], "reversed": value[::-1], "zero": np.zeros_like(value),
+               "negated": -value}
+    if value.dtype.kind in "fc":
+        changes.update(max=np.full_like(value, _FLOAT32_MAX),
+                       subnormal=np.full_like(value, 1e-40))
+    return changes
+
+
+def _set(key, value):
+    """An edit of a bundle's arrays and header that sets the array or the
+    dotted header key `key` to value, or deletes it if value is None."""
+    def edit(arrays, meta):
+        *parents, leaf = key.split(".")
+        node = arrays if key in arrays else meta
+        for parent in parents:
+            node = node[parent]
+        del node[leaf]
+        if value is not None:
+            node[leaf] = value
+    return edit
+
+
+# a header value or an array of the right type, but with a shape or an
+# impossible value, or one that disagrees with another field of the bundle,
+# that the kind's loader must reject
 IMPOSSIBLE_FIELDS = [
     pytest.param("dictionary", "tr_ms", 1.0, id="dictionary-tr_ms-below-te_ms"),
-    pytest.param("basis", "v", np.zeros((80, 0), np.float32), id="basis-v-no-columns"),
     pytest.param("kspace", "masks", np.zeros((10, 32, 32), np.uint8), id="kspace-masks-frames"),
     pytest.param("ground-truth", "t2", np.zeros((8, 8), np.float32), id="ground-truth-t2-shape"),
     pytest.param("mrf-net", "w1", np.zeros((7, 4), np.float32), id="mrf-net-w1-shape"),
     pytest.param("mrf-net", "t1_range", [1800.0, 300.0], id="mrf-net-t1_range-reversed"),
     pytest.param("maps", "t2", np.zeros((8, 8), np.float32), id="maps-t2-shape"),
     pytest.param("kspace", "masks", np.zeros((80, 32, 32), np.uint8), id="kspace-masks-empty"),
-    pytest.param("mrf-net", "w1", _one_entry((8, 8), np.nan), id="mrf-net-w1-nan"),
-    pytest.param("mrf-net", "b2", _one_entry(2, -np.inf), id="mrf-net-b2-inf"),
-    pytest.param("reconstruction", "x_subspace", _one_entry((4, 32, 32), np.nan) + 0j,
-                 id="reconstruction-x_subspace-nan"),
-    pytest.param("reconstruction", "basis_v", _one_entry((80, 4), np.inf),
-                 id="reconstruction-basis_v-inf"),
-    pytest.param("basis", "singular_values", _one_entry(80, -np.inf),
-                 id="basis-singular_values-inf"),
     pytest.param("ground-truth", "t1", np.full((32, 32), -800.0, np.float32),
                  id="ground-truth-t1-negative"),
     pytest.param("ground-truth", "pd", np.full((32, 32), -1.0, np.float32),
                  id="ground-truth-pd-negative"),
+    pytest.param("reconstruction", "x_subspace", np.zeros((4, 32 * 32), np.complex64),
+                 id="reconstruction-x_subspace"),
+    pytest.param("maps", "t1", np.zeros(32 * 32, np.float32), id="maps-t1"),
 ]
-
-
-def _drop_coils(arrays):
-    arrays["y"], arrays["sens"] = arrays["y"][:, :0], arrays["sens"][:0]
-
-
-def _drop_rank(arrays):
-    arrays["x_subspace"], arrays["basis_v"] = arrays["x_subspace"][:0], arrays["basis_v"][:, :0]
-
-
-def _drop_last_atom(arrays):
-    arrays["atoms"] = arrays["atoms"][:, :-1]
-
-
-def _negate(key):
-    """An edit that negates array key."""
-    def edit(arrays):
-        arrays[key] = -arrays[key]
-    return edit
-
-
-def _nan_at(key):
-    """An edit that sets the middle entry of array key to NaN."""
-    def edit(arrays):
-        arrays[key].flat[arrays[key].size // 2] = np.nan
-    return edit
-
-
-_RECONSTRUCT = ("reconstruct", "--in", "{kspace}", "--basis", "{basis}", "--mode")
-_MATCH = ("match", "--dict", "{dict}", "--in", "{recon}")
-_TRAIN = ("train-net", "--dict", "{dict}", "--basis", "{basis}", "--augment", "2")
-_SCORE = ("score", "--est", "{maps}", "--gt", "{gt}")
-_LEARN = ("learn-subspace", "--dict", "{dict}")
-_DICT_READERS = {"match": _MATCH, "train-net": _TRAIN, "learn-subspace": _LEARN}
-# (file, kind, arrays): by name, each command that must refuse a NaN in one of them
-NAN_READERS = {
-    ("kspace", "kspace", ("y", "sens")): {mode: (*_RECONSTRUCT, mode) for mode in ("bpi", "lr")},
-    ("dict", "dictionary", ("flip_angles_deg",)): _DICT_READERS,
-    ("gt", "ground-truth", ("t1", "pd")): {"acquire": ("acquire", "--gt", "{gt}"), "score": _SCORE},
-    ("maps", "maps", ("t1",)): {"score": _SCORE},
-}
-# impossible bundles that replacing one field cannot make, or read by a command
-# other than LOADERS': (file, kind, key the error names, edit, command)
+# impossible bundles that replacing one field by a fixed value cannot make,
+# or read by a command other than LOADERS': (file, key the error names, edit,
+# command)
 IMPOSSIBLE_BUNDLES = [
-    *(pytest.param("kspace", "kspace", "y", _drop_coils, (*_RECONSTRUCT, mode),
-                   id=f"kspace-no-coils-{mode}") for mode in ("bpi", "lr")),
-    *(pytest.param("basis", "basis", "v", _nan_at("v"), (*_RECONSTRUCT, mode),
-                   id=f"basis-v-nan-{mode}") for mode in ("bpi", "lr")),
-    pytest.param("recon", "reconstruction", "x_subspace", _nan_at("x_subspace"),
-                 ("infer", "--net", "{net}", "--in", "{recon}"),
-                 id="reconstruction-x_subspace-nan-infer"),
-    *(pytest.param("recon", "reconstruction", "x_subspace", _drop_rank, args,
-                   id=f"reconstruction-rank-zero-{args[0]}")
-      for args in (_MATCH, ("infer", "--net", "{net}", "--in", "{recon}"))),
-    *(pytest.param(source, kind, key, _nan_at(key), args, id=f"{kind}-{key}-nan-{name}")
-      for (source, kind, keys), commands in NAN_READERS.items()
-      for key in keys for name, args in commands.items()),
-    pytest.param("gt", "ground-truth", "pd", _negate("pd"), _SCORE,
+    pytest.param("gt", "pd", lambda arrays, _: arrays.update(pd=-arrays["pd"]), _SCORE,
                  id="ground-truth-pd-negated-score"),
-    *(pytest.param("dict", "dictionary", "grid", _drop_last_atom, args,
-                   id=f"dictionary-grid-pairs-{args[0]}") for args in (_MATCH, _TRAIN, _LEARN)),
+    *(pytest.param("dict", "grid", lambda arrays, _: arrays.update(atoms=arrays["atoms"][:, :-1]),
+                   args, id=f"dictionary-grid-pairs-{args[0]}") for args in (_MATCH, _TRAIN, _LEARN)),
 ]
-# edits of the label arrays of a dictionary bundle (UNREAD_ARRAYS), after which
-# each command gives the clean file's output: (array, edit name, edit)
-_LABEL_EDITS = [
-    ("t1", "reversed", lambda a: a[::-1]),
-    ("t1", "zero", np.zeros_like),
-    ("t1", "nan", lambda a: np.full_like(a, np.nan)),
-    ("t2", "nan", lambda a: np.full_like(a, np.nan)),
-]
-UNREAD_LABELS = [
-    pytest.param(key, edit, _DICT_READERS[name], id=f"{key}-{edit_name}-{name}")
-    for key, edit_name, edit in _LABEL_EDITS
-    for name in (_DICT_READERS if edit_name == "nan" else ("match", "train-net"))
-]
-# finite bundles on which a stage overflows or makes a NaN: (file, kind, the
-# array every entry of which is set to value, command)
-_FLOAT32_MAX = np.finfo(np.float32).max
+# finite bundles on which a stage overflows or makes a NaN: (file, the array
+# every entry of which is set to value, command)
 NUMERIC_FAULTS = [
-    pytest.param("net", "mrf-net", "w0", _FLOAT32_MAX,
-                 ("infer", "--net", "{net}", "--in", "{recon}"), id="infer-w0-max"),
-    pytest.param("dict", "dictionary", "atoms", _FLOAT32_MAX, _LEARN,
-                 id="learn-subspace-atoms-max"),
-    pytest.param("dict", "dictionary", "atoms", 1e-40, _MATCH, id="match-atoms-subnormal"),
+    pytest.param("net", "w0", _FLOAT32_MAX, _INFER, id="infer-w0-max"),
+    pytest.param("dict", "atoms", _FLOAT32_MAX, _LEARN, id="learn-subspace-atoms-max"),
+    pytest.param("dict", "atoms", 1e-40, _MATCH, id="match-atoms-subnormal"),
 ]
 # two files that each load but do not fit together: (file replaced, by the
 # MISMATCHED file, command, its error); a usage error, as the user paired them
@@ -321,27 +296,8 @@ DISAGREEING_FILES = [
                  id="match"),
     pytest.param("dict", "dict30", _TRAIN, "series length 30 does not match basis frames 80",
                  id="train-net"),
-    pytest.param("net", "net3", ("infer", "--net", "{net}", "--in", "{recon}"),
-                 "expected (n, 3) coefficients", id="infer"),
-]
-
-
-# an array stored as complex64 where its saver writes another dtype: (file,
-# kind, key, command, the command the error says to rerun); the first two
-# are the complex64 v and basis_v of bundles from before the basis was real
-DTYPE_MISMATCHES = [
-    pytest.param("basis", "basis", "v", (*_RECONSTRUCT, "lr"), "learn-subspace", id="basis-v"),
-    pytest.param("recon", "reconstruction", "basis_v", _MATCH, "reconstruct",
-                 id="reconstruction-basis_v"),
-    pytest.param("net", "mrf-net", "w0", ("infer", "--net", "{net}", "--in", "{recon}"), None,
-                 id="mrf-net-w0-infer"),
-    pytest.param("gt", "ground-truth", "t1", _SCORE, None, id="ground-truth-t1-score"),
-    pytest.param("dict", "dictionary", "flip_angles_deg", _MATCH, None,
-                 id="dictionary-flips-match"),
-    pytest.param("dict", "dictionary", "flip_angles_deg", _TRAIN, None,
-                 id="dictionary-flips-train-net"),
-    pytest.param("basis", "basis", "singular_values", (*_RECONSTRUCT, "bpi"), None,
-                 id="basis-singular_values-reconstruct"),
+    pytest.param("net", "net3", _INFER, "expected (n, 3) coefficients", id="infer"),
+    pytest.param("gt", "gt16", _SCORE, "estimate and ground-truth shapes differ", id="score"),
 ]
 
 
@@ -367,10 +323,12 @@ def loader_files(pipeline_dir, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def mismatched_files(tmp_path_factory):
-    """A 30-frame dictionary and basis, and a rank-3 net, none of which fits
-    the 80-frame, rank-4 bundles of loader_files."""
+    """A 30-frame dictionary and basis, a rank-3 net and a 16 x 16 ground
+    truth, none of which fits the 80-frame, rank-4, 32 x 32 bundles of
+    loader_files."""
     root = tmp_path_factory.mktemp("mismatched")
-    files = {name: str(root / f"{name}.mrfb") for name in ("dict30", "basis30", "net3")}
+    files = {name: str(root / f"{name}.mrfb") for name in ("dict30", "basis30", "net3", "gt16")}
+    assert run_cli("make-phantom", "--size", "16", "16", "--out", files["gt16"]) == 0
     assert run_cli("simulate-dict", "--t1", "300:300:2100", "--t2", "40:60:340",
                    "--frames", "30", "--out", files["dict30"]) == 0
     assert run_cli("learn-subspace", "--dict", files["dict30"], "--rank", "4",
@@ -381,14 +339,66 @@ def mismatched_files(tmp_path_factory):
     return files
 
 
-def assert_corrupt_header(capsys, code, where, key, out):
-    """The command exited 2 with one corrupt-header line that contains where
-    and names key, and wrote no output."""
-    assert code == 2, key
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error kind=io code=corrupt-header")
-    assert str(where) in lines[0] and repr(key) in lines[0]
-    assert not out.exists()
+def run_reader(capsys, tmp_path, args, files, source=None, edit=None):
+    """Run args, whose fields name bundles of files, with --out; given edit,
+    on a copy of bundle source whose arrays and header (as plain JSON) edit
+    changes. Returns the exit code, the stderr lines, the path of the changed
+    copy and the output's path."""
+    path = tmp_path / "changed.mrfb"
+    if edit is not None:
+        arrays, meta = bundle.read_bundle(files[source])
+        meta = json.loads(json.dumps(meta))
+        edit(arrays, meta)
+        bundle.write_bundle(path, arrays, meta)
+        files = {**files, source: path}
+    out = tmp_path / ("out.csv" if args[0] == "score" else "out.mrfb")
+    out.unlink(missing_ok=True)
+    capsys.readouterr()
+    code = run_cli(*(arg.format(**files) for arg in args), "--out", str(out))
+    return code, capsys.readouterr().err.splitlines(), path, out
+
+
+def _fields(arrays, meta, unread):
+    """Each array and header field of a bundle but its kind, as (dotted key,
+    value), with the fields of each header object its loader reads."""
+    for key, value in [*arrays.items(), *meta.items()]:
+        if key != "kind":
+            yield key, value
+        if isinstance(value, dict) and key not in unread:
+            yield from ((f"{key}.{name}", item) for name, item in value.items())
+
+
+def refused(run, key, stored_dtype=None):
+    """Whether run_reader's command exited 2 with one error line naming the
+    changed copy and the dotted key's last part, and wrote no output. The line
+    is a corrupt header, or given the dtype of an array stored as complex64,
+    the dtype mismatch that names the command to rerun, if any."""
+    code, lines, path, out = run
+    if code != 2 or len(lines) != 1 or out.exists():
+        return False
+    if stored_dtype is not None:
+        rerun = f"; rerun {RERUN[key]} to write it again" if key in RERUN else ""
+        message = f"{path} array {key!r} must be {stored_dtype}, got complex64{rerun}"
+        return lines[0] == f"error kind=io code=dtype-mismatch msg={message!r}"
+    return (lines[0].startswith("error kind=io code=corrupt-header") and str(path) in lines[0]
+            and repr(key.split(".")[-1]) in lines[0])
+
+
+def meets_contract(run):
+    """Whether run_reader's command exited 0 with finite outputs and an empty
+    stderr, or exited 1 with one of USAGE_FAULTS, or 2 or 3, with one error
+    line and no output. A metrics table's nrmse may be NaN: a ground truth of
+    one value over its foreground has no range to normalize by."""
+    code, lines, _, out = run
+    if code == 0 and out.suffix == ".csv":
+        with open(out, newline="") as fh:
+            _, *rows = csv.reader(fh)
+        return lines == [] and all(math.isfinite(float(v)) for row in rows
+                                   for v in (row[2:4] if row[4] == "nan" else row[2:]))
+    if code == 0:
+        return lines == [] and all(np.isfinite(a).all() for a in bundle.read_bundle(out)[0].values())
+    return len(lines) == 1 and not out.exists() and (
+        code in (2, 3) or code == 1 and any(fault in lines[0] for fault in USAGE_FAULTS))
 
 
 class TestExitCodes:
@@ -651,7 +661,7 @@ class TestExitCodes:
         assert not (out_dir / "dict.mrfb").exists()
         return lines[0]
 
-    @pytest.mark.parametrize("key,value", [("t1", -5), ("cx", "a"), ("t1", None),
+    @pytest.mark.parametrize("key,value", [("t1", -5), ("cx", "a"), ("t1", None), ("a", 0),
                                            pytest.param("t1", 10**400, id="t1-10**400")])
     def test_bad_phantom_value_fails_before_dictionary(self, tmp_path, capsys, key, value):
         entry = {"shape": "ellipse", "cx": 0.5, "cy": 0.5, "a": 0.4, "b": 0.4,
@@ -700,120 +710,108 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("kind", list(LOADERS))
     def test_missing_field_is_io_error(self, loader_files, tmp_path, capsys, kind):
-        source, args, meta_keys = LOADERS[kind]
-        arrays, meta = bundle.read_bundle(loader_files[source], kind=kind)
-        path, out = tmp_path / "partial.mrfb", tmp_path / "out.mrfb"
-        cases = [({k: a for k, a in arrays.items() if k != name}, meta, name) for name in arrays
-                 if name not in UNREAD_ARRAYS.get(kind, ())]
-        cases += [(arrays, {k: v for k, v in meta.items() if k != key}, key) for key in meta_keys]
-        capsys.readouterr()
-        for partial_arrays, partial_meta, missing in cases:
-            bundle.write_bundle(path, partial_arrays, partial_meta)
-            command = [arg.format(**{**loader_files, source: path}) for arg in args]
-            code = run_cli(*command, "--out", str(out))
-            assert_corrupt_header(capsys, code, f"{path} has no", missing, out)
+        # deleting a header field is one of the fault table's changes
+        source, args = LOADERS[kind]
+        arrays, _ = bundle.read_bundle(loader_files[source])
+        for name in arrays.keys() - set(UNREAD.get(kind, ())):
+            run = run_reader(capsys, tmp_path, args, loader_files, source, _set(name, None))
+            assert refused(run, name) and f"{run[2]} has no array {name!r}" in run[1][0], run[:2]
 
-    @pytest.mark.parametrize("kind,key,value", [
-        *(pytest.param(*row, id=f"{row[0]}-{row[1]}") for row in BAD_FIELDS), *IMPOSSIBLE_FIELDS])
+    @pytest.mark.parametrize("name", READERS)
+    def test_fault_table(self, loader_files, tmp_path, capsys, name):
+        """Each bundle the command reads, after each change of each of its
+        arrays and header fields: a structural fault in a field the command
+        reads fails as a corrupt header or a dtype mismatch naming the file
+        and the key, a value change meets the runtime contract, and no change
+        of a field that no loader reads changes the output."""
+        args = READERS[name]
+        code, lines, _, out = run_reader(capsys, tmp_path, args, loader_files)
+        assert (code, lines) == (0, [])
+        clean = out.rename(tmp_path / f"clean{out.suffix}")
+        kinds = {source: kind for kind, (source, _) in LOADERS.items()}
+        violations = []
+        for source in re.findall(r"{(\w+)}", " ".join(args)):
+            arrays, meta = bundle.read_bundle(loader_files[source])
+            unread = UNREAD.get(kinds[source], ())
+            for key, value in _fields(arrays, meta, unread):
+                faults = structural_faults(value)
+                for change, new in {**faults, **value_changes(value)}.items():
+                    run = run_reader(capsys, tmp_path, args, loader_files, source, _set(key, new))
+                    if key.split(".")[0] in unread:
+                        ok = run[:2] == (0, []) and filecmp.cmp(run[3], clean, shallow=False)
+                    elif change in faults:
+                        ok = refused(run, key, value.dtype if change == "complex64" else None)
+                    else:
+                        ok = meets_contract(run)
+                    if not ok:
+                        violations.append((source, key, change, *run[:2]))
+        assert violations == []
+
+    @pytest.mark.parametrize("kind,key,value", IMPOSSIBLE_FIELDS)
     def test_malformed_field_is_io_error(self, loader_files, tmp_path, capsys, kind, key, value):
-        source, args, _ = LOADERS[kind]
-        arrays, meta = bundle.read_bundle(loader_files[source], kind=kind)
-        *parents, leaf = key.split(".")
-        node = arrays if key in arrays else meta
-        for parent in parents:
-            node = node[parent]
-        node[leaf] = value
-        path, out = tmp_path / "bad.mrfb", tmp_path / "out.mrfb"
-        bundle.write_bundle(path, arrays, meta)
-        command = [arg.format(**{**loader_files, source: path}) for arg in args]
-        capsys.readouterr()
-        code = run_cli(*command, "--out", str(out))
-        assert_corrupt_header(capsys, code, path, leaf, out)
+        source, args = LOADERS[kind]
+        run = run_reader(capsys, tmp_path, args, loader_files, source, _set(key, value))
+        assert refused(run, key), run[:2]
 
-    @pytest.mark.parametrize("source,kind,key,edit,args", IMPOSSIBLE_BUNDLES)
-    def test_impossible_bundle_is_io_error(self, loader_files, tmp_path, capsys, source, kind,
-                                           key, edit, args):
-        arrays, meta = bundle.read_bundle(loader_files[source], kind=kind)
-        edit(arrays)
-        path, out = tmp_path / "bad.mrfb", tmp_path / "out.mrfb"
-        bundle.write_bundle(path, arrays, meta)
-        command = [arg.format(**{**loader_files, source: path}) for arg in args]
-        capsys.readouterr()
-        code = run_cli(*command, "--out", str(out))
-        assert_corrupt_header(capsys, code, path, key, out)
+    @pytest.mark.parametrize("source,key,edit,args", IMPOSSIBLE_BUNDLES)
+    def test_impossible_bundle_is_io_error(self, loader_files, tmp_path, capsys, source, key,
+                                           edit, args):
+        run = run_reader(capsys, tmp_path, args, loader_files, source, edit)
+        assert refused(run, key), run[:2]
 
-    @pytest.mark.parametrize("source,kind,key,args,rerun", DTYPE_MISMATCHES)
-    def test_complex_array_is_dtype_mismatch(self, loader_files, tmp_path, capsys, source, kind,
-                                             key, args, rerun):
-        arrays, meta = bundle.read_bundle(loader_files[source], kind=kind)
-        expected = arrays[key].dtype.name
-        arrays[key] = arrays[key].astype(np.complex64)
-        path, out = tmp_path / "bad.mrfb", tmp_path / "out.mrfb"
-        bundle.write_bundle(path, arrays, meta)
-        command = [arg.format(**{**loader_files, source: path}) for arg in args]
-        capsys.readouterr()
-        assert run_cli(*command, "--out", str(out)) == 2
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error kind=io code=dtype-mismatch")
-        assert str(path) in lines[0] and repr(key) in lines[0]
-        assert f"must be {expected}, got complex64" in lines[0]
-        assert (f"rerun {rerun}" in lines[0]) if rerun else ("rerun" not in lines[0])
-        assert not out.exists()
-
-    @pytest.mark.parametrize("source,kind,key,value,args", NUMERIC_FAULTS)
-    def test_stage_overflow_is_numeric_error(self, loader_files, tmp_path, capsys, source, kind,
-                                             key, value, args):
-        arrays, meta = bundle.read_bundle(loader_files[source], kind=kind)
-        arrays[key] = np.full_like(arrays[key], value)
-        path, out = tmp_path / "extreme.mrfb", tmp_path / "out.mrfb"
-        bundle.write_bundle(path, arrays, meta)
-        command = [arg.format(**{**loader_files, source: path}) for arg in args]
-        capsys.readouterr()
-        assert run_cli(*command, "--out", str(out)) == 3
-        lines = capsys.readouterr().err.splitlines()
+    @pytest.mark.parametrize("source,key,value,args", NUMERIC_FAULTS)
+    def test_stage_overflow_is_numeric_error(self, loader_files, tmp_path, capsys, source, key,
+                                             value, args):
+        code, lines, _, out = run_reader(
+            capsys, tmp_path, args, loader_files, source,
+            lambda arrays, _: arrays.update({key: np.full_like(arrays[key], value)}))
+        assert code == 3
         assert len(lines) == 1 and lines[0].startswith("error kind=numeric msg=")
         assert not out.exists()
 
     @pytest.mark.parametrize("source,other,args,message", DISAGREEING_FILES)
     def test_disagreeing_files_are_usage_error(self, loader_files, mismatched_files, tmp_path,
                                                capsys, source, other, args, message):
-        out = tmp_path / "out.mrfb"
-        files = {**loader_files, source: mismatched_files[other]}
-        capsys.readouterr()
-        assert run_cli(*(arg.format(**files) for arg in args), "--out", str(out)) == 1
-        lines = capsys.readouterr().err.splitlines()
+        code, lines, _, out = run_reader(capsys, tmp_path, args,
+                                         {**loader_files, source: mismatched_files[other]})
+        assert code == 1
         assert lines == [f"error kind=usage msg={message!r}"]
         assert not out.exists()
 
-    def test_dropped_header_fields_are_ignored(self, loader_files, tmp_path):
+    def test_dropped_header_fields_are_ignored(self, loader_files, tmp_path, capsys):
         # a dictionary with the inversion flag, a k-space bundle with the
         # mask-drawing constants and a network with its layer count, as older
         # versions wrote them, read as the same bundles without those fields
-        old = {"dict": ("dictionary", {"inversion": True}, _LEARN),
-               "kspace": ("kspace", {"center_radius": 4, "gamma": 2.0, "k0": 4.0},
-                          (*_RECONSTRUCT, "bpi")),
-               "net": ("mrf-net", {"layers": 3}, ("infer", "--net", "{net}", "--in", "{recon}"))}
-        for source, (kind, fields, args) in old.items():
-            arrays, meta = bundle.read_bundle(loader_files[source], kind=kind)
-            path = tmp_path / f"old-{source}.mrfb"
-            bundle.write_bundle(path, arrays, {**meta, **fields})
-            outs = [tmp_path / f"{source}-{name}.mrfb" for name in ("old", "current")]
-            for bundle_path, out in zip((path, loader_files[source]), outs):
-                command = [arg.format(**{**loader_files, source: bundle_path}) for arg in args]
-                assert run_cli(*command, "--out", str(out)) == 0
-            assert filecmp.cmp(*outs, shallow=False)
+        old = {"dict": ({"inversion": True}, _LEARN),
+               "kspace": ({"center_radius": 4, "gamma": 2.0, "k0": 4.0}, (*_RECONSTRUCT, "bpi")),
+               "net": ({"layers": 3}, _INFER)}
+        for source, (fields, args) in old.items():
+            *_, current = run_reader(capsys, tmp_path, args, loader_files)
+            current = current.rename(tmp_path / "current.mrfb")
+            code, *_, out = run_reader(capsys, tmp_path, args, loader_files, source,
+                                       lambda arrays, meta: meta.update(fields))
+            assert code == 0 and filecmp.cmp(out, current, shallow=False)
 
-    @pytest.mark.parametrize("key,edit,args", UNREAD_LABELS)
-    def test_labels_from_grid(self, loader_files, tmp_path, key, edit, args):
-        arrays, meta = bundle.read_bundle(loader_files["dict"], kind="dictionary")
-        arrays[key] = edit(arrays[key])
-        path = tmp_path / "labels.mrfb"
-        bundle.write_bundle(path, arrays, meta)
-        outs = [tmp_path / f"{name}.mrfb" for name in ("edited", "clean")]
-        for dict_path, out in zip((path, loader_files["dict"]), outs):
-            command = [arg.format(**{**loader_files, "dict": dict_path}) for arg in args]
-            assert run_cli(*command, "--out", str(out)) == 0
-        assert filecmp.cmp(*outs, shallow=False)
+    @pytest.mark.parametrize("args,option", [
+        *(pytest.param(args, "--out", id=name)
+          for name, args in {"simulate-dict": ("simulate-dict",),
+                             "make-phantom": ("make-phantom",), **READERS}.items()),
+        pytest.param((*_RECONSTRUCT, "lr"), "--trace", id="reconstruct-trace")])
+    def test_missing_output_directory_fails_before_stage(self, loader_files, tmp_path, capsys,
+                                                         monkeypatch, args, option):
+        def stage(*_args):
+            raise AssertionError("the stage ran")
+
+        monkeypatch.setattr(experiment, args[0].replace("-", "_"), stage)
+        missing = tmp_path / "missing"
+        paths = {"--out": tmp_path / "out", option: missing / "out"}
+        capsys.readouterr()
+        assert run_cli(*(arg.format(**loader_files) for arg in args),
+                       *(str(item) for pair in paths.items() for item in pair)) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error kind=io msg=")
+        assert f"No such file or directory: {str(missing)!r}" in lines[0]
+        assert list(tmp_path.iterdir()) == []
 
     def test_nonfinite_lambda_flag_is_usage_error(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "x.mrfb"

@@ -94,14 +94,6 @@ class TestMakeTrainingSet:
             extra.append(peak - inputs.nbytes - targets.nbytes)
         assert abs(extra[1] - extra[0]) <= 2**20, extra
 
-    def test_normalize_targets_makes_one_copy(self, desk_dictionary, desk_basis, traced_peak):
-        cfg = TrainConfig(noise_sigma=0.002, augment_factor=100, epochs=0, seed=1)
-        _, targets_ms = inference.make_training_set(desk_dictionary, desk_basis, cfg)
-        net = MrfNet.initialize(desk_basis.rank_s, (100, 4000), (20, 600), (8, 8), seed=0)
-        peak, targets = traced_peak(net.normalize_targets, targets_ms)
-        assert targets.dtype == np.float64
-        assert peak <= targets_ms.size * 8 + 2**20, peak
-
     def test_empty_dictionary_rejected(self, toy_setup, short_schedule):
         # every grid has a pair, so a dictionary without atoms cannot be made
         d, _ = toy_setup
@@ -363,7 +355,8 @@ class TestLiveUnitStep:
         net = MrfNet.initialize(desk_basis.rank_s, (100.0, 4000.0), (20.0, 600.0),
                                 hidden=SHIPPED_HIDDEN, seed=cfg.seed, dtype=dtype)
         net, _ = inference.train(net, (x, targets_ms), cfg)
-        y = net.normalize_targets(targets_ms.astype(np.float64)).astype(dtype)
+        lo, hi = net._bounds()
+        y = inference._normalized(targets_ms.astype(np.float64), lo, hi - lo).astype(dtype)
         order = np.random.default_rng(8).permutation(x.shape[0])
         return net, x[order], y[order]
 
