@@ -252,6 +252,39 @@ def _set(key, value):
     return edit
 
 
+def _one_entry(shape, value):
+    """A float32 array of zeros but for value at its first entry."""
+    out = np.zeros(shape, np.float32)
+    out.flat[0] = value
+    return out
+
+
+def _nan_at(key):
+    """An edit that sets the middle entry of array key to NaN."""
+    def edit(arrays, _):
+        arrays[key].flat[arrays[key].size // 2] = np.nan
+    return edit
+
+
+# named cases of the fault table's structural faults, each of which a bug
+# report once named: per kind of bundle, a header value or an array, by its
+# dotted key, replaced by one of the wrong type, a non-finite entry or an
+# empty axis, which the kind's loader must reject
+BAD_FIELDS = [
+    *(pytest.param(*row, id=f"{row[0]}-{row[1]}") for row in [
+        ("dictionary", "grid.t1", [100.0, 50.0]), ("dictionary", "tr_ms", "ten"),
+        ("dictionary", "te_ms", float("nan")), ("dictionary", "tinv_ms", 10**400),
+        ("mrf-net", "t1_range", 5), ("mrf-net", "output_relu", "no"), ("maps", "estimator", 1)]),
+    pytest.param("basis", "v", np.zeros((80, 0), np.float32), id="basis-v-no-columns"),
+    pytest.param("mrf-net", "w1", _one_entry((8, 8), np.nan), id="mrf-net-w1-nan"),
+    pytest.param("mrf-net", "b2", _one_entry(2, -np.inf), id="mrf-net-b2-inf"),
+    pytest.param("reconstruction", "x_subspace", _one_entry((4, 32, 32), np.nan) + 0j,
+                 id="reconstruction-x_subspace-nan"),
+    pytest.param("reconstruction", "basis_v", _one_entry((80, 4), np.inf),
+                 id="reconstruction-basis_v-inf"),
+    pytest.param("basis", "singular_values", _one_entry(80, -np.inf),
+                 id="basis-singular_values-inf"),
+]
 # a header value or an array of the right type, but with a shape or an
 # impossible value, or one that disagrees with another field of the bundle,
 # that the kind's loader must reject
@@ -274,11 +307,60 @@ IMPOSSIBLE_FIELDS = [
 # impossible bundles that replacing one field by a fixed value cannot make,
 # or read by a command other than LOADERS': (file, key the error names, edit,
 # command)
+# (file, kind, arrays): by name, each command that must refuse a NaN in one of them
+NAN_READERS = {
+    ("kspace", "kspace", ("y", "sens")): {mode: (*_RECONSTRUCT, mode) for mode in ("bpi", "lr")},
+    ("dict", "dictionary", ("flip_angles_deg",)): {"match": _MATCH, "train-net": _TRAIN,
+                                                   "learn-subspace": _LEARN},
+    ("gt", "ground-truth", ("t1", "pd")): {"acquire": READERS["acquire"], "score": _SCORE},
+    ("maps", "maps", ("t1",)): {"score": _SCORE},
+}
 IMPOSSIBLE_BUNDLES = [
+    *(pytest.param("kspace", "y", lambda arrays, _: arrays.update(y=arrays["y"][:, :0],
+                                                                  sens=arrays["sens"][:0]),
+                   (*_RECONSTRUCT, mode), id=f"kspace-no-coils-{mode}") for mode in ("bpi", "lr")),
+    *(pytest.param("basis", "v", _nan_at("v"), (*_RECONSTRUCT, mode), id=f"basis-v-nan-{mode}")
+      for mode in ("bpi", "lr")),
+    pytest.param("recon", "x_subspace", _nan_at("x_subspace"), _INFER,
+                 id="reconstruction-x_subspace-nan-infer"),
+    *(pytest.param("recon", "x_subspace",
+                   lambda arrays, _: arrays.update(x_subspace=arrays["x_subspace"][:0],
+                                                   basis_v=arrays["basis_v"][:, :0]),
+                   args, id=f"reconstruction-rank-zero-{args[0]}") for args in (_MATCH, _INFER)),
+    *(pytest.param(source, key, _nan_at(key), args, id=f"{kind}-{key}-nan-{name}")
+      for (source, kind, keys), commands in NAN_READERS.items()
+      for key in keys for name, args in commands.items()),
     pytest.param("gt", "pd", lambda arrays, _: arrays.update(pd=-arrays["pd"]), _SCORE,
                  id="ground-truth-pd-negated-score"),
     *(pytest.param("dict", "grid", lambda arrays, _: arrays.update(atoms=arrays["atoms"][:, :-1]),
                    args, id=f"dictionary-grid-pairs-{args[0]}") for args in (_MATCH, _TRAIN, _LEARN)),
+]
+# an array stored as complex64 where its saver writes another dtype: (file,
+# key, command); the first two are the complex64 v and basis_v of bundles
+# from before the basis was real
+DTYPE_MISMATCHES = [
+    pytest.param("basis", "v", (*_RECONSTRUCT, "lr"), id="basis-v"),
+    pytest.param("recon", "basis_v", _MATCH, id="reconstruction-basis_v"),
+    pytest.param("net", "w0", _INFER, id="mrf-net-w0-infer"),
+    pytest.param("gt", "t1", _SCORE, id="ground-truth-t1-score"),
+    pytest.param("dict", "flip_angles_deg", _MATCH, id="dictionary-flips-match"),
+    pytest.param("dict", "flip_angles_deg", _TRAIN, id="dictionary-flips-train-net"),
+    pytest.param("basis", "singular_values", (*_RECONSTRUCT, "bpi"),
+                 id="basis-singular_values-reconstruct"),
+]
+# edits of a dictionary's label arrays (UNREAD), after which each command
+# gives the clean file's output: (array, edit name, edit)
+_LABEL_EDITS = [
+    ("t1", "reversed", lambda a: a[::-1]),
+    ("t1", "zero", np.zeros_like),
+    ("t1", "nan", lambda a: np.full_like(a, np.nan)),
+    ("t2", "nan", lambda a: np.full_like(a, np.nan)),
+]
+UNREAD_LABELS = [
+    pytest.param(key, edit, READERS[name], id=f"{key}-{edit_name}-{name}")
+    for key, edit_name, edit in _LABEL_EDITS
+    for name in (("match", "train-net", "learn-subspace") if edit_name == "nan"
+                 else ("match", "train-net"))
 ]
 # finite bundles on which a stage overflows or makes a NaN: (file, the array
 # every entry of which is set to value, command)
@@ -747,7 +829,7 @@ class TestExitCodes:
                         violations.append((source, key, change, *run[:2]))
         assert violations == []
 
-    @pytest.mark.parametrize("kind,key,value", IMPOSSIBLE_FIELDS)
+    @pytest.mark.parametrize("kind,key,value", [*BAD_FIELDS, *IMPOSSIBLE_FIELDS])
     def test_malformed_field_is_io_error(self, loader_files, tmp_path, capsys, kind, key, value):
         source, args = LOADERS[kind]
         run = run_reader(capsys, tmp_path, args, loader_files, source, _set(key, value))
@@ -758,6 +840,22 @@ class TestExitCodes:
                                            edit, args):
         run = run_reader(capsys, tmp_path, args, loader_files, source, edit)
         assert refused(run, key), run[:2]
+
+    @pytest.mark.parametrize("source,key,args", DTYPE_MISMATCHES)
+    def test_complex_array_is_dtype_mismatch(self, loader_files, tmp_path, capsys, source, key,
+                                             args):
+        stored = bundle.read_bundle(loader_files[source])[0][key].dtype
+        run = run_reader(capsys, tmp_path, args, loader_files, source,
+                         lambda arrays, _: arrays.update({key: arrays[key].astype(np.complex64)}))
+        assert refused(run, key, stored), run[:2]
+
+    @pytest.mark.parametrize("key,edit,args", UNREAD_LABELS)
+    def test_labels_from_grid(self, loader_files, tmp_path, capsys, key, edit, args):
+        *_, clean = run_reader(capsys, tmp_path, args, loader_files)
+        clean = clean.rename(tmp_path / "clean.mrfb")
+        code, lines, _, out = run_reader(capsys, tmp_path, args, loader_files, "dict",
+                                         lambda arrays, _: arrays.update({key: edit(arrays[key])}))
+        assert (code, lines) == (0, []) and filecmp.cmp(out, clean, shallow=False)
 
     @pytest.mark.parametrize("source,key,value,args", NUMERIC_FAULTS)
     def test_stage_overflow_is_numeric_error(self, loader_files, tmp_path, capsys, source, key,
