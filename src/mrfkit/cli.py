@@ -13,7 +13,6 @@ I/O error, 3 numerical failure, an overflow, NaN or division by zero included.
 Errors print one machine-readable line on stderr.
 """
 
-import errno
 import json
 import os
 import sys
@@ -72,9 +71,9 @@ _k_max_setting = _setting(
 
 
 def _output_path(ctx, param, path):
-    """Refuse an output path in a missing directory before the stage runs."""
-    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), os.path.dirname(path))
+    """Refuse an output path whose directory is missing (ENOENT) or is not a
+    directory (ENOTDIR) before the stage runs: a stat of "directory/" fails so."""
+    os.stat(os.path.join(os.path.dirname(path or "") or ".", ""))
     return path
 
 

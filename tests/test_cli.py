@@ -450,11 +450,12 @@ def _fields(arrays, meta, unread):
             yield from ((f"{key}.{name}", item) for name, item in value.items())
 
 
-def refused(run, key, stored_dtype=None):
+def refused(run, key, stored_dtype=None, deleted=False):
     """Whether run_reader's command exited 2 with one error line naming the
     changed copy and the dotted key's last part, and wrote no output. The line
-    is a corrupt header, or given the dtype of an array stored as complex64,
-    the dtype mismatch that names the command to rerun, if any."""
+    is a corrupt header, which for a deleted key says the copy "has no" it,
+    or given the dtype of an array stored as complex64, the dtype mismatch
+    that names the command to rerun, if any."""
     code, lines, path, out = run
     if code != 2 or len(lines) != 1 or out.exists():
         return False
@@ -462,7 +463,8 @@ def refused(run, key, stored_dtype=None):
         rerun = f"; rerun {RERUN[key]} to write it again" if key in RERUN else ""
         message = f"{path} array {key!r} must be {stored_dtype}, got complex64{rerun}"
         return lines[0] == f"error kind=io code=dtype-mismatch msg={message!r}"
-    return (lines[0].startswith("error kind=io code=corrupt-header") and str(path) in lines[0]
+    where = f"{path} has no " if deleted else str(path)
+    return (lines[0].startswith("error kind=io code=corrupt-header") and where in lines[0]
             and repr(key.split(".")[-1]) in lines[0])
 
 
@@ -797,7 +799,7 @@ class TestExitCodes:
         arrays, _ = bundle.read_bundle(loader_files[source])
         for name in arrays.keys() - set(UNREAD.get(kind, ())):
             run = run_reader(capsys, tmp_path, args, loader_files, source, _set(name, None))
-            assert refused(run, name) and f"{run[2]} has no array {name!r}" in run[1][0], run[:2]
+            assert refused(run, name, deleted=True) and "has no array" in run[1][0], run[:2]
 
     @pytest.mark.parametrize("name", READERS)
     def test_fault_table(self, loader_files, tmp_path, capsys, name):
@@ -822,7 +824,8 @@ class TestExitCodes:
                     if key.split(".")[0] in unread:
                         ok = run[:2] == (0, []) and filecmp.cmp(run[3], clean, shallow=False)
                     elif change in faults:
-                        ok = refused(run, key, value.dtype if change == "complex64" else None)
+                        ok = refused(run, key, value.dtype if change == "complex64" else None,
+                                     deleted=new is None)
                     else:
                         ok = meets_contract(run)
                     if not ok:
@@ -901,15 +904,18 @@ class TestExitCodes:
             raise AssertionError("the stage ran")
 
         monkeypatch.setattr(experiment, args[0].replace("-", "_"), stage)
-        missing = tmp_path / "missing"
-        paths = {"--out": tmp_path / "out", option: missing / "out"}
-        capsys.readouterr()
-        assert run_cli(*(arg.format(**loader_files) for arg in args),
-                       *(str(item) for pair in paths.items() for item in pair)) == 2
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error kind=io msg=")
-        assert f"No such file or directory: {str(missing)!r}" in lines[0]
-        assert list(tmp_path.iterdir()) == []
+        parent = tmp_path / "parent"
+        paths = {"--out": tmp_path / "out", option: parent / "out"}
+        for reason in ("No such file or directory", "Not a directory"):
+            if reason == "Not a directory":
+                parent.write_text("")
+            capsys.readouterr()
+            assert run_cli(*(arg.format(**loader_files) for arg in args),
+                           *(str(item) for pair in paths.items() for item in pair)) == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error kind=io msg=")
+            assert f"{reason}: {str(parent) + os.sep!r}" in lines[0]
+            assert list(tmp_path.iterdir()) == ([parent] if parent.exists() else [])
 
     def test_nonfinite_lambda_flag_is_usage_error(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "x.mrfb"
