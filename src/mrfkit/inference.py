@@ -184,7 +184,7 @@ def make_training_set(
     basis: SubspaceBasis,
     cfg: TrainConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Noise-augmented training pairs from the dictionary.
+    """Noise-augmented training rows from the dictionary, and one label per atom.
 
     Per atom: unit-normalize, project onto the basis, repeat augment_factor
     times, add complex white noise to each copy's coefficients (noise_sigma
@@ -192,31 +192,34 @@ def make_training_set(
     On an orthonormal basis, noise white in the L frames is white in the S
     coefficients with the same sigma, so the rows are distributed as if each
     atom had been corrupted frame by frame. Row r's noise is the r-th (S, 2)
-    block of the random stream. Targets are the (T1, T2) labels in
-    milliseconds. N = d * augment_factor rows.
+    block of the random stream. Returns the float32 (d * augment_factor, S)
+    inputs, row r a noisy copy of atom r // augment_factor, and the float32
+    (d, 2) (T1, T2) labels of the atoms in milliseconds, which train
+    shares among each atom's copies.
 
     The rows are built _TRAINING_BLOCK at a time, drawing each block's noise
     in stream order, so the working memory does not grow with N; the atoms
     are projected a block at a time, so beyond the (d, S) projections it
     does not grow with d either.
     """
-    aug = cfg.augment_factor
-    # np.repeat refuses a row count too large to index before anything else
-    # is allocated
+    aug = int(cfg.augment_factor)
+    n_rows = dictionary.n_atoms * aug  # a Python int: it cannot wrap
+    if n_rows * basis.rank_s * np.dtype(np.float32).itemsize > np.iinfo(np.intp).max:
+        raise ValueError(f"{dictionary.n_atoms} atoms x augment {aug} = {n_rows} training "
+                         "rows are more than an array can address")
     labels = np.stack([dictionary.t1_ms, dictionary.t2_ms], axis=1).astype(np.float32)
-    targets = np.repeat(labels, aug, axis=0)
-    inputs = np.empty((targets.shape[0], basis.rank_s), dtype=np.float32)
+    inputs = np.empty((n_rows, basis.rank_s), dtype=np.float32)
     clean = _atom_projections(dictionary, basis, normalized=True)
     rng = np.random.default_rng(cfg.seed)
-    for r0 in range(0, inputs.shape[0], _TRAINING_BLOCK):
-        r1 = min(r0 + _TRAINING_BLOCK, inputs.shape[0])
+    for r0 in range(0, n_rows, _TRAINING_BLOCK):
+        r1 = min(r0 + _TRAINING_BLOCK, n_rows)
         coeffs = clean[np.arange(r0, r1) // aug]
         if cfg.noise_sigma > 0:
             noise = rng.standard_normal((r1 - r0, basis.rank_s, 2))
             noise *= cfg.noise_sigma
             coeffs += noise.view(np.complex128)[..., 0]
         inputs[r0:r1] = _unit_aligned(coeffs)[0]
-    return inputs, targets
+    return inputs, labels
 
 
 def learning_rate(cfg: TrainConfig, epoch: int) -> float:
@@ -240,13 +243,20 @@ def train(
     on_epoch, if given, is called with the epoch, the network being trained
     (to be read, not changed), the epoch's mean loss and its rate.
 
-    Each batch maps its own targets to [0, 1] by the grid ranges in float64
-    and casts them once to the input dtype, so no normalized copy of all N
-    targets is held; each epoch's order is _row_order's.
+    data is (inputs, labels_ms), make_training_set's pair: N input rows and
+    d (T1, T2) labels in milliseconds, N a positive multiple of d. Row r's
+    target is label r // (N // d), so one label per row is the plain case.
+    Each batch gathers its targets' labels, maps them to [0, 1] by the grid
+    ranges in float64 and casts them once to the input dtype, so no per-row
+    copy of the labels is held; each epoch's order is _row_order's.
     """
-    inputs, targets_ms = data
-    if inputs.shape[0] == 0:
-        raise ValueError("empty training set")
+    inputs, labels_ms = data
+    if len(labels_ms) == 0 or len(inputs) == 0 or len(inputs) % len(labels_ms):
+        raise ValueError(f"{len(inputs)} training rows for {len(labels_ms)} labels: the rows "
+                         "must be a positive multiple of the labels")
+    # an intp, so that idx // repeat cannot overflow the order's compact dtype
+    # (uint8 idx // 256 raises)
+    repeat = np.intp(len(inputs) // len(labels_ms))
     net = net.copy()
     lo_ms, hi_ms = net._bounds()
     span_ms = hi_ms - lo_ms
@@ -270,7 +280,7 @@ def train(
         for lo in range(0, inputs.shape[0], cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
             # take gathers a batch's rows in a third of the time of inputs[idx]
-            targets = _normalized(targets_ms.take(idx, axis=0), lo_ms, span_ms)
+            targets = _normalized(labels_ms.take(idx // repeat, axis=0), lo_ms, span_ms)
             loss, grad_ws, grad_bs = net.loss_and_gradients(inputs.take(idx, axis=0),
                                                             targets.astype(inputs.dtype))
             if not math.isfinite(loss):

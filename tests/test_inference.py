@@ -48,10 +48,17 @@ def clean_projections(dictionary, basis):
     return inference.make_training_set(dictionary, basis, cfg)
 
 
+def per_row(data):
+    """make_training_set's (inputs, labels) with each label repeated for every
+    row that copies its atom: the one-label-per-row form of the same set."""
+    inputs, labels = data
+    return inputs, np.repeat(labels, len(inputs) // len(labels), axis=0)
+
+
 class TestMakeTrainingSet:
     def test_clean_single_augment(self, toy_setup):
         d, basis = toy_setup
-        inputs, targets = clean_projections(d, basis)
+        inputs, labels = clean_projections(d, basis)
         assert inputs.shape == (d.n_atoms, basis.rank_s)
         norms = np.linalg.norm(d.atoms, axis=0, keepdims=True)
         norms[norms == 0] = 1.0
@@ -60,14 +67,15 @@ class TestMakeTrainingSet:
         )
         expected /= np.linalg.norm(expected, axis=1, keepdims=True)
         np.testing.assert_allclose(inputs, expected, atol=1e-6)
-        np.testing.assert_array_equal(targets[:, 0], d.t1_ms)
+        np.testing.assert_array_equal(labels[:, 0], d.t1_ms)
 
     def test_augment_count(self, toy_setup):
         d, basis = toy_setup
         cfg = TrainConfig(noise_sigma=0.01, augment_factor=100, epochs=0, seed=3)
-        inputs, targets = inference.make_training_set(d, basis, cfg)
+        inputs, labels = inference.make_training_set(d, basis, cfg)
         assert inputs.shape[0] == d.n_atoms * 100
-        assert targets.shape == (d.n_atoms * 100, 2)
+        assert labels.shape == (d.n_atoms, 2) and labels.dtype == np.float32
+        np.testing.assert_array_equal(labels, np.stack([d.t1_ms, d.t2_ms], axis=1))
 
     def test_rows_unit_norm(self, toy_setup):
         d, basis = toy_setup
@@ -84,15 +92,32 @@ class TestMakeTrainingSet:
 
     def test_working_memory_does_not_grow_with_rows(self, desk_dictionary, desk_basis,
                                                     traced_peak):
-        # 46,610 and 466,100 rows: the memory beyond the two outputs is the
-        # clean projections and one block's temporaries at both
+        # 46,610 and 466,100 rows: the outputs are the rows and one label per
+        # atom, and the memory beyond them is the clean projections and one
+        # block's temporaries at both
         extra = []
         for aug in (10, 100):
             cfg = TrainConfig(noise_sigma=0.002, augment_factor=aug, epochs=0, seed=1)
-            peak, (inputs, targets) = traced_peak(inference.make_training_set,
-                                                  desk_dictionary, desk_basis, cfg)
-            extra.append(peak - inputs.nbytes - targets.nbytes)
+            peak, data = traced_peak(inference.make_training_set, desk_dictionary,
+                                     desk_basis, cfg)
+            outputs = sum(a.nbytes for a in data)
+            assert outputs == data[0].nbytes + 8 * desk_dictionary.n_atoms
+            extra.append(peak - outputs)
         assert abs(extra[1] - extra[0]) <= 2**20, extra
+
+    @pytest.mark.parametrize("aug", [2**62, np.int64(2**62)], ids=["int", "int64"])
+    def test_unaddressable_row_count_refused_first(self, toy_setup, traced_peak, aug):
+        # 9 x 2**62 rows wrap in int64; the count is refused before any
+        # array is allocated
+        d, basis = toy_setup
+        cfg = TrainConfig(noise_sigma=0.01, augment_factor=aug, epochs=0, seed=1)
+
+        def build():
+            with pytest.raises(ValueError, match=f"9 atoms x augment {2**62} = {9 * 2**62} "):
+                inference.make_training_set(d, basis, cfg)
+
+        peak, _ = traced_peak(build)
+        assert peak < 2**20, peak
 
     def test_empty_dictionary_rejected(self, toy_setup, short_schedule):
         # every grid has a pair, so a dictionary without atoms cannot be made
@@ -160,25 +185,27 @@ class TestWorkingMemory:
 
     def test_training_set_does_not_grow_with_atoms(self, desk_dictionary, desk_basis,
                                                    traced_peak):
-        # 1025 and 4661 atoms: beyond the outputs, only the (d, S) complex128
-        # table of clean projections grows with the atom count, not a copy of
-        # the (L, d) atoms
+        # 1025 and 4661 atoms: beyond the outputs (the rows and one label per
+        # atom), only the (d, S) complex128 table of clean projections grows
+        # with the atom count, not a copy of the (L, d) atoms
         cfg = TrainConfig(noise_sigma=0.002, augment_factor=10, epochs=0, seed=1)
         extra = []
         for grid in ((25, 41), (79, 59)):
             d = atom_subset(desk_dictionary, *grid)
-            peak, (inputs, targets) = traced_peak(inference.make_training_set, d, desk_basis,
-                                                  cfg)
-            extra.append((d.n_atoms, peak - inputs.nbytes - targets.nbytes))
+            peak, data = traced_peak(inference.make_training_set, d, desk_basis, cfg)
+            outputs = sum(a.nbytes for a in data)
+            assert outputs == data[0].nbytes + 8 * d.n_atoms
+            extra.append((d.n_atoms, peak - outputs))
         (n0, extra0), (n1, extra1) = extra
         assert extra1 - extra0 <= (n1 - n0) * desk_basis.rank_s * 16 + 2**20, extra
 
     def test_train_holds_no_float64_targets(self, desk_dictionary, desk_basis, traced_peak):
         # an epoch over the shipped 466,100 rows holds its uint32 order (1.9 MB)
-        # and one batch's temporaries, not a normalized copy of the N x 2
-        # targets (3.7 MB as float32) nor an int64 order (3.7 MB)
+        # and one batch's temporaries, not a per-row copy of the 4661 labels
+        # (3.7 MB as float32), normalized or not, nor an int64 order (3.7 MB)
         cfg = TrainConfig(noise_sigma=0.002, augment_factor=100, epochs=1, seed=1)
         data = inference.make_training_set(desk_dictionary, desk_basis, cfg)
+        assert data[1].nbytes == 8 * desk_dictionary.n_atoms
         net = MrfNet.initialize(desk_basis.rank_s, (100, 4000), (20, 600), (8, 8), seed=0)
         peak, _ = traced_peak(inference.train, net, data, cfg)
         n = data[0].shape[0]
@@ -350,11 +377,12 @@ class TestLiveUnitStep:
         # the second-layer units no longer fire
         dtype = request.param
         cfg = dataclasses.replace(TRAIN_DEFAULTS, augment_factor=4, epochs=2)
-        x, targets_ms = inference.make_training_set(desk_dictionary, desk_basis, cfg)
+        x, labels_ms = inference.make_training_set(desk_dictionary, desk_basis, cfg)
         x = x.astype(dtype)
         net = MrfNet.initialize(desk_basis.rank_s, (100.0, 4000.0), (20.0, 600.0),
                                 hidden=SHIPPED_HIDDEN, seed=cfg.seed, dtype=dtype)
-        net, _ = inference.train(net, (x, targets_ms), cfg)
+        net, _ = inference.train(net, (x, labels_ms), cfg)
+        _, targets_ms = per_row((x, labels_ms))
         lo, hi = net._bounds()
         y = inference._normalized(targets_ms.astype(np.float64), lo, hi - lo).astype(dtype)
         order = np.random.default_rng(8).permutation(x.shape[0])
@@ -431,11 +459,12 @@ class TestTraining:
 
 
 def assert_trains_like_reference(net, data, cfg, rates=None):
-    """Train with the library and with the oracle (at the given per-epoch
-    rates, by default its own rule), require equal bits in every weight, bias
-    and loss; returns the oracle's final velocities."""
+    """Train with the library on data and with the oracle on data's one label
+    per row (at the given per-epoch rates, by default its own rule), require
+    equal bits in every weight, bias and loss; returns the oracle's final
+    velocities."""
     got, got_history = inference.train(net, data, cfg)
-    ref, ref_history, velocities = train_reference(net, data, cfg, rates)
+    ref, ref_history, velocities = train_reference(net, per_row(data), cfg, rates)
     assert len(got_history) == cfg.epochs
     for g, r in zip(got.weights + got.biases, ref.weights + ref.biases):
         assert g.dtype == r.dtype
@@ -451,8 +480,9 @@ class TestBitwiseReference:
     @staticmethod
     def check_training_set(dictionary, basis, cfg):
         got = inference.make_training_set(dictionary, basis, cfg)
+        assert len(got[1]) == dictionary.n_atoms
         ref = training_set_reference(dictionary, basis, cfg)
-        for g, r in zip(got, ref):
+        for g, r in zip(per_row(got), ref):
             assert g.dtype == r.dtype
             np.testing.assert_array_equal(bits(g), bits(r))
 
@@ -516,6 +546,49 @@ class TestBitwiseReference:
         assert max(history) - min(history) < 1e-6 * history[0]
 
 
+class TestSharedLabels:
+    """train on one label per atom trains as on that label repeated for every
+    row that copies the atom."""
+
+    @pytest.mark.parametrize("aug", [1, 4])
+    def test_equals_one_label_per_row(self, toy_setup, aug):
+        # 9 x aug rows in batches of 8: the last batch is partial at both
+        d, basis = toy_setup
+        cfg = TrainConfig(noise_sigma=0.01, augment_factor=aug, epochs=12,
+                          batch_size=8, learning_rate=0.1, seed=9)
+        data = inference.make_training_set(d, basis, cfg)
+        net = MrfNet.initialize(3, (400.0, 2000.0), (40.0, 200.0), hidden=(16, 16), seed=9)
+        got, got_history = inference.train(net, data, cfg)
+        rows, rows_history = inference.train(net, per_row(data), cfg)
+        ref, ref_history, _ = train_reference(net, per_row(data), cfg)
+        for g, r, o in zip(got.weights + got.biases, rows.weights + rows.biases,
+                           ref.weights + ref.biases):
+            np.testing.assert_array_equal(bits(g), bits(r))
+            np.testing.assert_array_equal(bits(g), bits(o))
+        np.testing.assert_array_equal(bits(got_history), bits(rows_history))
+        np.testing.assert_array_equal(bits(got_history), bits(ref_history))
+
+    def test_one_label_for_a_whole_compact_order(self, toy_setup):
+        # 256 rows of one atom: the uint8 order's idx // 256 must not overflow
+        d, basis = toy_setup
+        cfg = TrainConfig(noise_sigma=0.01, augment_factor=256, epochs=2,
+                          batch_size=64, learning_rate=0.1, seed=9)
+        data = inference.make_training_set(atom_subset(d, 1, 1), basis, cfg)
+        assert inference._row_order(np.random.default_rng(0), 256).dtype == np.uint8
+        net = MrfNet.initialize(3, (400.0, 2000.0), (40.0, 200.0), hidden=(8, 8), seed=9)
+        assert_trains_like_reference(net, data, cfg)
+
+    @pytest.mark.parametrize("rows,labels", [(10, 3), (10, 0), (0, 3)])
+    def test_rows_not_a_positive_multiple_refused(self, rows, labels):
+        net = MrfNet.initialize(3, (400.0, 2000.0), (40.0, 200.0), hidden=(8, 8), seed=0)
+        data = (np.ones((rows, 3), np.float32), np.full((labels, 2), 500.0, np.float32))
+        cfg = TrainConfig(noise_sigma=0.0, augment_factor=1, epochs=3, batch_size=4)
+        seen = []
+        with pytest.raises(ValueError, match=f"^{rows} training rows for {labels} labels: "):
+            inference.train(net, data, cfg, on_epoch=lambda *args: seen.append(args))
+        assert seen == []
+
+
 class TestRateRule:
     """train runs the configured rate, then a tenth of it for the last
     epochs // 5 epochs."""
@@ -552,7 +625,7 @@ class TestRateRule:
             (epoch, loss, lr if epoch < 4 else lr / 10) for epoch, loss in enumerate(history)]
         assert all(net_seen is got for _, net_seen, _, _ in seen)  # the net being trained
         # the constant-rate loop agrees for four epochs and parts in the fifth
-        const, const_history, _ = train_reference(net, data, cfg, rates=[lr] * 5)
+        const, const_history, _ = train_reference(net, per_row(data), cfg, rates=[lr] * 5)
         np.testing.assert_array_equal(bits(history[:4]), bits(const_history[:4]))
         assert history[4] != const_history[4]
 
